@@ -118,6 +118,9 @@ def _cmd_build(args) -> int:
 
 def _cmd_eval(args) -> int:
     universe = load_universe(args.universe)
+    # A literal naming a set outside the file interns it; quantifiers still
+    # range over the stored sets only.
+    domain = len(universe)
     parsed = parse(args.formula)
     env = {}
     for binding in args.bind:
@@ -125,7 +128,7 @@ def _cmd_eval(args) -> int:
         if not sep or not name:
             raise ValueError(f"bindings look like NAME=LITERAL, got {binding!r}")
         env[name] = parse_set_literal(universe, literal)
-    value = evaluate(universe, parsed, env)
+    value = evaluate(universe, parsed, env, domain_size=domain)
     print("true" if value else "false")
     return EXIT_OK if value else EXIT_CHECK_FAILED
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import SetId, Universe
-from .errors import CapExceeded, WrongArity
-from .formula import Classification, Formula, classify, evaluate, free_vars
+from .errors import CapExceeded
+from .formula import Classification, Formula, classify, compile_criterion
 
 
 def pair(universe: Universe, s: SetId, t: SetId) -> SetId:
@@ -83,12 +83,15 @@ def specify(universe: Universe, s: SetId, criterion: Formula, var: str) -> Speci
     specify no set), and ``NO_WITNESS`` when it merely misses every member
     of ``s``.
     """
-    fv = free_vars(criterion)
-    if fv != {var}:
-        raise WrongArity(
-            f"criterion must have exactly the free variable {var!r}, got {sorted(fv)}"
-        )
-    chosen = [m for m in universe.members(s) if evaluate(universe, criterion, {var: m})]
+    fn = compile_criterion(criterion, var)
+    n = len(universe)
+    sets = universe.member_sets
+    env: dict[str, SetId] = {}
+    chosen = []
+    for m in universe.members(s):
+        env[var] = m
+        if fn(env, n, sets):
+            chosen.append(m)
     if chosen:
         return Specified(universe.intern(chosen))
     if classify(universe, criterion, var) is Classification.CONTRADICTORY:

@@ -72,6 +72,8 @@ class Universe:
         self._index: dict[tuple[SetId, ...], SetId] = {}
         # member_sets[i] is the frozenset form of node i's members; read-only.
         self.member_sets: list[frozenset[SetId]] = []
+        # Memoised is_transitive column; replaced whole, never mutated.
+        self._transitive: list[bool] = []
         self._atom_ids: dict[str, SetId] = {}
         for name in names:
             sid = len(self._nodes)
@@ -118,8 +120,15 @@ class Universe:
         ms = tuple(sorted(set(members)))
         if not ms:
             raise EmptySetForbidden("a set needs at least one member")
-        for m in ms:
-            self._check_id(m)
+        # ms is sorted, so once every member is an int its ends bound them
+        # all; the per-member scan below only runs to name the first bad id.
+        if not (
+            all(map(int.__instancecheck__, ms))
+            and ms[0] >= 0
+            and ms[-1] < len(self._nodes)
+        ):
+            for m in ms:
+                self._check_id(m)
         found = self._index.get(ms)
         if found is not None:
             return found
@@ -150,10 +159,30 @@ class Universe:
     def is_subset(self, s: SetId, t: SetId) -> bool:
         return self.member_set(s) <= self.member_set(t)
 
+    def transitivity(self) -> list[bool]:
+        """Column of :meth:`is_transitive` over every id interned so far; read-only.
+
+        Sets never change once interned, so entries are computed once. The
+        column is extended by building a longer list and publishing it with
+        one assignment, so a reader never sees a partly built column.
+        """
+        column = self._transitive
+        sets = self.member_sets
+        if len(column) < len(sets):
+            column = column + [
+                all(sets[m] <= sets[s] for m in sets[s])
+                for s in range(len(column), len(sets))
+            ]
+            self._transitive = column
+        return column
+
     def is_transitive(self, s: SetId) -> bool:
         """True when every member of ``s`` is also a subset of ``s``."""
-        ms = self.member_set(s)
-        return all(self.member_sets[m] <= ms for m in ms)
+        self._check_id(s)
+        column = self._transitive
+        if s >= len(column):
+            column = self.transitivity()
+        return column[s]
 
     def cardinality(self, s: SetId) -> int:
         return len(self.members(s))

@@ -339,6 +339,19 @@ def evaluate(
     return _compile(f)(bindings, n, universe.member_sets)
 
 
+def compile_criterion(f: Formula, var: str) -> _CompiledFn:
+    """Check that ``var`` is the only free variable of ``f`` and compile it.
+
+    The predicate takes ``(env, domain_size, member_sets)`` with ``env``
+    binding ``var``; one compiled criterion serves any number of sets, where
+    :func:`evaluate` re-checks and recompiles on every call.
+    """
+    fv = free_vars(f)
+    if fv != {var}:
+        raise WrongArity(f"criterion must have exactly the free variable {var!r}, got {sorted(fv)}")
+    return _compile(f)
+
+
 class Classification(Enum):
     TAUTOLOGICAL = "tautological"
     CONTRADICTORY = "contradictory"
@@ -358,16 +371,14 @@ def classify(
     every set, ``CONTINGENT`` anything in between. The criterion's free
     variables must be exactly ``{var}``.
     """
-    fv = free_vars(f)
-    if fv != {var}:
-        raise WrongArity(f"criterion must have exactly the free variable {var!r}, got {sorted(fv)}")
+    fn = compile_criterion(f, var)
     n = len(universe) if domain_size is None else domain_size
-    fn = _compile(f)
+    sets = universe.member_sets
     env: dict[str, SetId] = {}
     seen_true = seen_false = False
     for i in range(n):
         env[var] = i
-        if fn(env, n, universe.member_sets):
+        if fn(env, n, sets):
             seen_true = True
         else:
             seen_false = True

@@ -59,8 +59,14 @@ def loads_universe(text: str) -> Universe:
         except ValueError:
             raise UniverseFormatError(f"line {row + 1}: bad {key} value {value!r}") from None
         if key == "depth":
+            if parsed < 0:
+                raise UniverseFormatError(f"line {row + 1}: depth {parsed} is negative")
             depth = parsed
         else:
+            if parsed < len(names):
+                raise UniverseFormatError(
+                    f"line {row + 1}: max-sets {parsed} is below the {len(names)} atoms"
+                )
             max_sets = parsed
         row += 1
     try:
@@ -93,4 +99,8 @@ def save_universe(universe: Universe, path: str | Path) -> None:
 
 
 def load_universe(path: str | Path) -> Universe:
-    return loads_universe(Path(path).read_text(encoding="ascii"))
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise UniverseFormatError(f"{path}: not an ASCII universe file: {exc}") from exc
+    return loads_universe(text)

@@ -107,6 +107,18 @@ def test_eval_with_bindings(universe_file, capsys):
     assert capsys.readouterr().out.strip() == "true"
 
 
+def test_eval_binding_outside_the_file_does_not_widen_the_domain(universe_file, capsys):
+    # {u,{u,{u,{u,v}}}} first appears at depth 4, so it is not in the file.
+    code = main(["eval", str(universe_file), "exists s. s = x",
+                 "--bind", "x={u,{u,{u,{u,v}}}}"])
+    assert code == 1
+    assert capsys.readouterr().out.strip() == "false"
+    code = main(["eval", str(universe_file), "exists s. s = x",
+                 "--bind", "x={u,{u,{u,v}}}"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "true"
+
+
 def test_eval_empty_braces_rejected(universe_file):
     assert main(["eval", str(universe_file), "x in x", "--bind", "x={}"]) == 64
 
@@ -130,6 +142,7 @@ def test_check_all_json(universe_file, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["universe"] == {"atoms": ["u", "v"], "size": 127}
+    assert payload["depth"] == 3
     names = [r["name"] for r in payload["results"]]
     assert "trichotomy" in names and "regularity" in names
     assert all(r["status"] in ("holds", "not-applicable") for r in payload["results"])
@@ -154,6 +167,17 @@ def test_check_corrupted_file(tmp_path):
     path = tmp_path / "bad.hfu"
     path.write_text("quineset-universe 1\natoms u,v\n0,1\n0,1\n")
     assert main(["check", str(path), "all"]) == 65
+
+
+@pytest.mark.parametrize("content", [
+    b"quineset-universe 1\natoms u,v\xe9\n0,1\n",
+    b"quineset-universe 1\natoms u,v\ndepth -4\n0,1\n",
+    b"quineset-universe 1\natoms u,v\nmax-sets 1\n",
+], ids=["non-ascii", "negative-depth", "cap-below-atoms"])
+def test_check_bad_file_content_exits_65(tmp_path, content):
+    path = tmp_path / "bad.hfu"
+    path.write_bytes(content)
+    assert main(["check", str(path), "axioms"]) == 65
 
 
 def test_check_missing_file(tmp_path):
@@ -238,6 +262,15 @@ def test_loader_rejects_garbage():
         loads_universe("quineset-universe 1\natoms u,v\n0\n")  # collapses to atom
     with pytest.raises(UniverseFormatError):
         loads_universe("quineset-universe 1\natoms u,v\nzap\n")
+
+
+def test_loader_applies_build_config_rules_to_the_header():
+    with pytest.raises(UniverseFormatError, match="depth -4"):
+        loads_universe("quineset-universe 1\natoms u,v\ndepth -4\n")
+    with pytest.raises(UniverseFormatError, match="max-sets 1"):
+        loads_universe("quineset-universe 1\natoms u,v\nmax-sets 1\n")
+    edge = loads_universe("quineset-universe 1\natoms u,v\ndepth 0\nmax-sets 2\n")
+    assert (len(edge), edge.build_depth, edge.max_sets) == (2, 0, 2)
 
 
 def test_set_literal_round_trip_all_ids(default_universe):

@@ -1,11 +1,25 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quineset import (
+    And,
+    Classification,
+    Equal,
+    Exists,
+    Forall,
+    Iff,
+    Implies,
+    Member,
     NoSet,
     NoSetReason,
+    Not,
+    Or,
     Specified,
     Universe,
     binary_union,
+    classify,
+    evaluate,
+    free_vars,
     pair,
     parse,
     powerset,
@@ -15,7 +29,7 @@ from quineset import (
 )
 from quineset.errors import CapExceeded, WrongArity
 
-from support import model_powerset, model_union, rep_of
+from support import model_powerset, model_union, reference_eval, rep_of
 
 
 def test_pair_of_distinct_atoms_is_not_individual():
@@ -223,3 +237,78 @@ def test_specify_soundness_exhaustive(shallow_universe):
             assert list(u.members(out.set_id)) == expected
         else:
             assert out == NoSet(NoSetReason.NO_WITNESS)
+
+
+# --- compiled criteria against per-member references --------------------------
+
+_crit_names = st.sampled_from(["x", "y"])
+_crit_bodies = st.recursive(
+    st.builds(Member, _crit_names, _crit_names) | st.builds(Equal, _crit_names, _crit_names),
+    lambda kids: st.one_of(
+        st.builds(Not, kids),
+        st.builds(And, kids, kids),
+        st.builds(Or, kids, kids),
+        st.builds(Implies, kids, kids),
+        st.builds(Iff, kids, kids),
+        st.builds(Forall, _crit_names, kids),
+        st.builds(Exists, _crit_names, kids),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def one_variable_criteria(draw):
+    """A formula whose only free variable is ``x``."""
+    anchor = draw(
+        st.builds(Member, st.just("x"), _crit_names)
+        | st.builds(Member, _crit_names, st.just("x"))
+        | st.builds(Equal, st.just("x"), _crit_names)
+    )
+    joined = draw(st.sampled_from([And, Or, Iff]))(draw(_crit_bodies), anchor)
+    if "y" in free_vars(joined):
+        joined = draw(st.sampled_from([Forall, Exists]))("y", joined)
+    return joined
+
+
+def _mixed_universe():
+    # Atoms, non-individuals, and sets holding both, so every specify
+    # outcome can occur; the last set is the only one holding {a,{a,b}},
+    # so a quantifier that missed it would change some verdicts.
+    u = Universe(["a", "b"])
+    p = u.intern([0, 1])
+    q = u.intern([0, p])
+    u.intern([p])
+    u.intern([0, 1, p])
+    u.intern([1, q])
+    return u
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_variable_criteria())
+def test_specify_and_classify_match_per_member_references(crit):
+    u = _mixed_universe()
+    n = len(u)
+    assert free_vars(crit) == {"x"}
+    truths = [evaluate(u, crit, {"x": i}) for i in range(n)]
+    assert truths == [reference_eval(u, crit, {"x": i}) for i in range(n)]
+
+    if all(truths):
+        expected_class = Classification.TAUTOLOGICAL
+    elif any(truths):
+        expected_class = Classification.CONTINGENT
+    else:
+        expected_class = Classification.CONTRADICTORY
+    assert classify(u, crit, "x") is expected_class
+
+    for s in range(n):
+        # specify may intern its result, so each set gets a fresh universe.
+        fresh = _mixed_universe()
+        chosen = [m for m in fresh.members(s) if evaluate(fresh, crit, {"x": m})]
+        out = specify(fresh, s, crit, "x")
+        if chosen:
+            assert out == Specified(fresh.intern(chosen)), s
+        elif expected_class is Classification.CONTRADICTORY:
+            assert out == NoSet(NoSetReason.CONTRADICTORY_CRITERION), s
+        else:
+            assert out == NoSet(NoSetReason.NO_WITNESS), s

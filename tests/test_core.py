@@ -11,7 +11,7 @@ from quineset.errors import (
     UnknownId,
 )
 
-from support import model_members, rep_of
+from support import inject_self_membered, model_members, rep_of
 
 
 def test_new_universe_atoms():
@@ -202,3 +202,67 @@ def test_intern_order_independent(ids, rng):
     shuffled = list(ids) + [ids[0]]
     rng.shuffle(shuffled)
     assert u.intern(shuffled) == left
+
+
+def test_intern_names_the_first_bad_member():
+    u = Universe(["u", "v"])
+    with pytest.raises(UnknownId, match=r"^'x' is not a set id of this universe$"):
+        u.intern(["x"])
+    with pytest.raises(UnknownId, match=r"^1\.5 is not a set id of this universe$"):
+        u.intern([0, 1.5])
+    with pytest.raises(UnknownId, match=r"^-1 is not a set id of this universe$"):
+        u.intern([-1, 0])
+    with pytest.raises(UnknownId, match=r"^9 is not a set id of this universe$"):
+        u.intern([0, 1, 9])
+    with pytest.raises(UnknownId, match=r"^2 is not a set id of this universe$"):
+        u.intern([0, 2])
+    assert len(u) == 2
+
+
+# --- memoised transitivity ------------------------------------------------------
+
+def _transitive_by_definition(u, s):
+    sets = u.member_sets
+    return all(sets[m] <= sets[s] for m in sets[s])
+
+
+def _assert_transitivity_matches(u):
+    column = u.transitivity()
+    assert len(column) == len(u)
+    for s in u.ids():
+        expected = _transitive_by_definition(u, s)
+        assert column[s] == expected, s
+        assert u.is_transitive(s) == expected, s
+
+
+def test_transitivity_covers_sets_interned_after_the_column(shallow_universe):
+    u = shallow_universe
+    early = u.transitivity()
+    assert len(early) == len(u) == 7
+    for mask in range(1, 1 << 7):
+        u.intern([i for i in range(7) if mask >> i & 1])
+    newest = union_all(u, len(u) - 1)
+    # is_transitive on a new id extends the column before anything else asks.
+    assert u.is_transitive(newest) == _transitive_by_definition(u, newest)
+    _assert_transitivity_matches(u)
+    # The column is replaced, never extended in place.
+    assert len(early) == 7
+
+
+def test_transitivity_covers_injected_self_membered_sets(default_universe):
+    u = default_universe
+    u.transitivity()
+    inject_self_membered(u, 3)
+    _assert_transitivity_matches(u)
+    fresh = Universe(["u", "v"])
+    fresh.intern([0, 1])
+    inject_self_membered(fresh, 2)
+    _assert_transitivity_matches(fresh)
+
+
+def test_is_transitive_unknown_id():
+    u = Universe(["u"])
+    with pytest.raises(UnknownId):
+        u.is_transitive(1)
+    with pytest.raises(UnknownId):
+        u.is_transitive(-1)

@@ -211,8 +211,11 @@ def test_report_json_shape(default_universe):
     report = run_suite(default_universe, "axioms")
     payload = report.to_dict()
     assert payload["universe"] == {"atoms": ["u", "v"], "size": 127}
+    assert payload["depth"] == 3
     for entry in payload["results"]:
         assert set(entry) <= {"name", "status", "scanned", "witness"}
+    hand_built = Universe(["u", "v"])
+    assert run_suite(hand_built, "axioms").to_dict()["depth"] is None
 
 
 def test_failing_witnesses_reproduce(default_universe):
