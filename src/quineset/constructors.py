@@ -1,8 +1,10 @@
 """Set constructors: pairing, union, powerset, and criterion-based selection.
 
-These grow the interning table on demand, so they need exclusive access to
-the universe; quantified scans that should not see mid-check additions pin
-their domain size first (see :func:`quineset.formula.evaluate`).
+Each returns the id of the set it describes and interns that set when it is
+not there yet, so it needs exclusive access to the universe while it may
+grow it. On a universe closed under the construction (any universe made by
+the builder, for the sets a check asks for) nothing is interned and the call
+is a read.
 """
 
 from __future__ import annotations
@@ -25,12 +27,15 @@ def singleton(universe: Universe, s: SetId) -> SetId:
     return universe.intern((s,))
 
 
+def union_members(universe: Universe, s: SetId) -> frozenset[SetId]:
+    """The members of the union of the members of ``s``; interns nothing."""
+    sets = universe.member_sets
+    return frozenset().union(*map(sets.__getitem__, universe.member_set(s)))
+
+
 def union_all(universe: Universe, s: SetId) -> SetId:
     """The union of the members of ``s``; never empty, since every member has a member."""
-    merged: set[SetId] = set()
-    for m in universe.members(s):
-        merged.update(universe.members(m))
-    return universe.intern(merged)
+    return universe.intern(union_members(universe, s))
 
 
 def binary_union(universe: Universe, s: SetId, t: SetId) -> SetId:
@@ -92,6 +97,8 @@ def specify(universe: Universe, s: SetId, criterion: Formula, var: str) -> Speci
         env[var] = m
         if fn(env, n, sets):
             chosen.append(m)
+    if len(chosen) == len(sets[s]):
+        return Specified(s)
     if chosen:
         return Specified(universe.intern(chosen))
     if classify(universe, criterion, var) is Classification.CONTRADICTORY:

@@ -5,15 +5,18 @@ exactly when their member lists are equal. Atoms are the only self-membered
 objects: each atom's sole member is itself, and the singleton of an atom
 collapses back to the atom at interning time. There is no empty set.
 
-Construction is single-writer; once a universe stops growing, every query
-here is pure and safe to call from any number of threads.
+Interning is the only write, and it needs a single writer. Every other
+method here is a read, and so are the checks in :mod:`quineset.verifier` and
+:mod:`quineset.peano` on a universe made by the builder (or loaded from a
+file it wrote): they may run from any number of threads at once while
+nothing interns.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from .errors import (
     AtomsEqual,
@@ -35,7 +38,11 @@ _RESERVED_NAMES = frozenset({"forall", "exists", "in", "notin"})
 
 @dataclass(frozen=True)
 class SetNode:
-    """One interned set: a sorted tuple of member ids, plus a name for atoms."""
+    """A view of one interned set: its sorted member ids, plus a name for atoms.
+
+    :meth:`Universe.node` builds one on demand; the universe itself stores
+    only the member tuple.
+    """
 
     members: tuple[SetId, ...]
     atom_name: str | None = None
@@ -68,25 +75,30 @@ class Universe:
             seen.add(name)
         self.max_sets = max_sets
         self.build_depth: int | None = None
-        self._nodes: list[SetNode] = []
+        # _members[i] is set i's sorted member tuple, the same object that
+        # keys it in _index.
+        self._members: list[tuple[SetId, ...]] = []
         self._index: dict[tuple[SetId, ...], SetId] = {}
-        # member_sets[i] is the frozenset form of node i's members; read-only.
+        # member_sets[i] is the frozenset form of set i's members; read-only.
         self.member_sets: list[frozenset[SetId]] = []
         # Memoised is_transitive column; replaced whole, never mutated.
         self._transitive: list[bool] = []
         self._atom_ids: dict[str, SetId] = {}
         for name in names:
-            sid = len(self._nodes)
-            self._nodes.append(SetNode((sid,), name))
-            self._index[(sid,)] = sid
-            self.member_sets.append(frozenset((sid,)))
-            self._atom_ids[name] = sid
+            self._atom_ids[name] = self._append((len(self._members),))
+
+    def _append(self, ms: tuple[SetId, ...]) -> SetId:
+        sid = len(self._members)
+        self._members.append(ms)
+        self._index[ms] = sid
+        self.member_sets.append(frozenset(ms))
+        return sid
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._members)
 
     def ids(self) -> range:
-        return range(len(self._nodes))
+        return range(len(self._members))
 
     @property
     def atoms(self) -> tuple[SetId, ...]:
@@ -103,12 +115,14 @@ class Universe:
             raise UnknownAtom(f"no atom named {name!r}") from None
 
     def _check_id(self, sid: SetId) -> None:
-        if not isinstance(sid, int) or not 0 <= sid < len(self._nodes):
+        if not isinstance(sid, int) or not 0 <= sid < len(self._members):
             raise UnknownId(f"{sid!r} is not a set id of this universe")
 
     def node(self, sid: SetId) -> SetNode:
         self._check_id(sid)
-        return self._nodes[sid]
+        # Atoms occupy ids 0..k-1, in the order of their names.
+        names = tuple(self._atom_ids)
+        return SetNode(self._members[sid], names[sid] if sid < len(names) else None)
 
     def intern(self, members: Iterable[SetId]) -> SetId:
         """Return the canonical id for the given member collection.
@@ -125,24 +139,29 @@ class Universe:
         if not (
             all(map(int.__instancecheck__, ms))
             and ms[0] >= 0
-            and ms[-1] < len(self._nodes)
+            and ms[-1] < len(self._members)
         ):
             for m in ms:
                 self._check_id(m)
         found = self._index.get(ms)
         if found is not None:
             return found
-        if self.max_sets is not None and len(self._nodes) >= self.max_sets:
-            raise CapExceeded(required=len(self._nodes) + 1, max_sets=self.max_sets)
-        sid = len(self._nodes)
-        self._nodes.append(SetNode(ms))
-        self._index[ms] = sid
-        self.member_sets.append(frozenset(ms))
-        return sid
+        if self.max_sets is not None and len(self._members) >= self.max_sets:
+            raise CapExceeded(required=len(self._members) + 1, max_sets=self.max_sets)
+        return self._append(ms)
+
+    def lookup(self, extension: AbstractSet[SetId]) -> SetId | None:
+        """The id of the set whose members are exactly ``extension``, if interned.
+
+        Never interns. A singleton of an atom finds the atom, as in
+        :meth:`intern`; an empty or unknown extension finds nothing.
+        """
+        return self._index.get(tuple(sorted(extension)))
 
     def members(self, sid: SetId) -> tuple[SetId, ...]:
         """Sorted, duplicate-free member ids; an atom's members are itself."""
-        return self.node(sid).members
+        self._check_id(sid)
+        return self._members[sid]
 
     def member_set(self, sid: SetId) -> frozenset[SetId]:
         self._check_id(sid)
@@ -189,12 +208,7 @@ class Universe:
 
     def _force_node(self, members: tuple[SetId, ...]) -> SetId:
         """Install a node without any invariant checks. Test fixtures only."""
-        sid = len(self._nodes)
-        ms = tuple(members)
-        self._nodes.append(SetNode(ms))
-        self._index[ms] = sid
-        self.member_sets.append(frozenset(ms))
-        return sid
+        return self._append(tuple(members))
 
 
 def ensure_distinct_atoms(universe: Universe, a1: SetId, a2: SetId) -> None:

@@ -12,8 +12,16 @@ Surface syntax, whitespace-insensitive, with precedence ! > & > | > -> > <->:
     atom    := "(" formula ")" | ident ("in" | "notin" | "=" | "!=") ident
 
 ``x notin y`` is sugar for ``!(x in y)`` and ``x != y`` for ``!(x = y)``;
-both survive printing. A quantifier binds exactly the unary that follows the
-dot, so in ``forall u. (u in u) & (u in s)`` the second ``u`` is free.
+both survive printing. A formula nests at most :data:`MAX_NESTING` levels:
+no path from its root down to an atomic formula passes more subformulas,
+the atomic one included, and no point of its text lies inside more
+parentheses. Deeper input is a syntax error, which keeps the recursive
+parser, printer and evaluator inside the interpreter's stack. The printer
+puts one pair of parentheses around each subformula, so the printed form of
+any formula that parses parses again.
+
+A quantifier binds exactly the unary that follows the dot, so in
+``forall u. (u in u) & (u in s)`` the second ``u`` is free.
 
 Semantics are classical and two-valued. Quantifiers range over every set id
 of a universe (or over an explicitly pinned domain size). Formulas and
@@ -25,6 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Mapping
 
 from .core import SetId, Universe
@@ -93,6 +102,9 @@ Env = Mapping[str, SetId]
 
 KEYWORDS = frozenset({"forall", "exists", "in", "notin"})
 
+# Most levels a formula may nest; see the module docstring.
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(r"<->|->|!=|[A-Za-z][A-Za-z0-9_]*|[()!&|=.]")
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -112,11 +124,24 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+# Binary operators by precedence, loosest first; only "->" groups to the right.
+_BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
+
+
 class _Parser:
+    # Precedence climbing: each production returns its formula with its
+    # depth, the most subformulas on one path from its root. A left-grouping
+    # chain adds depth without recursing, so depth is checked as nodes are
+    # made. Recursion is bounded before it happens: ``parens`` counts the
+    # open parentheses, and ``above`` the enclosing "!", quantifier and "->"
+    # operators, each of which puts one more level over what it encloses.
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.parens = 0
+        self.above = 0
 
     def _peek(self) -> str | None:
         if self.pos < len(self.tokens):
@@ -146,52 +171,55 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {what} but found {tok!r}", self._here())
         return self._advance()
 
-    def formula(self) -> Formula:
-        left = self._impl()
-        while self._peek() == "<->":
-            self._advance()
-            left = Iff(left, self._impl())
-        return left
+    def _limit(self, level: int, pos: int) -> None:
+        if level > MAX_NESTING:
+            raise FormulaSyntaxError(f"formula nests deeper than {MAX_NESTING} levels", pos)
 
-    def _impl(self) -> Formula:
-        left = self._or()
-        if self._peek() == "->":
-            self._advance()
-            return Implies(left, self._impl())
-        return left
+    def formula(self, min_prec: int = 1) -> tuple[Formula, int]:
+        left, depth = self._unary()
+        while self._peek() in _BINARY and _BINARY[self._peek()][0] >= min_prec:
+            pos = self._here()
+            prec, kind = _BINARY[self._advance()]
+            if kind is Implies:
+                self.above += 1
+                self._limit(self.above + 1, pos)
+                right, right_depth = self.formula(prec)
+                self.above -= 1
+            else:
+                right, right_depth = self.formula(prec + 1)
+            depth = 1 + max(depth, right_depth)
+            self._limit(depth, pos)
+            left = kind(left, right)
+        return left, depth
 
-    def _or(self) -> Formula:
-        left = self._and()
-        while self._peek() == "|":
-            self._advance()
-            left = Or(left, self._and())
-        return left
-
-    def _and(self) -> Formula:
-        left = self._unary()
-        while self._peek() == "&":
-            self._advance()
-            left = And(left, self._unary())
-        return left
-
-    def _unary(self) -> Formula:
+    def _unary(self) -> tuple[Formula, int]:
         tok = self._peek()
+        if tok not in ("!", "forall", "exists"):
+            return self._atom()
+        pos = self._here()
+        self._advance()
+        self.above += 1
+        self._limit(self.above + 1, pos)
         if tok == "!":
-            self._advance()
-            return Not(self._unary())
-        if tok in ("forall", "exists"):
-            self._advance()
+            body, depth = self._unary()
+            node = Not(body)
+        else:
             var = self._ident("a variable")
             self._expect(".")
-            body = self._unary()
-            return Forall(var, body) if tok == "forall" else Exists(var, body)
-        return self._atom()
+            body, depth = self._unary()
+            node = Forall(var, body) if tok == "forall" else Exists(var, body)
+        self.above -= 1
+        self._limit(depth + 1, pos)
+        return node, depth + 1
 
-    def _atom(self) -> Formula:
+    def _atom(self) -> tuple[Formula, int]:
         if self._peek() == "(":
+            self.parens += 1
+            self._limit(self.parens, self._here())
             self._advance()
             inner = self.formula()
             self._expect(")")
+            self.parens -= 1
             return inner
         lhs = self._ident("a variable or '('")
         op = self._peek()
@@ -202,18 +230,18 @@ class _Parser:
         self._advance()
         rhs = self._ident("a variable")
         if op == "in":
-            return Member(lhs, rhs)
+            return Member(lhs, rhs), 1
         if op == "notin":
-            return Not(Member(lhs, rhs))
+            return Not(Member(lhs, rhs)), 2
         if op == "=":
-            return Equal(lhs, rhs)
-        return Not(Equal(lhs, rhs))
+            return Equal(lhs, rhs), 1
+        return Not(Equal(lhs, rhs)), 2
 
 
 def parse(text: str) -> Formula:
     """Parse surface syntax into a formula AST."""
     parser = _Parser(text)
-    result = parser.formula()
+    result, _depth = parser.formula()
     if parser.pos < len(parser.tokens):
         raise FormulaSyntaxError(
             f"unexpected trailing input {parser._peek()!r}", parser._here()
@@ -339,12 +367,15 @@ def evaluate(
     return _compile(f)(bindings, n, universe.member_sets)
 
 
+@lru_cache(maxsize=256)
 def compile_criterion(f: Formula, var: str) -> _CompiledFn:
     """Check that ``var`` is the only free variable of ``f`` and compile it.
 
     The predicate takes ``(env, domain_size, member_sets)`` with ``env``
     binding ``var``; one compiled criterion serves any number of sets, where
-    :func:`evaluate` re-checks and recompiles on every call.
+    :func:`evaluate` re-checks and recompiles on every call. Formulas are
+    immutable and the predicate keeps no state, so results are memoised on
+    ``(f, var)``.
     """
     fv = free_vars(f)
     if fv != {var}:

@@ -3,7 +3,9 @@
 A literal is an atom name or a brace-wrapped, comma-separated list of
 literals. Parsing interns missing composites on the fly; a singleton of an
 atom collapses onto the atom, and empty braces are an error because there is
-no empty set. Printing any id and re-parsing it yields the same id.
+no empty set. Braces nest at most :data:`MAX_NESTING` deep, which keeps the
+recursive parser inside the interpreter's stack; deeper input is a syntax
+error. Printing any id and re-parsing it yields the same id.
 """
 
 from __future__ import annotations
@@ -15,12 +17,16 @@ from .errors import LiteralSyntaxError
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
+# Most braces a literal may nest.
+MAX_NESTING = 100
+
 
 class _LiteralParser:
     def __init__(self, universe: Universe, text: str):
         self.universe = universe
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_space(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -45,6 +51,11 @@ class _LiteralParser:
         return self.universe.atom_id(match.group())
 
     def _braced(self) -> SetId:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise LiteralSyntaxError(
+                f"literal nests deeper than {MAX_NESTING} braces", self.pos
+            )
         self.pos += 1  # past "{"
         if self._peek() == "}":
             raise LiteralSyntaxError("a set needs at least one member", self.pos)
@@ -56,6 +67,7 @@ class _LiteralParser:
                 members.append(self.value())
             elif ch == "}":
                 self.pos += 1
+                self.depth -= 1
                 return self.universe.intern(members)
             else:
                 raise LiteralSyntaxError(

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constructors import binary_union, pair, singleton, union_all
+from .constructors import pair, union_members
 from .core import SetId, Universe, ensure_distinct_atoms
 from .errors import MalformedSequence, UnknownId
-from .verifier import CheckResult, Report, Status, Witness, _report
+from .verifier import CheckResult, Report, Status
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,11 @@ class NumberSequence:
 
 
 def successor(universe: Universe, s: SetId) -> SetId:
-    """s together with its singleton; preserves transitivity."""
-    return binary_union(universe, s, singleton(universe, s))
+    """s together with its singleton; preserves transitivity.
+
+    Interns the successor only, not the singleton {s}.
+    """
+    return universe.intern(universe.member_set(s) | {s})
 
 
 def sequence(universe: Universe, a1: SetId, a2: SetId, n: int) -> NumberSequence:
@@ -38,12 +41,6 @@ def sequence(universe: Universe, a1: SetId, a2: SetId, n: int) -> NumberSequence
     return NumberSequence(base, tuple(elements))
 
 
-def _fails(name: str, scanned: int, domain: int, formula: str, **bindings) -> CheckResult:
-    return CheckResult(
-        name, Status.FAILS, scanned, Witness(tuple(sorted(bindings.items())), formula, domain)
-    )
-
-
 def check_peano(universe: Universe, seq: NumberSequence) -> Report:
     """Verify the number-sequence laws for one chain.
 
@@ -51,6 +48,9 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
     injectivity, base not a successor, pairwise distinctness) plus the chain
     structure: every element is transitive with transitive members, and the
     union of each element is the previous one.
+
+    Successors and unions are compared as member sets, so the check interns
+    nothing.
     """
     if not seq.elements:
         raise MalformedSequence("a sequence needs at least one element")
@@ -60,6 +60,7 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
     except UnknownId as exc:
         raise MalformedSequence(str(exc)) from exc
     n = len(universe)
+    sets = universe.member_sets
     elements = seq.elements
     length = len(elements)
     results: list[CheckResult] = []
@@ -68,15 +69,16 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
         results.append(CheckResult("base-in-sequence", Status.HOLDS, 1))
     else:
         results.append(
-            _fails("base-in-sequence", 1, n, "b = e", b=seq.base, e=elements[0])
+            CheckResult.failure("base-in-sequence", 1, n, "b = e", b=seq.base, e=elements[0])
         )
 
-    succs = [successor(universe, e) for e in elements]
+    # The member set of each element's successor, e together with {e}.
+    succs = [sets[e] | {e} for e in elements]
 
     step_result = CheckResult("successor-chain", Status.HOLDS, length - 1)
     for k in range(length - 1):
-        if succs[k] != elements[k + 1]:
-            step_result = _fails(
+        if succs[k] != sets[elements[k + 1]]:
+            step_result = CheckResult.failure(
                 "successor-chain", length - 1, n,
                 "forall w. ((w in y) <-> ((w in e) | (w = e)))",
                 e=elements[k], y=elements[k + 1],
@@ -89,10 +91,10 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
     for i in range(length):
         for j in range(i + 1, length):
             if succs[i] == succs[j] and elements[i] != elements[j]:
-                inj_result = _fails(
+                inj_result = CheckResult.failure(
                     "successor-injective", inj_pairs, n,
-                    "(sx = sy) -> (x = y)",
-                    x=elements[i], y=elements[j], sx=succs[i], sy=succs[j],
+                    "(forall w. (((w in x) | (w = x)) <-> ((w in y) | (w = y)))) -> (x = y)",
+                    x=elements[i], y=elements[j],
                 )
                 break
         if inj_result.status is Status.FAILS:
@@ -100,10 +102,12 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
     results.append(inj_result)
 
     base_result = CheckResult("base-not-successor", Status.HOLDS, length)
-    for se in succs:
-        if se == seq.base:
-            base_result = _fails(
-                "base-not-successor", length, n, "y != b", y=se, b=seq.base
+    for e, se in zip(elements, succs):
+        if se == sets[seq.base]:
+            base_result = CheckResult.failure(
+                "base-not-successor", length, n,
+                "!(forall w. ((w in b) <-> ((w in e) | (w = e))))",
+                e=e, b=seq.base,
             )
             break
     results.append(base_result)
@@ -113,7 +117,7 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
     for i in range(length):
         for j in range(i + 1, length):
             if elements[i] == elements[j]:
-                distinct_result = _fails(
+                distinct_result = CheckResult.failure(
                     "elements-distinct", distinct_pairs, n,
                     "x != y", x=elements[i], y=elements[j],
                 )
@@ -127,7 +131,7 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
         if not universe.is_transitive(e) or not all(
             universe.is_transitive(m) for m in universe.members(e)
         ):
-            structure_result = _fails(
+            structure_result = CheckResult.failure(
                 "transitive-chain", length, n,
                 "(forall u. ((u in s) -> (forall w. ((w in u) -> (w in s))))) & "
                 "(forall u. ((u in s) -> (forall w. ((w in u) -> "
@@ -139,8 +143,8 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
 
     union_result = CheckResult("union-inverse", Status.HOLDS, length - 1)
     for k in range(length - 1):
-        if union_all(universe, elements[k + 1]) != elements[k]:
-            union_result = _fails(
+        if union_members(universe, elements[k + 1]) != sets[elements[k]]:
+            union_result = CheckResult.failure(
                 "union-inverse", length - 1, n,
                 "forall x. ((exists m. ((m in s) & (x in m))) <-> (x in t))",
                 s=elements[k + 1], t=elements[k],
@@ -148,7 +152,7 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
             break
     results.append(union_result)
 
-    return _report(universe, results, n)
+    return Report.of(universe, results, n)
 
 
 def check_sequences_distinct(
@@ -159,7 +163,7 @@ def check_sequences_distinct(
     for x in first.elements:
         for y in second.elements:
             if x == y:
-                return _fails(
+                return CheckResult.failure(
                     "sequences-distinct", scanned, len(universe), "x != y", x=x, y=y
                 )
     return CheckResult("sequences-distinct", Status.HOLDS, scanned)

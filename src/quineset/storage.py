@@ -34,11 +34,8 @@ def dumps_universe(universe: Universe) -> str:
         lines.append(f"depth {universe.build_depth}")
     if universe.max_sets is not None:
         lines.append(f"max-sets {universe.max_sets}")
-    for sid in universe.ids():
-        node = universe.node(sid)
-        if node.is_atom:
-            continue
-        lines.append(",".join(str(m) for m in node.members))
+    for sid in range(len(universe.atom_names), len(universe)):
+        lines.append(",".join(str(m) for m in universe.members(sid)))
     return "\n".join(lines) + "\n"
 
 

@@ -6,16 +6,22 @@ the witness bindings, so a reported failure can always be reproduced in
 isolation. Each scan also has a matching closed formula (the oracle table
 below), and :func:`check_dual_paths` cross-checks the two routes.
 
-Scans pin the universe size up front: sets interned mid-check (by specify,
-pair or union constructors) stay out of that check's quantifier range.
+Scans are reads: each pins the universe size up front and decides its law
+by set algebra on ``member_sets`` over the ids below it. A check interns a
+set only when a set it must name is missing, which never happens on a
+universe made by the builder: the subset that ``specify`` selects in
+subset-derivations, the union in union-lemma, and the atoms' pair that
+:func:`check_dual_paths` binds for its oracle. Such a set stays outside the
+pinned size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
-from .constructors import Specified, binary_union, pair, singleton, specify, union_all
+from .constructors import Specified, pair, specify, union_members
 from .core import SetId, Universe, ensure_distinct_atoms
 from .formula import Member, Not, evaluate, parse
 
@@ -42,6 +48,14 @@ class CheckResult:
     scanned: int
     witness: Witness | None = None
 
+    @classmethod
+    def failure(
+        cls, name: str, scanned: int, domain: int, formula: str, **bindings: SetId
+    ) -> CheckResult:
+        """A failed check whose witness binds ``bindings`` in ``formula``."""
+        witness = Witness(tuple(sorted(bindings.items())), formula, domain)
+        return cls(name, Status.FAILS, scanned, witness)
+
 
 @dataclass(frozen=True)
 class Report:
@@ -49,6 +63,11 @@ class Report:
     size: int
     depth: int | None
     results: tuple[CheckResult, ...]
+
+    @classmethod
+    def of(cls, universe: Universe, results, size: int) -> Report:
+        """The report of ``results`` over the first ``size`` sets of ``universe``."""
+        return cls(universe.atom_names, size, universe.build_depth, tuple(results))
 
     @property
     def passed(self) -> bool:
@@ -87,17 +106,21 @@ def witness_reproduces(universe: Universe, witness: Witness) -> bool:
     return value is False
 
 
-def _report(universe: Universe, results, size: int) -> Report:
-    return Report(universe.atom_names, size, universe.build_depth, tuple(results))
-
-
-def _fails(name: str, scanned: int, domain: int, formula: str, **bindings) -> CheckResult:
-    witness = Witness(tuple(sorted(bindings.items())), formula, domain)
-    return CheckResult(name, Status.FAILS, scanned, witness)
-
-
 def _domain(universe: Universe, snapshot: int | None) -> int:
     return len(universe) if snapshot is None else snapshot
+
+
+def _self_membered(sets: list[frozenset[SetId]], n: int) -> frozenset[SetId]:
+    """The ids below ``n`` that are members of themselves.
+
+    These are the atoms, plus any self-membered composite a test fixture
+    installed, so they are not assumed to be ids ``0..k-1``.
+    """
+    return frozenset(compress(range(n), map(frozenset.__contains__, sets, range(n))))
+
+
+def _transitive_ids(universe: Universe, n: int) -> frozenset[SetId]:
+    return frozenset(compress(range(n), universe.transitivity()))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +224,7 @@ def _check_equality_substitution(universe: Universe, n: int) -> CheckResult:
         extension = universe.member_sets[s]
         other = seen.get(extension)
         if other is not None:
-            return _fails(
+            return CheckResult.failure(
                 name, n, n,
                 "(forall u. ((u in s) <-> (u in t))) -> (s = t)",
                 s=other, t=s,
@@ -213,15 +236,14 @@ def _check_equality_substitution(universe: Universe, n: int) -> CheckResult:
 def _check_individuals(universe: Universe, n: int) -> CheckResult:
     name = "individuals-axiom"
     sets = universe.member_sets
-    for s in range(n):
-        if s in sets[s]:
-            for u in sets[s]:
-                if u != s:
-                    return _fails(
-                        name, n, n,
-                        "((s in s) & (u in s)) -> (u = s)",
-                        s=s, u=u,
-                    )
+    for s in sorted(_self_membered(sets, n)):
+        if len(sets[s]) > 1:
+            u = next(u for u in sets[s] if u != s)
+            return CheckResult.failure(
+                name, n, n,
+                "((s in s) & (u in s)) -> (u = s)",
+                s=s, u=u,
+            )
     return CheckResult(name, Status.HOLDS, n)
 
 
@@ -229,22 +251,21 @@ def _check_no_empty(universe: Universe, n: int) -> CheckResult:
     name = "no-empty-set"
     for s in range(n):
         if not universe.member_sets[s]:
-            return _fails(name, n, n, "exists u. (u in s)", s=s)
+            return CheckResult.failure(name, n, n, "exists u. (u in s)", s=s)
     return CheckResult(name, Status.HOLDS, n)
 
 
 def _check_regularity(universe: Universe, n: int) -> CheckResult:
     name = "regularity"
     sets = universe.member_sets
+    individuals = _self_membered(sets, n)
     for s in range(n):
-        if not any(u not in sets[u] for u in sets[s]):
+        if sets[s] <= individuals:
             continue
-        found = any(
-            v not in sets[v] and all(u in sets[u] for u in sets[v] & sets[s])
-            for v in sets[s]
-        )
-        if not found:
-            return _fails(
+        # A member v is minimal when it shares no non-individual with s.
+        non_individuals = sets[s] - individuals
+        if not any(sets[v].isdisjoint(non_individuals) for v in non_individuals):
+            return CheckResult.failure(
                 name, n, n,
                 "(exists u. ((u in s) & (u notin u))) -> "
                 "(exists v. ((v in s) & ((v notin v) & "
@@ -263,7 +284,7 @@ def check_axioms(universe: Universe, *, snapshot: int | None = None) -> Report:
         _check_no_empty(universe, n),
         _check_regularity(universe, n),
     )
-    return _report(universe, results, n)
+    return Report.of(universe, results, n)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +294,10 @@ def check_russell(universe: Universe, *, snapshot: int | None = None) -> CheckRe
     """No set collects exactly the non-self-membered sets."""
     n = _domain(universe, snapshot)
     sets = universe.member_sets
-    non_individuals = frozenset(i for i in range(n) if i not in sets[i])
+    non_individuals = frozenset(range(n)) - _self_membered(sets, n)
     for s in range(n):
         if sets[s] == non_individuals:
-            return _fails(
+            return CheckResult.failure(
                 "russell", n, n,
                 "!(forall u. ((u in s) <-> (u notin u)))",
                 s=s,
@@ -290,13 +311,17 @@ def check_russell_equivalence(
     """Both sides of the paradox-elimination biconditional, computed separately."""
     n = _domain(universe, snapshot)
     sets = universe.member_sets
+    individuals = _self_membered(sets, n)
+    non_individuals = frozenset(range(n)) - individuals
+    # Some u has (u in s) <-> (u in u): an individual in s or a
+    # non-individual outside it.
     lhs = all(
-        any((u in sets[s]) == (u in sets[u]) for u in range(n)) for s in range(n)
+        not sets[s].isdisjoint(individuals) or not non_individuals <= sets[s]
+        for s in range(n)
     )
-    non_individuals = frozenset(i for i in range(n) if i not in sets[i])
     rhs = not any(sets[s] == non_individuals for s in range(n))
     if lhs != rhs:
-        return _fails("russell-equivalence", n, n, RUSSELL_EQUIVALENCE_FORMULA)
+        return CheckResult.failure("russell-equivalence", n, n, RUSSELL_EQUIVALENCE_FORMULA)
     return CheckResult("russell-equivalence", Status.HOLDS, n)
 
 
@@ -309,43 +334,46 @@ def check_subset_derivations(
     name = "subset-derivations"
     n = _domain(universe, snapshot)
     sets = universe.member_sets
-    has_non_individual = any(i not in sets[i] for i in range(n))
+    individuals = _self_membered(sets, n)
+    has_non_individual = len(individuals) < n
     not_self = Not(Member("x", "x"))
     in_self = Member("x", "x")
     for s in range(n):
         mem = sets[s]
-        if any(u not in sets[u] for u in mem):
+        if not mem <= individuals:
             out = specify(universe, s, not_self, "x")
             if not isinstance(out, Specified):
-                return _fails(
+                return CheckResult.failure(
                     name, n, n,
                     "exists v. (forall u. ((u in v) <-> ((u in s) & (u notin u))))",
                     s=s,
                 )
             v = out.set_id
             if not sets[v] <= mem:
-                return _fails(name, n, n, "forall u. ((u in v) -> (u in s))", v=v, s=s)
+                return CheckResult.failure(
+                    name, n, n, "forall u. ((u in v) -> (u in s))", v=v, s=s
+                )
             if v in sets[v]:
-                return _fails(name, n, n, "v notin v", v=v)
+                return CheckResult.failure(name, n, n, "v notin v", v=v)
             if v in mem:
-                return _fails(name, n, n, "v notin s", v=v, s=s)
-        if any(u in sets[u] for u in mem):
+                return CheckResult.failure(name, n, n, "v notin s", v=v, s=s)
+        if not mem.isdisjoint(individuals):
             out = specify(universe, s, in_self, "x")
             if not isinstance(out, Specified):
-                return _fails(
+                return CheckResult.failure(
                     name, n, n,
                     "exists v. (forall u. ((u in v) <-> ((u in s) & (u in u))))",
                     s=s,
                 )
             w = out.set_id
             if w in sets[w] and w not in mem:
-                return _fails(
+                return CheckResult.failure(
                     name, n, n,
                     "(w notin w) | ((w in w) & (w in s))",
                     w=w, s=s,
                 )
-        if has_non_individual and len(mem) >= n and all(i in mem for i in range(n)):
-            return _fails(name, n, n, "exists u. (u notin s)", s=s)
+        if has_non_individual and len(mem) >= n and mem.issuperset(range(n)):
+            return CheckResult.failure(name, n, n, "exists u. (u notin s)", s=s)
     return CheckResult(name, Status.HOLDS, n)
 
 
@@ -354,19 +382,16 @@ def check_theorem1(universe: Universe, *, snapshot: int | None = None) -> CheckR
     that is a non-individual set of individuals."""
     n = _domain(universe, snapshot)
     sets = universe.member_sets
-    transitive = universe.transitivity()
+    individuals = _self_membered(sets, n)
     qualifying = 0
-    for s in range(n):
-        if not transitive[s]:
-            continue
-        if not any(u not in sets[u] for u in sets[s]):
+    for s in compress(range(n), universe.transitivity()):
+        if sets[s] <= individuals:
             continue
         qualifying += 1
-        found = any(
-            v not in sets[v] and all(x in sets[x] for x in sets[v]) for v in sets[s]
-        )
-        if not found:
-            return _fails(
+        if not any(
+            v not in individuals and sets[v] <= individuals for v in sets[s]
+        ):
+            return CheckResult.failure(
                 "theorem1", qualifying, n,
                 "(exists u. ((u in s) & (u notin u))) -> "
                 "(exists v. ((v in s) & ((v notin v) & "
@@ -387,22 +412,27 @@ def check_pair_membership_claim(
     ensure_distinct_atoms(universe, a1, a2)
     n = _domain(universe, snapshot)
     sets = universe.member_sets
-    p = pair(universe, a1, a2)
-    transitive = universe.transitivity()
+    atoms = frozenset((a1, a2))
+    p = universe.lookup(atoms)
+    if p is None:
+        # A qualifying set is the pair or, members preceding their sets, has
+        # it as its first non-individual member; so without the pair no set
+        # qualifies.
+        return CheckResult("pair-membership", Status.NOT_APPLICABLE, 0)
+    individuals = _self_membered(sets, n)
     qualifying = 0
-    for s in range(n):
-        if not transitive[s]:
-            continue
-        individuals = {w for w in sets[s] if w in sets[w]}
-        if individuals != {a1, a2}:
+    for s in compress(range(n), universe.transitivity()):
+        if sets[s] & individuals != atoms:
             continue
         qualifying += 1
         for m in sets[s]:
-            if m not in sets[m] and all(x in sets[x] for x in sets[m]) and m != p:
-                return _fails("pair-membership", qualifying, n, "m = P", m=m, P=p)
-        succ = binary_union(universe, s, singleton(universe, s))
-        if p not in sets[succ]:
-            return _fails(
+            if m not in individuals and sets[m] <= individuals and m != p:
+                return CheckResult.failure(
+                    "pair-membership", qualifying, n, "m = P", m=m, P=p
+                )
+        # P is in the successor s | {s}.
+        if not (p in sets[s] or p == s):
+            return CheckResult.failure(
                 "pair-membership", qualifying, n, "(P in s) | (P = s)", P=p, s=s
             )
     if qualifying == 0:
@@ -418,13 +448,13 @@ def check_trichotomy(
     ensure_distinct_atoms(universe, a1, a2)
     n = _domain(universe, snapshot)
     sets = universe.member_sets
-    transitive = universe.transitivity()
+    atoms = frozenset((a1, a2))
+    individuals = _self_membered(sets, n)
+    transitive = _transitive_ids(universe, n)
     qualifying = [
         i
-        for i in range(n)
-        if transitive[i]
-        and all(transitive[m] for m in sets[i])
-        and all(w in (a1, a2) for w in sets[i] if w in sets[w])
+        for i in sorted(transitive)
+        if sets[i] <= transitive and sets[i] & individuals <= atoms
     ]
     pairs = 0
     for idx, s in enumerate(qualifying):
@@ -433,7 +463,7 @@ def check_trichotomy(
             if s in sets[s] or t in sets[t]:
                 continue
             if not (s in sets[t] or s == t or t in sets[s]):
-                return _fails(
+                return CheckResult.failure(
                     "trichotomy", pairs, n,
                     "(s in t) | ((s = t) | (t in s))",
                     s=s, t=t,
@@ -449,37 +479,41 @@ def check_union_lemma(universe: Universe, *, snapshot: int | None = None) -> Che
     set, and the set is either its own union or the union's successor."""
     n = _domain(universe, snapshot)
     sets = universe.member_sets
-    transitive = universe.transitivity()
+    transitive = _transitive_ids(universe, n)
     qualifying = 0
-    for s in range(n):
-        if s in sets[s]:
-            continue
-        if not transitive[s]:
-            continue
-        if not all(transitive[m] for m in sets[s]):
+    for s in sorted(transitive):
+        mem = sets[s]
+        if s in mem or not mem <= transitive:
             continue
         qualifying += 1
-        merged = union_all(universe, s)
+        union = union_members(universe, s)
+        if union == mem:
+            # U = s, which qualified: transitive, with transitive members,
+            # and not a member of itself.
+            continue
+        merged = universe.lookup(union)
+        if merged is None:
+            merged = universe.intern(union)
         if not universe.is_transitive(merged):
-            return _fails(
+            return CheckResult.failure(
                 "union-lemma", qualifying, n,
                 "forall x. ((x in U) -> (forall y. ((y in x) -> (y in U))))",
                 s=s, U=merged,
             )
         # Members of the union are members of members of s, so below n.
-        if not all(transitive[m] for m in sets[merged]):
-            return _fails(
+        if not union <= transitive:
+            return CheckResult.failure(
                 "union-lemma", qualifying, n,
                 "forall x. ((x in U) -> (forall y. ((y in x) -> "
                 "(forall z. ((z in y) -> (z in x))))))",
                 s=s, U=merged,
             )
-        if s in sets[merged]:
-            return _fails("union-lemma", qualifying, n, "s notin U", s=s, U=merged)
-        if merged != s and s != binary_union(
-            universe, merged, singleton(universe, merged)
-        ):
-            return _fails(
+        if s in union:
+            return CheckResult.failure(
+                "union-lemma", qualifying, n, "s notin U", s=s, U=merged
+            )
+        if mem != union | {merged}:
+            return CheckResult.failure(
                 "union-lemma", qualifying, n,
                 "(U = s) | (forall x. ((x in s) <-> ((x in U) | (x = U))))",
                 s=s, U=merged,
@@ -530,7 +564,13 @@ def check_dual_paths(
     ]
     if a1 is not None and a2 is not None:
         ensure_distinct_atoms(universe, a1, a2)
-        p = pair(universe, a1, a2)
+        p = universe.lookup(frozenset((a1, a2)))
+        if p is None:
+            # No set qualifies without the pair (see the scan), as in a
+            # universe of atoms alone. The oracle still needs an id for P,
+            # and one past the pinned domain keeps its meaning, so the pair
+            # is interned.
+            p = pair(universe, a1, a2)
         entries.append(
             ("pair-membership",
              lambda: check_pair_membership_claim(universe, a1, a2, snapshot=n),
@@ -557,7 +597,7 @@ def check_dual_paths(
                     Witness(tuple(sorted(env.items())), reproducer, n),
                 )
             )
-    return _report(universe, results, n)
+    return Report.of(universe, results, n)
 
 
 SUITES = ("axioms", "russell", "derivations", "theorem1", "trichotomy", "union-lemma", "all")
@@ -594,4 +634,4 @@ def run_suite(
         results.append(check_pair_membership_claim(universe, a1, a2, snapshot=n))
     if suite in ("union-lemma", "all"):
         results.append(check_union_lemma(universe, snapshot=n))
-    return _report(universe, results, n)
+    return Report.of(universe, results, n)

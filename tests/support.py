@@ -142,3 +142,123 @@ def inject_self_membered(universe, extra_member):
     """Backdoor: install an illegal composite that contains itself."""
     new_id = len(universe)
     return universe._force_node(tuple(sorted((extra_member, new_id))))
+
+
+# --- law verdicts straight from member sets -----------------------------------
+
+def model_verdicts(universe, pair_atoms=None):
+    """``{law: (status, scanned)}`` for every scan, from the laws' definitions.
+
+    Each set is read as the frozenset of its member ids, and every quantifier
+    is a plain loop over the ids, so self-membered composites installed by
+    :func:`inject_self_membered` are covered too. ``scanned`` follows the
+    scans' counting: the whole domain for the axioms, the Russell checks and
+    subset-derivations, and otherwise the qualifying sets (pairs, for
+    trichotomy) up to and including the first that fails.
+    """
+    n = len(universe)
+    ids = range(n)
+    ext = [frozenset(universe.member_set(i)) for i in ids]
+
+    def ind(x):
+        return x in ext[x]
+
+    def transitive(x):
+        return all(ext[m] <= ext[x] for m in ext[x])
+
+    def find(extension):
+        # The id a lookup or intern would give; None means a fresh id, which
+        # no set below n contains.
+        return next((i for i in ids if ext[i] == extension), None)
+
+    def whole(fails):
+        return ("fails" if fails else "holds", n)
+
+    def over(candidates, fails):
+        count = 0
+        for c in candidates:
+            count += 1
+            if fails(c):
+                return ("fails", count)
+        return ("holds", count) if count else ("not-applicable", 0)
+
+    russell_sets = [s for s in ids if all((u in ext[s]) == (not ind(u)) for u in ids)]
+    has_non_individual = any(not ind(i) for i in ids)
+
+    def derivation_fails(s):
+        if any(not ind(u) for u in ext[s]):
+            v = find(frozenset(u for u in ext[s] if not ind(u)))
+            if v is not None and (v in ext[v] or v in ext[s]):
+                return True
+        if any(ind(u) for u in ext[s]):
+            w = find(frozenset(u for u in ext[s] if ind(u)))
+            if w is not None and w in ext[w] and w not in ext[s]:
+                return True
+        return has_non_individual and all(i in ext[s] for i in ids)
+
+    def union_lemma_fails(s):
+        union = frozenset(x for m in ext[s] for x in ext[m])
+        if union == ext[s]:
+            return False
+        u_id = find(union)
+        return (
+            not all(ext[x] <= union for x in union)
+            or not all(transitive(x) for x in union)
+            or s in union
+            or u_id is None
+            or ext[s] != union | {u_id}
+        )
+
+    verdicts = {
+        "equality-substitution": whole(len(set(ext)) < n),
+        "individuals-axiom": whole(
+            any(ind(s) and any(u != s for u in ext[s]) for s in ids)
+        ),
+        "no-empty-set": whole(any(not ext[s] for s in ids)),
+        "regularity": whole(any(
+            any(not ind(u) for u in ext[s])
+            and not any(
+                not ind(v) and all(ind(u) for u in ext[v] if u in ext[s])
+                for v in ext[s]
+            )
+            for s in ids
+        )),
+        "russell": whole(bool(russell_sets)),
+        "russell-equivalence": whole(
+            all(any((u in ext[s]) == ind(u) for u in ids) for s in ids)
+            != (not russell_sets)
+        ),
+        "subset-derivations": whole(any(derivation_fails(s) for s in ids)),
+        "theorem1": over(
+            [s for s in ids if transitive(s) and any(not ind(u) for u in ext[s])],
+            lambda s: not any(
+                not ind(v) and all(ind(x) for x in ext[v]) for v in ext[s]
+            ),
+        ),
+        "union-lemma": over(
+            [s for s in ids
+             if not ind(s) and transitive(s) and all(transitive(m) for m in ext[s])],
+            union_lemma_fails,
+        ),
+    }
+    if pair_atoms is not None:
+        a1, a2 = pair_atoms
+        p = find(frozenset(pair_atoms))
+        verdicts["pair-membership"] = over(
+            [s for s in ids
+             if transitive(s) and {w for w in ext[s] if ind(w)} == {a1, a2}],
+            lambda s: any(
+                not ind(m) and all(ind(x) for x in ext[m]) and m != p for m in ext[s]
+            ) or not (p in ext[s] or p == s),
+        )
+        qualifying = [
+            i for i in ids
+            if transitive(i) and all(transitive(m) for m in ext[i])
+            and all(w in pair_atoms for w in ext[i] if ind(w))
+        ]
+        verdicts["trichotomy"] = over(
+            [(s, t) for k, s in enumerate(qualifying) for t in qualifying[k:]],
+            lambda st: not ind(st[0]) and not ind(st[1])
+            and not (st[0] in ext[st[1]] or st[0] == st[1] or st[1] in ext[st[0]]),
+        )
+    return verdicts

@@ -12,6 +12,7 @@ from quineset import (
 )
 from quineset.cli import main
 from quineset.errors import LiteralSyntaxError, UniverseFormatError
+from quineset.literals import MAX_NESTING
 
 
 @pytest.fixture
@@ -127,6 +128,19 @@ def test_eval_bad_binding_shape(universe_file):
     assert main(["eval", str(universe_file), "x in x", "--bind", "x"]) == 64
 
 
+def test_eval_deep_formula_is_a_usage_error(universe_file, capsys):
+    code = main(["eval", str(universe_file), "!" * 3000 + "u in u", "--bind", "u=u"])
+    assert code == 64
+    assert "nests deeper than" in capsys.readouterr().err
+
+
+def test_eval_deep_literal_is_a_usage_error(universe_file, capsys):
+    literal = "{" * 2000 + "u" + "}" * 2000
+    code = main(["eval", str(universe_file), "x in x", "--bind", f"x={literal}"])
+    assert code == 64
+    assert "nests deeper than" in capsys.readouterr().err
+
+
 # --- check ---------------------------------------------------------------------
 
 def test_check_all_text(universe_file, capsys):
@@ -146,6 +160,15 @@ def test_check_all_json(universe_file, capsys):
     names = [r["name"] for r in payload["results"]]
     assert "trichotomy" in names and "regularity" in names
     assert all(r["status"] in ("holds", "not-applicable") for r in payload["results"])
+
+
+def test_check_all_on_a_universe_built_to_its_cap(tmp_path, capsys):
+    path = tmp_path / "capped.hfu"
+    assert main(["build", "--atoms", "u,v", "--depth", "3", "--max-sets", "127",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["check", str(path), "all"]) == 0
+    assert "universe: atoms=u,v size=127" in capsys.readouterr().out
 
 
 def test_check_trichotomy_needs_pair(universe_file):
@@ -208,6 +231,12 @@ def test_peano_text_output(tmp_path, capsys):
     assert out[1] == "{o,a,{o,a}}"
     assert out[2] == "{o,a,{o,a},{o,a,{o,a}}}"
     assert any("union-inverse: holds" in line for line in out)
+
+
+def test_peano_leaves_the_universe_size(universe_file, capsys):
+    # The chain of length 3 lies inside uv3, and checking it interns nothing.
+    assert main(["peano", str(universe_file), "--base", "u,v", "--length", "3"]) == 0
+    assert "universe: atoms=u,v size=127" in capsys.readouterr().out
 
 
 def test_peano_equal_base_atoms(tmp_path):
@@ -277,6 +306,16 @@ def test_set_literal_round_trip_all_ids(default_universe):
     for sid in default_universe.ids():
         text = format_set_literal(default_universe, sid)
         assert parse_set_literal(default_universe, text) == sid
+
+
+def test_set_literal_nesting_limit(default_universe):
+    limit = MAX_NESTING
+    at_limit = "{" * limit + "u,v" + "}" * limit
+    assert format_set_literal(
+        default_universe, parse_set_literal(default_universe, at_limit)
+    ).count("{") == limit
+    with pytest.raises(LiteralSyntaxError, match="nests deeper"):
+        parse_set_literal(default_universe, "{" * (limit + 1) + "u,v" + "}" * (limit + 1))
 
 
 def test_set_literal_collapse_and_errors(default_universe):

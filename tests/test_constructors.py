@@ -28,6 +28,7 @@ from quineset import (
     union_all,
 )
 from quineset.errors import CapExceeded, WrongArity
+from quineset.formula import compile_criterion
 
 from support import model_powerset, model_union, reference_eval, rep_of
 
@@ -205,6 +206,22 @@ def test_specify_selects_non_individuals():
     assert u.members(v) == (p,)
     assert u.is_subset(v, s)
     assert not u.is_member(v, s)
+
+
+def test_specify_returns_the_set_itself_when_every_member_qualifies():
+    u = Universe(["u", "v"], max_sets=4)
+    p = pair(u, 0, 1)
+    s = u.intern([p])
+    assert specify(u, s, parse("x notin x"), "x") == Specified(s)
+    assert specify(u, p, parse("x in x"), "x") == Specified(p)
+    assert len(u) == 4
+
+
+def test_compiled_criteria_are_shared():
+    crit = parse("x notin x")
+    assert compile_criterion(crit, "x") is compile_criterion(parse("x notin x"), "x")
+    with pytest.raises(WrongArity):
+        compile_criterion(crit, "y")
 
 
 def test_specify_no_witness_on_set_of_atoms():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from quineset import Universe, union_all
+from quineset import SetNode, Universe, union_all
 from quineset.errors import (
     DuplicateAtomName,
     EmptyAtomName,
@@ -84,6 +84,27 @@ def test_intern_unknown_id():
 def test_intern_is_canonical():
     u = Universe(["u", "v"])
     assert u.intern([0, 1]) == u.intern([1, 0]) == u.intern([1, 0, 0])
+
+
+def test_lookup_finds_interned_sets_and_never_interns():
+    u = Universe(["u", "v"])
+    p = u.intern([0, 1])
+    assert u.lookup(frozenset((1, 0))) == p
+    assert u.lookup(frozenset((0,))) == 0
+    assert u.lookup(frozenset((0, p))) is None
+    assert u.lookup(frozenset()) is None
+    assert u.lookup(frozenset((0, 99))) is None
+    assert len(u) == 3
+
+
+def test_node_view():
+    u = Universe(["u", "v"])
+    p = u.intern([1, 0])
+    assert u.node(0) == SetNode((0,), "u")
+    assert u.node(p) == SetNode((0, 1))
+    assert u.node(1).is_atom and not u.node(p).is_atom
+    with pytest.raises(UnknownId):
+        u.node(p + 1)
 
 
 def test_members_of_atom_is_itself():

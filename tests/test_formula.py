@@ -20,6 +20,7 @@ from quineset import (
     parse,
 )
 from quineset.errors import FormulaSyntaxError, UnboundVariable, WrongArity
+from quineset.formula import MAX_NESTING
 
 from support import reference_eval
 
@@ -83,6 +84,39 @@ def test_syntax_errors_have_positions(text):
     with pytest.raises(FormulaSyntaxError) as err:
         parse(text)
     assert err.value.position >= 0
+
+
+LIMIT = MAX_NESTING
+
+
+@pytest.mark.parametrize("text", [
+    "!" * (LIMIT - 1) + "u in u",
+    "forall u. " * (LIMIT - 2) + "u notin u",
+    "(" * LIMIT + "u in u" + ")" * LIMIT,
+    " & ".join(["u in u"] * LIMIT),
+    " -> ".join(["u in u"] * LIMIT),
+    " <-> ".join(["u in u"] * LIMIT),
+], ids=["not", "forall", "parens", "and-chain", "implies-chain", "iff-chain"])
+def test_nesting_at_the_limit_parses_and_prints_back(text):
+    f = parse(text)
+    assert parse(format_formula(f)) == f
+    assert evaluate(Universe(["a"]), f, {"u": 0}) in (True, False)
+
+
+@pytest.mark.parametrize("text", [
+    "!" * LIMIT + "u in u",
+    "forall u. " * (LIMIT - 1) + "u notin u",
+    "(" * (LIMIT + 1) + "u in u" + ")" * (LIMIT + 1),
+    " & ".join(["u in u"] * (LIMIT + 1)),
+    " -> ".join(["u in u"] * (LIMIT + 1)),
+    " <-> ".join(["u in u"] * (LIMIT + 1)),
+    "!" * 3000 + "u in u",
+    "(" * 3000,
+], ids=["not", "forall", "parens", "and-chain", "implies-chain", "iff-chain",
+        "not-3000", "parens-3000"])
+def test_nesting_past_the_limit_is_a_syntax_error(text):
+    with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+        parse(text)
 
 
 # --- printing --------------------------------------------------------------

@@ -91,6 +91,20 @@ def test_check_peano_duplicate_detected(trio):
     assert witness_reproduces(trio, failing.witness)
 
 
+def test_check_peano_base_that_is_a_successor(trio):
+    chain = sequence(trio, 0, 1, 3)
+    tampered = NumberSequence(chain.elements[1], chain.elements)
+    size = len(trio)
+    by_name = {r.name: r for r in check_peano(trio, tampered).results}
+    assert len(trio) == size
+    for name in ("base-in-sequence", "base-not-successor"):
+        assert by_name[name].status is Status.FAILS
+        assert witness_reproduces(trio, by_name[name].witness)
+    assert dict(by_name["base-not-successor"].witness.bindings) == {
+        "b": chain.elements[1], "e": chain.elements[0],
+    }
+
+
 def test_check_peano_malformed(trio):
     with pytest.raises(MalformedSequence):
         check_peano(trio, NumberSequence(0, ()))

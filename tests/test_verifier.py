@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quineset import (
     BuildConfig,
@@ -9,6 +11,7 @@ from quineset import (
     build,
     check_axioms,
     check_dual_paths,
+    check_peano,
     check_pair_membership_claim,
     check_russell,
     check_russell_equivalence,
@@ -16,15 +19,17 @@ from quineset import (
     check_theorem1,
     check_trichotomy,
     check_union_lemma,
+    loads_universe,
     pair,
     run_suite,
+    sequence,
     singleton,
     union_all,
     witness_reproduces,
 )
 from quineset.errors import AtomsEqual, NotAtom
 
-from support import inject_self_membered
+from support import inject_self_membered, model_verdicts
 
 
 def all_hold(report):
@@ -224,3 +229,103 @@ def test_failing_witnesses_reproduce(default_universe):
     for result in report.results:
         if result.status is Status.FAILS:
             assert witness_reproduces(default_universe, result.witness)
+
+
+# --- checks are reads -----------------------------------------------------------
+
+BUILD_CONFIGS = [
+    (("u",), 1), (("u",), 3), (("u", "v"), 1), (("u", "v"), 2), (("u", "v"), 3),
+    (("o", "a", "e"), 1), (("o", "a", "e"), 2), (("a", "b", "c", "d"), 1),
+]
+
+
+@pytest.mark.parametrize("atoms,depth", BUILD_CONFIGS)
+def test_checks_leave_built_universes_unchanged(atoms, depth):
+    universe, _ = build(BuildConfig(atoms, depth))
+    size = len(universe)
+    pair_atoms = (0, 1) if len(atoms) >= 2 else None
+    run_suite(universe, "all", pair_atoms)
+    assert len(universe) == size
+    check_dual_paths(universe, *(pair_atoms or ()))
+    assert len(universe) == size
+    if pair_atoms is not None:
+        chain = sequence(universe, 0, 1, 3)
+        grown = len(universe)
+        check_peano(universe, chain)
+        assert len(universe) == grown
+
+
+@pytest.mark.parametrize("atoms", [("u", "v"), ("o", "a", "e")])
+def test_a_check_does_not_change_a_later_check(atoms):
+    universe, _ = build(BuildConfig(atoms, 3 if len(atoms) == 2 else 2))
+    run_suite(universe, "all", (0, 1))
+    report = check_dual_paths(universe, 0, 1)
+    assert all_hold(report)
+    assert report.size == len(universe) == 127
+
+
+def test_checks_fit_a_universe_built_to_its_cap():
+    universe, _ = build(BuildConfig(("u", "v"), 3, max_sets=127))
+    assert run_suite(universe, "all", (0, 1)).passed
+    assert all_hold(check_dual_paths(universe, 0, 1))
+
+
+# --- scans against the model ------------------------------------------------------
+
+@st.composite
+def small_universes(draw):
+    """A built universe grown by random sets, successors and unions, and
+    sometimes by self-membered composites."""
+    atoms = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    depth = draw(st.integers(0, 2 if len(atoms) <= 2 else 1))
+    universe, _ = build(BuildConfig(atoms, depth))
+    for _ in range(draw(st.integers(0, 10))):
+        n = len(universe)
+        kind = draw(st.sampled_from(["set", "set", "successor", "successor", "union", "inject"]))
+        x = draw(st.integers(0, n - 1))
+        if kind == "set":
+            universe.intern(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4)))
+        elif kind == "successor":
+            universe.intern(universe.member_set(x) | {x})
+        elif kind == "union":
+            union_all(universe, x)
+        else:
+            inject_self_membered(universe, x)
+    return universe
+
+
+def scan_verdicts(report):
+    return {r.name: (r.status.value, r.scanned) for r in report.results}
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_universes())
+def test_scans_agree_with_the_model(universe):
+    pair_atoms = (0, 1) if len(universe.atoms) >= 2 else None
+    expected = model_verdicts(universe, pair_atoms)
+    report = run_suite(universe, "all", pair_atoms)
+    assert scan_verdicts(report) == expected
+    for result in report.results:
+        if result.status is Status.FAILS:
+            assert witness_reproduces(universe, result.witness)
+
+
+UNION_MISSING = """quineset-universe 1
+atoms u,v,w
+0,1
+0,1,2,3
+"""
+
+
+def test_union_lemma_names_a_union_missing_from_the_file():
+    # {u,v,w,{u,v}} is transitive with transitive members, but its union
+    # {u,v,w} is not in the file; the scan interns it to name it.
+    universe = loads_universe(UNION_MISSING)
+    expected = model_verdicts(universe)["union-lemma"]
+    result = check_union_lemma(universe)
+    assert (result.status.value, result.scanned) == expected == ("fails", 2)
+    bindings = dict(result.witness.bindings)
+    assert bindings["s"] == 4
+    assert universe.members(bindings["U"]) == (0, 1, 2)
+    assert len(universe) == 6
+    assert witness_reproduces(universe, result.witness)
