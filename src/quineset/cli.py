@@ -18,7 +18,7 @@ from .formula import evaluate, parse
 from .literals import format_set_literal, parse_set_literal
 from .peano import check_peano, sequence
 from .storage import load_universe, save_universe
-from .verifier import Report, run_suite
+from .verifier import PAIR_SUITES, SUITES, Report, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -60,8 +60,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check",
                              help="run a verification suite over a stored universe")
     p_check.add_argument("universe", help="universe file")
-    p_check.add_argument("suite", choices=["axioms", "russell", "derivations",
-                                           "theorem1", "trichotomy", "union-lemma", "all"])
+    p_check.add_argument("suite", choices=SUITES)
     p_check.add_argument("--pair", metavar="A,B",
                          help="two distinct atom names for the pair-based checks")
     p_check.add_argument("--format", choices=["text", "json"], default="text")
@@ -79,12 +78,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_names(arg: str) -> list[str]:
-    return arg.split(",")
-
-
 def _resolve_pair(universe: Universe, arg: str) -> tuple[int, int]:
-    names = _split_names(arg)
+    names = arg.split(",")
     if len(names) != 2:
         raise ValueError("expected exactly two comma-separated atom names")
     return universe.atom_id(names[0]), universe.atom_id(names[1])
@@ -109,7 +104,7 @@ def _render_report_text(universe: Universe, report: Report) -> str:
 
 
 def _cmd_build(args) -> int:
-    config = BuildConfig(tuple(_split_names(args.atoms)), args.depth, args.max_sets)
+    config = BuildConfig(tuple(args.atoms.split(",")), args.depth, args.max_sets)
     universe, report = build(config)
     save_universe(universe, args.out)
     print(list(report.counts))
@@ -137,8 +132,8 @@ def _cmd_check(args) -> int:
     universe = load_universe(args.universe)
     if args.pair is not None:
         pair_atoms = _resolve_pair(universe, args.pair)
-    elif args.suite == "trichotomy":
-        raise ValueError("the trichotomy suite needs --pair A,B")
+    elif args.suite in PAIR_SUITES:
+        raise ValueError(f"the {args.suite} suite needs --pair A,B")
     elif len(universe.atoms) >= 2:
         pair_atoms = (universe.atoms[0], universe.atoms[1])
     else:

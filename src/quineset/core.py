@@ -206,10 +206,6 @@ class Universe:
     def cardinality(self, s: SetId) -> int:
         return len(self.members(s))
 
-    def _force_node(self, members: tuple[SetId, ...]) -> SetId:
-        """Install a node without any invariant checks. Test fixtures only."""
-        return self._append(tuple(members))
-
 
 def ensure_distinct_atoms(universe: Universe, a1: SetId, a2: SetId) -> None:
     """Validate that ``a1`` and ``a2`` are two different atoms."""

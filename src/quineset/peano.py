@@ -8,6 +8,7 @@ atoms: from there the chain climbs forever without repeating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .constructors import pair, union_members
 from .core import SetId, Universe, ensure_distinct_atoms
@@ -86,18 +87,15 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
             break
     results.append(step_result)
 
-    inj_pairs = length * (length - 1) // 2
-    inj_result = CheckResult("successor-injective", Status.HOLDS, inj_pairs)
-    for i in range(length):
-        for j in range(i + 1, length):
-            if succs[i] == succs[j] and elements[i] != elements[j]:
-                inj_result = CheckResult.failure(
-                    "successor-injective", inj_pairs, n,
-                    "(forall w. (((w in x) | (w = x)) <-> ((w in y) | (w = y)))) -> (x = y)",
-                    x=elements[i], y=elements[j],
-                )
-                break
-        if inj_result.status is Status.FAILS:
+    pairs = length * (length - 1) // 2
+    inj_result = CheckResult("successor-injective", Status.HOLDS, pairs)
+    for (x, sx), (y, sy) in combinations(zip(elements, succs), 2):
+        if sx == sy and x != y:
+            inj_result = CheckResult.failure(
+                "successor-injective", pairs, n,
+                "(forall w. (((w in x) | (w = x)) <-> ((w in y) | (w = y)))) -> (x = y)",
+                x=x, y=y,
+            )
             break
     results.append(inj_result)
 
@@ -112,17 +110,12 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
             break
     results.append(base_result)
 
-    distinct_pairs = length * (length - 1) // 2
-    distinct_result = CheckResult("elements-distinct", Status.HOLDS, distinct_pairs)
-    for i in range(length):
-        for j in range(i + 1, length):
-            if elements[i] == elements[j]:
-                distinct_result = CheckResult.failure(
-                    "elements-distinct", distinct_pairs, n,
-                    "x != y", x=elements[i], y=elements[j],
-                )
-                break
-        if distinct_result.status is Status.FAILS:
+    distinct_result = CheckResult("elements-distinct", Status.HOLDS, pairs)
+    for x, y in combinations(elements, 2):
+        if x == y:
+            distinct_result = CheckResult.failure(
+                "elements-distinct", pairs, n, "x != y", x=x, y=y
+            )
             break
     results.append(distinct_result)
 

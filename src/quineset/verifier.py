@@ -1,18 +1,19 @@
 """Exhaustive checking of structural laws over a built universe.
 
-Every check here is a direct Python scan that returns data instead of
+Every law is declared once, in :data:`LAWS`: its name, its suite, a direct
+Python scan and a closed formula oracle. Scans return data instead of
 raising; failures carry a witness whose formula re-evaluates to false under
 the witness bindings, so a reported failure can always be reproduced in
-isolation. Each scan also has a matching closed formula (the oracle table
-below), and :func:`check_dual_paths` cross-checks the two routes.
+isolation. :func:`check_dual_paths` cross-checks each scan against its
+oracle.
 
 Scans are reads: each pins the universe size up front and decides its law
-by set algebra on ``member_sets`` over the ids below it. A check interns a
-set only when a set it must name is missing, which never happens on a
-universe made by the builder: the subset that ``specify`` selects in
-subset-derivations, the union in union-lemma, and the atoms' pair that
-:func:`check_dual_paths` binds for its oracle. Such a set stays outside the
-pinned size.
+by set algebra on ``member_sets`` over the ids below it, looking up rather
+than interning any set it must name. A set missing from the universe is
+named by a witness written over member sets instead. The one exception is
+subset-derivations, whose ``specify`` interns the selected subset when a
+hand-written file lacks it; on a universe made by the builder that never
+happens. Such a set stays outside the pinned size.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
+from typing import Callable
 
-from .constructors import Specified, pair, specify, union_members
+from .constructors import Specified, specify, union_members
 from .core import SetId, Universe, ensure_distinct_atoms
-from .formula import Member, Not, evaluate, parse
+from .formula import Formula, Member, Not, evaluate, format_formula, free_vars, parse
 
 
 class Status(Enum):
@@ -199,16 +201,27 @@ def _in_union(x: str) -> str:
     return f"(exists t. ((t in s) & ({x} in t)))"
 
 
+# The union lemma's conclusions, each as a witness formula over the union U
+# when it has an id and as the oracle's own clause over s alone when not.
+_UNION_CLAUSES = (
+    ("forall x. ((x in U) -> (forall y. ((y in x) -> (y in U))))",
+     f"(forall x. ({_in_union('x')} -> (forall y. ((y in x) -> {_in_union('y')}))))"),
+    ("forall x. ((x in U) -> (forall y. ((y in x) -> "
+     "(forall z. ((z in y) -> (z in x))))))",
+     f"(forall x. ({_in_union('x')} -> (forall y. ((y in x) -> "
+     "(forall z. ((z in y) -> (z in x)))))))"),
+    ("s notin U", "(!(exists t. ((t in s) & (s in t))))"),
+    ("(U = s) | (forall x. ((x in s) <-> ((x in U) | (x = U))))",
+     f"((forall x. ({_in_union('x')} <-> (x in s))) | "
+     f"(forall x. ((x in s) <-> ({_in_union('x')} | "
+     f"(forall y. ((y in x) <-> {_in_union('y')}))))))"),
+)
+
 UNION_LEMMA_FORMULA = (
     "forall s. (((s notin s) & "
     f"({_transitive('s')} & {_members_transitive('s')})) -> "
-    f"((forall x. ({_in_union('x')} -> (forall y. ((y in x) -> {_in_union('y')})))) & "
-    f"((forall x. ({_in_union('x')} -> (forall y. ((y in x) -> "
-    "(forall z. ((z in y) -> (z in x))))))) & "
-    "((!(exists t. ((t in s) & (s in t)))) & "
-    f"((forall x. ({_in_union('x')} <-> (x in s))) | "
-    f"(forall x. ((x in s) <-> ({_in_union('x')} | "
-    f"(forall y. ((y in x) <-> {_in_union('y')}))))))))))"
+    f"({_UNION_CLAUSES[0][1]} & ({_UNION_CLAUSES[1][1]} & "
+    f"({_UNION_CLAUSES[2][1]} & {_UNION_CLAUSES[3][1]}))))"
 )
 
 
@@ -273,18 +286,6 @@ def _check_regularity(universe: Universe, n: int) -> CheckResult:
                 s=s,
             )
     return CheckResult(name, Status.HOLDS, n)
-
-
-def check_axioms(universe: Universe, *, snapshot: int | None = None) -> Report:
-    """Scan the equality, individuals, no-empty-set and regularity laws."""
-    n = _domain(universe, snapshot)
-    results = (
-        _check_equality_substitution(universe, n),
-        _check_individuals(universe, n),
-        _check_no_empty(universe, n),
-        _check_regularity(universe, n),
-    )
-    return Report.of(universe, results, n)
 
 
 # ---------------------------------------------------------------------------
@@ -491,40 +492,96 @@ def check_union_lemma(universe: Universe, *, snapshot: int | None = None) -> Che
             # U = s, which qualified: transitive, with transitive members,
             # and not a member of itself.
             continue
-        merged = universe.lookup(union)
-        if merged is None:
-            merged = universe.intern(union)
-        if not universe.is_transitive(merged):
-            return CheckResult.failure(
-                "union-lemma", qualifying, n,
-                "forall x. ((x in U) -> (forall y. ((y in x) -> (y in U))))",
-                s=s, U=merged,
-            )
+        u = universe.lookup(union)
         # Members of the union are members of members of s, so below n.
-        if not union <= transitive:
-            return CheckResult.failure(
-                "union-lemma", qualifying, n,
-                "forall x. ((x in U) -> (forall y. ((y in x) -> "
-                "(forall z. ((z in y) -> (z in x))))))",
-                s=s, U=merged,
-            )
-        if s in union:
-            return CheckResult.failure(
-                "union-lemma", qualifying, n, "s notin U", s=s, U=merged
-            )
-        if mem != union | {merged}:
-            return CheckResult.failure(
-                "union-lemma", qualifying, n,
-                "(U = s) | (forall x. ((x in s) <-> ((x in U) | (x = U))))",
-                s=s, U=merged,
-            )
+        clauses = (
+            all(sets[x] <= union for x in union),
+            union <= transitive,
+            s not in union,
+            u is not None and mem == union | {u},
+        )
+        for holds, (over_u, over_s) in zip(clauses, _UNION_CLAUSES):
+            if not holds:
+                if u is None:
+                    return CheckResult.failure("union-lemma", qualifying, n, over_s, s=s)
+                return CheckResult.failure("union-lemma", qualifying, n, over_u, s=s, U=u)
     if qualifying == 0:
         return CheckResult("union-lemma", Status.NOT_APPLICABLE, 0)
     return CheckResult("union-lemma", Status.HOLDS, qualifying)
 
 
 # ---------------------------------------------------------------------------
-# Dual-path agreement and suite assembly.
+# The law table, and the checks assembled from it.
+
+PairAtoms = tuple[SetId, SetId]
+
+
+@dataclass(frozen=True)
+class Law:
+    """One law: its scan over ``(universe, n, pair_atoms)`` and its oracle.
+
+    Scans are reached through this module's globals at call time, so a
+    wrapper installed on a ``check_*`` function sees every call.
+    """
+
+    name: str
+    suite: str
+    scan: Callable[[Universe, int, PairAtoms | None], CheckResult]
+    oracle: Formula
+    needs_pair: bool = False
+
+
+LAWS = (
+    Law("equality-substitution", "axioms",
+        lambda u, n, ab: _check_equality_substitution(u, n), parse(EQUALITY_FORMULA)),
+    Law("individuals-axiom", "axioms",
+        lambda u, n, ab: _check_individuals(u, n), parse(INDIVIDUALS_FORMULA)),
+    Law("no-empty-set", "axioms",
+        lambda u, n, ab: _check_no_empty(u, n), parse(NO_EMPTY_FORMULA)),
+    Law("regularity", "axioms",
+        lambda u, n, ab: _check_regularity(u, n), parse(REGULARITY_FORMULA)),
+    Law("russell", "russell",
+        lambda u, n, ab: check_russell(u, snapshot=n), parse(RUSSELL_FORMULA)),
+    Law("russell-equivalence", "russell",
+        lambda u, n, ab: check_russell_equivalence(u, snapshot=n),
+        parse(RUSSELL_EQUIVALENCE_FORMULA)),
+    Law("subset-derivations", "derivations",
+        lambda u, n, ab: check_subset_derivations(u, snapshot=n),
+        parse(DERIVATIONS_FORMULA)),
+    Law("theorem1", "theorem1",
+        lambda u, n, ab: check_theorem1(u, snapshot=n), parse(THEOREM1_FORMULA)),
+    Law("trichotomy", "trichotomy",
+        lambda u, n, ab: check_trichotomy(u, *ab, snapshot=n),
+        parse(TRICHOTOMY_FORMULA), needs_pair=True),
+    Law("pair-membership", "trichotomy",
+        lambda u, n, ab: check_pair_membership_claim(u, *ab, snapshot=n),
+        parse(PAIR_CLAIM_FORMULA), needs_pair=True),
+    Law("union-lemma", "union-lemma",
+        lambda u, n, ab: check_union_lemma(u, snapshot=n), parse(UNION_LEMMA_FORMULA)),
+)
+
+SUITES = (*dict.fromkeys(law.suite for law in LAWS), "all")
+
+# Suites that cannot run without an atom pair; ``all`` skips the pair laws.
+PAIR_SUITES = frozenset(law.suite for law in LAWS if law.needs_pair)
+
+
+def _scan_suite(
+    universe: Universe, suite: str, pair_atoms: PairAtoms | None, n: int
+) -> Report:
+    """Scan every law of ``suite`` over the first ``n`` sets, in table order."""
+    results = [
+        law.scan(universe, n, pair_atoms)
+        for law in LAWS
+        if suite in (law.suite, "all") and (pair_atoms is not None or not law.needs_pair)
+    ]
+    return Report.of(universe, results, n)
+
+
+def check_axioms(universe: Universe, *, snapshot: int | None = None) -> Report:
+    """Scan the equality, individuals, no-empty-set and regularity laws."""
+    return _scan_suite(universe, "axioms", None, _domain(universe, snapshot))
+
 
 def check_dual_paths(
     universe: Universe,
@@ -537,101 +594,50 @@ def check_dual_paths(
 
     A scan agrees with its formula when the formula is true exactly when the
     scan does not fail (a vacuous scan matches a vacuously true formula).
-    The pair-dependent checks run only when two atoms are supplied.
+    The pair-dependent checks run only when two atoms are supplied; their
+    oracles bind the atoms as ``A`` and ``B`` and the atoms' pair as ``P``.
     """
     n = _domain(universe, snapshot)
-    entries: list[tuple[str, object, str, dict[str, SetId]]] = [
-        ("equality-substitution",
-         lambda: _check_equality_substitution(universe, n), EQUALITY_FORMULA, {}),
-        ("individuals-axiom",
-         lambda: _check_individuals(universe, n), INDIVIDUALS_FORMULA, {}),
-        ("no-empty-set",
-         lambda: _check_no_empty(universe, n), NO_EMPTY_FORMULA, {}),
-        ("regularity",
-         lambda: _check_regularity(universe, n), REGULARITY_FORMULA, {}),
-        ("russell",
-         lambda: check_russell(universe, snapshot=n), RUSSELL_FORMULA, {}),
-        ("russell-equivalence",
-         lambda: check_russell_equivalence(universe, snapshot=n),
-         RUSSELL_EQUIVALENCE_FORMULA, {}),
-        ("subset-derivations",
-         lambda: check_subset_derivations(universe, snapshot=n),
-         DERIVATIONS_FORMULA, {}),
-        ("theorem1",
-         lambda: check_theorem1(universe, snapshot=n), THEOREM1_FORMULA, {}),
-        ("union-lemma",
-         lambda: check_union_lemma(universe, snapshot=n), UNION_LEMMA_FORMULA, {}),
-    ]
+    pair_atoms = None
+    names: dict[str, SetId | None] = {}
     if a1 is not None and a2 is not None:
         ensure_distinct_atoms(universe, a1, a2)
-        p = universe.lookup(frozenset((a1, a2)))
-        if p is None:
-            # No set qualifies without the pair (see the scan), as in a
-            # universe of atoms alone. The oracle still needs an id for P,
-            # and one past the pinned domain keeps its meaning, so the pair
-            # is interned.
-            p = pair(universe, a1, a2)
-        entries.append(
-            ("pair-membership",
-             lambda: check_pair_membership_claim(universe, a1, a2, snapshot=n),
-             PAIR_CLAIM_FORMULA, {"A": a1, "B": a2, "P": p})
-        )
-        entries.append(
-            ("trichotomy",
-             lambda: check_trichotomy(universe, a1, a2, snapshot=n),
-             TRICHOTOMY_FORMULA, {"A": a1, "B": a2})
-        )
+        pair_atoms = (a1, a2)
+        names = {"A": a1, "B": a2, "P": universe.lookup(frozenset(pair_atoms))}
     results = []
-    for name, scan, text, env in entries:
-        formula_true = evaluate(universe, parse(text), env, domain_size=n)
-        scan_true = scan().status is not Status.FAILS
+    for law in LAWS:
+        if law.needs_pair and pair_atoms is None:
+            continue
+        name = f"dualpath-{law.name}"
+        env = {var: names[var] for var in free_vars(law.oracle)}
+        if None in env.values():
+            # The universe lacks the pair P, so no set qualifies for the
+            # pair scan (see check_pair_membership_claim).
+            results.append(CheckResult(name, Status.NOT_APPLICABLE, 0))
+            continue
+        formula_true = evaluate(universe, law.oracle, env, domain_size=n)
+        scan_true = law.scan(universe, n, pair_atoms).status is not Status.FAILS
         if formula_true == scan_true:
-            results.append(CheckResult(f"dualpath-{name}", Status.HOLDS, n))
+            results.append(CheckResult(name, Status.HOLDS, n))
         else:
-            reproducer = text if not formula_true else f"(!({text}))"
-            results.append(
-                CheckResult(
-                    f"dualpath-{name}",
-                    Status.FAILS,
-                    n,
-                    Witness(tuple(sorted(env.items())), reproducer, n),
-                )
-            )
+            text = format_formula(law.oracle)
+            reproducer = f"(!{text})" if formula_true else text
+            results.append(CheckResult.failure(name, n, n, reproducer, **env))
     return Report.of(universe, results, n)
-
-
-SUITES = ("axioms", "russell", "derivations", "theorem1", "trichotomy", "union-lemma", "all")
 
 
 def run_suite(
     universe: Universe,
     suite: str,
-    pair_atoms: tuple[SetId, SetId] | None = None,
+    pair_atoms: PairAtoms | None = None,
 ) -> Report:
     """Assemble the named suite of checks into one report.
 
-    The trichotomy suite (and the pair checks inside ``all``) need two
-    distinct atoms; ``all`` silently skips them when none are supplied.
+    The suites in :data:`PAIR_SUITES` need two distinct atoms; ``all``
+    silently skips the pair laws when none are supplied.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    n = len(universe)
-    results: list[CheckResult] = []
-    if suite in ("axioms", "all"):
-        results.extend(check_axioms(universe, snapshot=n).results)
-    if suite in ("russell", "all"):
-        results.append(check_russell(universe, snapshot=n))
-        results.append(check_russell_equivalence(universe, snapshot=n))
-    if suite in ("derivations", "all"):
-        results.append(check_subset_derivations(universe, snapshot=n))
-    if suite in ("theorem1", "all"):
-        results.append(check_theorem1(universe, snapshot=n))
-    if suite == "trichotomy" and pair_atoms is None:
-        raise ValueError("the trichotomy suite needs an atom pair")
-    if suite in ("trichotomy", "all") and pair_atoms is not None:
-        a1, a2 = pair_atoms
-        results.append(check_trichotomy(universe, a1, a2, snapshot=n))
-        results.append(check_pair_membership_claim(universe, a1, a2, snapshot=n))
-    if suite in ("union-lemma", "all"):
-        results.append(check_union_lemma(universe, snapshot=n))
-    return Report.of(universe, results, n)
+    if pair_atoms is None and suite in PAIR_SUITES:
+        raise ValueError(f"the {suite} suite needs an atom pair")
+    return _scan_suite(universe, suite, pair_atoms, len(universe))

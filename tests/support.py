@@ -139,9 +139,17 @@ def random_formula(rng: Random, depth: int = 4):
 # --- fixture helpers ----------------------------------------------------------
 
 def inject_self_membered(universe, extra_member):
-    """Backdoor: install an illegal composite that contains itself."""
+    """Install an illegal composite that contains itself, past every check.
+
+    Writes the universe's tables directly, the way ``Universe`` appends a
+    set, since interning rightly refuses a set that contains itself.
+    """
     new_id = len(universe)
-    return universe._force_node(tuple(sorted((extra_member, new_id))))
+    members = tuple(sorted((extra_member, new_id)))
+    universe._members.append(members)
+    universe._index[members] = new_id
+    universe.member_sets.append(frozenset(members))
+    return new_id
 
 
 # --- law verdicts straight from member sets -----------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -10,9 +11,10 @@ from quineset import (
     loads_universe,
     parse_set_literal,
 )
-from quineset.cli import main
+from quineset.cli import build_arg_parser, main
 from quineset.errors import LiteralSyntaxError, UniverseFormatError
 from quineset.literals import MAX_NESTING
+from quineset.verifier import SUITES
 
 
 @pytest.fixture
@@ -216,6 +218,25 @@ def test_check_failure_exit_code(tmp_path, capsys):
     assert code == 1
     assert "union-lemma: fails" in out
     assert "witness" in out
+
+
+def test_check_choices_are_the_suites():
+    (subparsers,) = [
+        a for a in build_arg_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    (suite,) = [a for a in subparsers.choices["check"]._actions if a.dest == "suite"]
+    assert tuple(suite.choices) == SUITES
+
+
+def test_check_names_a_union_missing_from_a_full_file(tmp_path, capsys):
+    # At its cap of 5 the file has no room for the union {u,v,w} of
+    # {u,v,w,{u,v}}; the failure is reported over s instead of interned.
+    path = tmp_path / "f.hfu"
+    path.write_text("quineset-universe 1\natoms u,v,w\nmax-sets 5\n0,1\n0,1,2,3\n")
+    assert main(["check", str(path), "union-lemma"]) == 1
+    out = capsys.readouterr().out
+    assert "union-lemma: fails (scanned 2)" in out
+    assert "  witness: s={u,v,w,{u,v}}" in out
 
 
 # --- peano ---------------------------------------------------------------------
