@@ -21,7 +21,7 @@ from .constructors import (
     specify,
     union_all,
 )
-from .core import SetId, SetNode, Universe, ensure_distinct_atoms
+from .core import SetId, Universe, ensure_distinct_atoms
 from .formula import (
     And,
     Classification,
@@ -75,8 +75,8 @@ __all__ = [
     "And", "BuildConfig", "CheckResult", "Classification", "DEFAULT_MAX_SETS",
     "Env", "Equal", "Exists", "Forall", "Formula", "Iff", "Implies", "Member",
     "NoSet", "NoSetReason", "Not", "NumberSequence", "Or", "Report", "SetId",
-    "SetNode", "Specified", "SpecifyOutcome", "StageReport", "Status",
-    "Universe", "Witness", "binary_union", "build", "check_axioms",
+    "Specified", "SpecifyOutcome", "StageReport", "Status", "Universe",
+    "Witness", "binary_union", "build", "check_axioms",
     "check_dual_paths", "check_pair_membership_claim", "check_peano",
     "check_russell", "check_russell_equivalence", "check_sequences_distinct",
     "check_subset_derivations", "check_theorem1", "check_trichotomy",

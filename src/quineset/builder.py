@@ -31,9 +31,6 @@ class StageReport:
     counts: tuple[int, ...]
     fixed_point_stage: int | None = None
 
-    def stage_counts(self) -> list[int]:
-        return list(self.counts)
-
 
 def build(config: BuildConfig) -> tuple[Universe, StageReport]:
     """Close the atoms under nonempty-subset formation, one stage at a time.

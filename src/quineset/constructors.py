@@ -93,7 +93,7 @@ def specify(universe: Universe, s: SetId, criterion: Formula, var: str) -> Speci
     sets = universe.member_sets
     env: dict[str, SetId] = {}
     chosen = []
-    for m in universe.members(s):
+    for m in universe.member_set(s):
         env[var] = m
         if fn(env, n, sets):
             chosen.append(m)

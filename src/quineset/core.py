@@ -1,9 +1,11 @@
 """Canonical finite sets over self-membered atoms.
 
 A :class:`Universe` interns every set exactly once, so two ids are equal
-exactly when their member lists are equal. Atoms are the only self-membered
-objects: each atom's sole member is itself, and the singleton of an atom
-collapses back to the atom at interning time. There is no empty set.
+exactly when their member sets are equal. It stores each set once, as the
+frozenset of its member ids, and that same frozenset keys the index from
+extensions to ids. Atoms are the only self-membered objects: each atom's
+sole member is itself, and the singleton of an atom collapses back to the
+atom at interning time. There is no empty set.
 
 Interning is the only write, and it needs a single writer. Every other
 method here is a read, and so are the checks in :mod:`quineset.verifier` and
@@ -15,7 +17,6 @@ nothing interns.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import AbstractSet, Iterable
 
 from .errors import (
@@ -34,22 +35,6 @@ SetId = int
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _RESERVED_NAMES = frozenset({"forall", "exists", "in", "notin"})
-
-
-@dataclass(frozen=True)
-class SetNode:
-    """A view of one interned set: its sorted member ids, plus a name for atoms.
-
-    :meth:`Universe.node` builds one on demand; the universe itself stores
-    only the member tuple.
-    """
-
-    members: tuple[SetId, ...]
-    atom_name: str | None = None
-
-    @property
-    def is_atom(self) -> bool:
-        return self.atom_name is not None
 
 
 class Universe:
@@ -75,30 +60,27 @@ class Universe:
             seen.add(name)
         self.max_sets = max_sets
         self.build_depth: int | None = None
-        # _members[i] is set i's sorted member tuple, the same object that
-        # keys it in _index.
-        self._members: list[tuple[SetId, ...]] = []
-        self._index: dict[tuple[SetId, ...], SetId] = {}
-        # member_sets[i] is the frozenset form of set i's members; read-only.
+        # member_sets[i] is set i's members, the same frozenset that keys it
+        # in _index; read-only.
         self.member_sets: list[frozenset[SetId]] = []
+        self._index: dict[frozenset[SetId], SetId] = {}
         # Memoised is_transitive column; replaced whole, never mutated.
         self._transitive: list[bool] = []
         self._atom_ids: dict[str, SetId] = {}
         for name in names:
-            self._atom_ids[name] = self._append((len(self._members),))
+            self._atom_ids[name] = self._append(frozenset((len(self.member_sets),)))
 
-    def _append(self, ms: tuple[SetId, ...]) -> SetId:
-        sid = len(self._members)
-        self._members.append(ms)
+    def _append(self, ms: frozenset[SetId]) -> SetId:
+        sid = len(self.member_sets)
+        self.member_sets.append(ms)
         self._index[ms] = sid
-        self.member_sets.append(frozenset(ms))
         return sid
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self.member_sets)
 
     def ids(self) -> range:
-        return range(len(self._members))
+        return range(len(self.member_sets))
 
     @property
     def atoms(self) -> tuple[SetId, ...]:
@@ -115,39 +97,38 @@ class Universe:
             raise UnknownAtom(f"no atom named {name!r}") from None
 
     def _check_id(self, sid: SetId) -> None:
-        if not isinstance(sid, int) or not 0 <= sid < len(self._members):
+        if not isinstance(sid, int) or not 0 <= sid < len(self.member_sets):
             raise UnknownId(f"{sid!r} is not a set id of this universe")
 
-    def node(self, sid: SetId) -> SetNode:
+    def is_atom(self, sid: SetId) -> bool:
+        """True when ``sid`` is one of the named atoms."""
         self._check_id(sid)
         # Atoms occupy ids 0..k-1, in the order of their names.
-        names = tuple(self._atom_ids)
-        return SetNode(self._members[sid], names[sid] if sid < len(names) else None)
+        return sid < len(self._atom_ids)
 
     def intern(self, members: Iterable[SetId]) -> SetId:
         """Return the canonical id for the given member collection.
 
-        Members are deduplicated and sorted; a singleton of an atom is the
-        atom itself. An empty collection raises, since a memberless set does
-        not exist here.
+        A singleton of an atom is the atom itself. An empty collection
+        raises, since a memberless set does not exist here.
         """
-        ms = tuple(sorted(set(members)))
+        ms = frozenset(members)
         if not ms:
             raise EmptySetForbidden("a set needs at least one member")
-        # ms is sorted, so once every member is an int its ends bound them
-        # all; the per-member scan below only runs to name the first bad id.
+        # Once every member is an int, the least and greatest bound them all;
+        # the per-member scan below only runs to name the first bad id.
         if not (
             all(map(int.__instancecheck__, ms))
-            and ms[0] >= 0
-            and ms[-1] < len(self._members)
+            and min(ms) >= 0
+            and max(ms) < len(self.member_sets)
         ):
-            for m in ms:
+            for m in sorted(ms):
                 self._check_id(m)
         found = self._index.get(ms)
         if found is not None:
             return found
-        if self.max_sets is not None and len(self._members) >= self.max_sets:
-            raise CapExceeded(required=len(self._members) + 1, max_sets=self.max_sets)
+        if self.max_sets is not None and len(self.member_sets) >= self.max_sets:
+            raise CapExceeded(required=len(self.member_sets) + 1, max_sets=self.max_sets)
         return self._append(ms)
 
     def lookup(self, extension: AbstractSet[SetId]) -> SetId | None:
@@ -156,12 +137,11 @@ class Universe:
         Never interns. A singleton of an atom finds the atom, as in
         :meth:`intern`; an empty or unknown extension finds nothing.
         """
-        return self._index.get(tuple(sorted(extension)))
+        return self._index.get(frozenset(extension))
 
     def members(self, sid: SetId) -> tuple[SetId, ...]:
         """Sorted, duplicate-free member ids; an atom's members are itself."""
-        self._check_id(sid)
-        return self._members[sid]
+        return tuple(sorted(self.member_set(sid)))
 
     def member_set(self, sid: SetId) -> frozenset[SetId]:
         self._check_id(sid)
@@ -204,13 +184,13 @@ class Universe:
         return column[s]
 
     def cardinality(self, s: SetId) -> int:
-        return len(self.members(s))
+        return len(self.member_set(s))
 
 
 def ensure_distinct_atoms(universe: Universe, a1: SetId, a2: SetId) -> None:
     """Validate that ``a1`` and ``a2`` are two different atoms."""
     for x in (a1, a2):
-        if not universe.node(x).is_atom:
+        if not universe.is_atom(x):
             raise NotAtom(f"set {x} is not an atom")
     if a1 == a2:
         raise AtomsEqual("two distinct atoms are required")

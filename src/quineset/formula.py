@@ -362,7 +362,7 @@ def evaluate(
     if missing:
         raise UnboundVariable(sorted(missing)[0])
     for sid in bindings.values():
-        universe.node(sid)
+        universe.member_set(sid)
     n = len(universe) if domain_size is None else domain_size
     return _compile(f)(bindings, n, universe.member_sets)
 

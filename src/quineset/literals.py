@@ -88,8 +88,7 @@ def parse_set_literal(universe: Universe, text: str) -> SetId:
 
 def format_set_literal(universe: Universe, sid: SetId) -> str:
     """Render a set id as a literal, atoms by name, members in id order."""
-    node = universe.node(sid)
-    if node.is_atom:
-        return node.atom_name
-    inner = ",".join(format_set_literal(universe, m) for m in node.members)
+    if universe.is_atom(sid):
+        return universe.atom_names[sid]
+    inner = ",".join(format_set_literal(universe, m) for m in universe.members(sid))
     return "{" + inner + "}"

@@ -57,7 +57,7 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
         raise MalformedSequence("a sequence needs at least one element")
     try:
         for sid in (seq.base, *seq.elements):
-            universe.node(sid)
+            universe.member_set(sid)
     except UnknownId as exc:
         raise MalformedSequence(str(exc)) from exc
     n = len(universe)
@@ -122,7 +122,7 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
     structure_result = CheckResult("transitive-chain", Status.HOLDS, length)
     for e in elements:
         if not universe.is_transitive(e) or not all(
-            universe.is_transitive(m) for m in universe.members(e)
+            universe.is_transitive(m) for m in sets[e]
         ):
             structure_result = CheckResult.failure(
                 "transitive-chain", length, n,

@@ -12,10 +12,12 @@ Format (line-oriented, diff-friendly):
 
 The header carries the format version, the atom names (atoms take ids
 0..k-1 implicitly), and the build depth and cap when known. Each body line
-is one composite set in id order: its sorted member ids, comma-separated.
-Members always precede their set, so re-interning the records in order
-reproduces identical ids; the loader verifies that and rejects anything
-else as a format error.
+is one composite set in id order: its member ids, comma-separated, in
+strictly increasing order. Members always precede their set, so
+re-interning the records in order reproduces identical ids. The loader
+verifies that, and rejects as a format error a record that is out of
+order, repeats an id or does not intern to a fresh set. A file written by
+:func:`dumps_universe` loads and dumps back byte for byte.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ def dumps_universe(universe: Universe) -> str:
         lines.append(f"depth {universe.build_depth}")
     if universe.max_sets is not None:
         lines.append(f"max-sets {universe.max_sets}")
+    sets = universe.member_sets
     for sid in range(len(universe.atom_names), len(universe)):
-        lines.append(",".join(str(m) for m in universe.members(sid)))
+        lines.append(",".join(map(str, sorted(sets[sid]))))
     return "\n".join(lines) + "\n"
 
 
@@ -84,6 +87,12 @@ def loads_universe(text: str) -> Universe:
             sid = universe.intern(members)
         except WorkbenchError as exc:
             raise UniverseFormatError(f"line {lineno + 1}: {exc}") from exc
+        # intern takes ids in any order and with repeats; a record lists
+        # each id once, in order, so that it dumps back to the same line.
+        if len(universe.member_sets[sid]) != len(members) or members != sorted(members):
+            raise UniverseFormatError(
+                f"line {lineno + 1}: member ids are not strictly increasing: {line!r}"
+            )
         if sid != expected:
             raise UniverseFormatError(
                 f"line {lineno + 1}: record does not intern to a fresh set"

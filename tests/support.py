@@ -9,8 +9,11 @@ a plain recursive walk with copied environments.
 from itertools import combinations
 from random import Random
 
+from hypothesis import strategies as st
+
 from quineset import (
     And,
+    BuildConfig,
     Equal,
     Exists,
     Forall,
@@ -19,6 +22,8 @@ from quineset import (
     Member,
     Not,
     Or,
+    build,
+    union_all,
 )
 
 # --- frozenset model of the set theory ------------------------------------
@@ -74,10 +79,9 @@ def model_union(rep):
 
 def rep_of(universe, sid):
     """Translate a universe id into the frozenset model."""
-    node = universe.node(sid)
-    if node.is_atom:
-        return node.atom_name
-    return frozenset(rep_of(universe, m) for m in node.members)
+    if universe.is_atom(sid):
+        return universe.atom_names[sid]
+    return frozenset(rep_of(universe, m) for m in universe.member_set(sid))
 
 
 # --- reference formula evaluator -------------------------------------------
@@ -145,11 +149,32 @@ def inject_self_membered(universe, extra_member):
     set, since interning rightly refuses a set that contains itself.
     """
     new_id = len(universe)
-    members = tuple(sorted((extra_member, new_id)))
-    universe._members.append(members)
+    members = frozenset((extra_member, new_id))
+    universe.member_sets.append(members)
     universe._index[members] = new_id
-    universe.member_sets.append(frozenset(members))
     return new_id
+
+
+@st.composite
+def small_universes(draw):
+    """A built universe grown by random sets, successors and unions, and
+    sometimes by self-membered composites."""
+    atoms = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    depth = draw(st.integers(0, 2 if len(atoms) <= 2 else 1))
+    universe, _ = build(BuildConfig(atoms, depth))
+    for _ in range(draw(st.integers(0, 10))):
+        n = len(universe)
+        kind = draw(st.sampled_from(["set", "set", "successor", "successor", "union", "inject"]))
+        x = draw(st.integers(0, n - 1))
+        if kind == "set":
+            universe.intern(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4)))
+        elif kind == "successor":
+            universe.intern(universe.member_set(x) | {x})
+        elif kind == "union":
+            union_all(universe, x)
+        else:
+            inject_self_membered(universe, x)
+    return universe
 
 
 # --- law verdicts straight from member sets -----------------------------------

@@ -23,7 +23,7 @@ def test_two_atom_counts_match_model():
 def test_depth_two_seven_sets():
     universe, report = build(BuildConfig(("u", "v"), depth=2))
     assert len(universe) == 7
-    assert report.stage_counts() == [2, 3, 7]
+    assert report.counts == (2, 3, 7)
 
 
 def test_three_atom_depth_two():
@@ -64,7 +64,7 @@ def test_counts_monotone_and_members_precede():
     assert list(report.counts) == sorted(report.counts)
     for sid in universe.ids():
         for m in universe.members(sid):
-            if not universe.node(sid).is_atom:
+            if not universe.is_atom(sid):
                 assert m < sid
 
 
@@ -73,7 +73,7 @@ def test_every_universe_id_is_subset_of_prior_stage():
     # members of any stage-k set existed before stage k started
     boundaries = list(report.counts)
     for sid in universe.ids():
-        if universe.node(sid).is_atom:
+        if universe.is_atom(sid):
             continue
         stage = next(i for i, c in enumerate(boundaries) if sid < c)
         prior = boundaries[stage - 1]

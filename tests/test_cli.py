@@ -198,7 +198,9 @@ def test_check_corrupted_file(tmp_path):
     b"quineset-universe 1\natoms u,v\xe9\n0,1\n",
     b"quineset-universe 1\natoms u,v\ndepth -4\n0,1\n",
     b"quineset-universe 1\natoms u,v\nmax-sets 1\n",
-], ids=["non-ascii", "negative-depth", "cap-below-atoms"])
+    b"quineset-universe 1\natoms u,v\n1,0\n",
+    b"quineset-universe 1\natoms u,v\n0,1,1\n",
+], ids=["non-ascii", "negative-depth", "cap-below-atoms", "unsorted-record", "repeated-id"])
 def test_check_bad_file_content_exits_65(tmp_path, content):
     path = tmp_path / "bad.hfu"
     path.write_bytes(content)
@@ -312,6 +314,19 @@ def test_loader_rejects_garbage():
         loads_universe("quineset-universe 1\natoms u,v\n0\n")  # collapses to atom
     with pytest.raises(UniverseFormatError):
         loads_universe("quineset-universe 1\natoms u,v\nzap\n")
+
+
+@pytest.mark.parametrize("records,line", [
+    ("1,0\n", 3),
+    ("0,1,1\n", 3),
+    ("0,1\n2,1\n", 4),
+    ("0,1\n0,1,1\n", 4),
+])
+def test_loader_rejects_records_that_would_dump_differently(records, line):
+    # intern accepts these member lists, but a file that loads must dump
+    # back to the same text, so its records list each id once, in order.
+    with pytest.raises(UniverseFormatError, match=rf"^line {line}: member ids are not strictly increasing"):
+        loads_universe("quineset-universe 1\natoms u,v\n" + records)
 
 
 def test_loader_applies_build_config_rules_to_the_header():

@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from quineset import SetNode, Universe, union_all
+from quineset import Universe, dumps_universe, loads_universe, union_all
 from quineset.errors import (
     DuplicateAtomName,
     EmptyAtomName,
@@ -9,9 +9,10 @@ from quineset.errors import (
     InvalidAtomName,
     UnknownAtom,
     UnknownId,
+    UniverseFormatError,
 )
 
-from support import inject_self_membered, model_members, rep_of
+from support import inject_self_membered, model_members, rep_of, small_universes
 
 
 def test_new_universe_atoms():
@@ -97,14 +98,15 @@ def test_lookup_finds_interned_sets_and_never_interns():
     assert len(u) == 3
 
 
-def test_node_view():
+def test_is_atom():
     u = Universe(["u", "v"])
     p = u.intern([1, 0])
-    assert u.node(0) == SetNode((0,), "u")
-    assert u.node(p) == SetNode((0, 1))
-    assert u.node(1).is_atom and not u.node(p).is_atom
+    assert u.is_atom(0) and u.is_atom(1) and not u.is_atom(p)
+    assert u.members(p) == (0, 1)
     with pytest.raises(UnknownId):
-        u.node(p + 1)
+        u.is_atom(p + 1)
+    with pytest.raises(UnknownId):
+        u.is_atom(-1)
 
 
 def test_members_of_atom_is_itself():
@@ -132,7 +134,7 @@ def test_no_composite_self_membership_exhaustive(default_universe):
     # every self-membered id in a legally built universe is an atom
     for sid in default_universe.ids():
         if default_universe.is_member(sid, sid):
-            assert default_universe.node(sid).is_atom
+            assert default_universe.is_atom(sid)
 
 
 def test_is_individual():
@@ -238,6 +240,27 @@ def test_intern_names_the_first_bad_member():
     with pytest.raises(UnknownId, match=r"^2 is not a set id of this universe$"):
         u.intern([0, 2])
     assert len(u) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_universes())
+def test_one_member_store(universe):
+    # Each id's frozenset finds the id again, the sorted view is that
+    # frozenset in order, and atoms are exactly the ids below the atom count.
+    for i in universe.ids():
+        assert universe.lookup(universe.member_set(i)) == i
+        assert universe.members(i) == tuple(sorted(universe.member_set(i)))
+        assert universe.is_atom(i) == (i < len(universe.atoms))
+    text = dumps_universe(universe)
+    injected = any(
+        i in universe.member_set(i) for i in universe.ids() if not universe.is_atom(i)
+    )
+    if injected:
+        # A self-membered composite cannot be interned, so its file does not load.
+        with pytest.raises(UniverseFormatError):
+            loads_universe(text)
+    else:
+        assert dumps_universe(loads_universe(text)) == text
 
 
 # --- memoised transitivity ------------------------------------------------------

@@ -2,7 +2,6 @@ import json
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from quineset import (
     BuildConfig,
@@ -31,7 +30,7 @@ from quineset.errors import AtomsEqual, NotAtom
 from quineset.formula import free_vars
 from quineset.verifier import LAWS, PAIR_SUITES, SUITES
 
-from support import inject_self_membered, model_verdicts
+from support import inject_self_membered, model_verdicts, small_universes
 
 
 def all_hold(report):
@@ -297,28 +296,6 @@ def test_checks_fit_a_universe_built_to_its_cap():
 
 
 # --- scans against the model ------------------------------------------------------
-
-@st.composite
-def small_universes(draw):
-    """A built universe grown by random sets, successors and unions, and
-    sometimes by self-membered composites."""
-    atoms = ("a", "b", "c")[: draw(st.integers(1, 3))]
-    depth = draw(st.integers(0, 2 if len(atoms) <= 2 else 1))
-    universe, _ = build(BuildConfig(atoms, depth))
-    for _ in range(draw(st.integers(0, 10))):
-        n = len(universe)
-        kind = draw(st.sampled_from(["set", "set", "successor", "successor", "union", "inject"]))
-        x = draw(st.integers(0, n - 1))
-        if kind == "set":
-            universe.intern(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4)))
-        elif kind == "successor":
-            universe.intern(universe.member_set(x) | {x})
-        elif kind == "union":
-            union_all(universe, x)
-        else:
-            inject_self_membered(universe, x)
-    return universe
-
 
 def scan_verdicts(report):
     return {r.name: (r.status.value, r.scanned) for r in report.results}
