@@ -105,6 +105,65 @@ def test_check_peano_base_that_is_a_successor(trio):
     }
 
 
+def _skip_one(trio, e):
+    # e0, e2, e3: the step e0 -> e2 is not a successor, so union(e2) = e1 != e0.
+    return NumberSequence(e[0], (e[0], e[2], e[3])), len(trio)
+
+
+def _foreign_base(trio, e):
+    other = pair(trio, 0, 2)
+    return NumberSequence(other, e[:4]), len(trio)
+
+
+def _successor_as_base(trio, e):
+    return NumberSequence(e[1], (e[1], e[0])), len(trio)
+
+
+def _repeated(trio, e):
+    return NumberSequence(e[0], (e[0], e[1], e[1], e[2])), len(trio)
+
+
+def _not_transitive(trio, e):
+    x = trio.intern([e[0]])  # {{o,a}}: its member {o,a} is not a subset of it
+    return NumberSequence(x, (x,)), len(trio)
+
+
+# (tamper, law, scanned, bindings as indexes into e or names, formula)
+TAMPERED_CHAINS = [
+    (_foreign_base, "base-in-sequence", 1, {"b": "pair02", "e": 0}, "b = e"),
+    (_skip_one, "successor-chain", 2, {"e": 0, "y": 2},
+     "forall w. ((w in y) <-> ((w in e) | (w = e)))"),
+    (_successor_as_base, "base-not-successor", 2, {"e": 0, "b": 1},
+     "!(forall w. ((w in b) <-> ((w in e) | (w = e))))"),
+    (_repeated, "elements-distinct", 6, {"x": 1, "y": 1}, "x != y"),
+    (_not_transitive, "transitive-chain", 1, {"s": "x"},
+     "(forall u. ((u in s) -> (forall w. ((w in u) -> (w in s))))) & "
+     "(forall u. ((u in s) -> (forall w. ((w in u) -> "
+     "(forall z. ((z in w) -> (z in u)))))))"),
+    (_skip_one, "union-inverse", 2, {"s": 2, "t": 0},
+     "forall x. ((exists m. ((m in s) & (x in m))) <-> (x in t))"),
+]
+
+
+@pytest.mark.parametrize(
+    "tamper,law,scanned,bindings,formula", TAMPERED_CHAINS, ids=[t[1] for t in TAMPERED_CHAINS]
+)
+def test_each_peano_law_fails_on_its_tampered_chain(trio, tamper, law, scanned, bindings, formula):
+    e = sequence(trio, 0, 1, 5).elements
+    tampered, size = tamper(trio, e)
+    names = {"pair02": pair(trio, 0, 2), "x": tampered.base}
+    expected = {k: names[v] if isinstance(v, str) else e[v] for k, v in bindings.items()}
+    report = check_peano(trio, tampered)
+    assert len(trio) == size
+    (result,) = [r for r in report.results if r.name == law]
+    assert result.status is Status.FAILS
+    assert result.scanned == scanned
+    assert dict(result.witness.bindings) == expected
+    assert result.witness.formula == formula
+    assert result.witness.domain == size
+    assert witness_reproduces(trio, result.witness)
+
+
 def test_check_peano_malformed(trio):
     with pytest.raises(MalformedSequence):
         check_peano(trio, NumberSequence(0, ()))
