@@ -55,7 +55,6 @@ from .verifier import (
     Report,
     Status,
     Witness,
-    check_axioms,
     check_dual_paths,
     check_pair_membership_claim,
     check_russell,
@@ -76,8 +75,8 @@ __all__ = [
     "Env", "Equal", "Exists", "Forall", "Formula", "Iff", "Implies", "Member",
     "NoSet", "NoSetReason", "Not", "NumberSequence", "Or", "Report", "SetId",
     "Specified", "SpecifyOutcome", "StageReport", "Status", "Universe",
-    "Witness", "binary_union", "build", "check_axioms",
-    "check_dual_paths", "check_pair_membership_claim", "check_peano",
+    "Witness", "binary_union", "build", "check_dual_paths",
+    "check_pair_membership_claim", "check_peano",
     "check_russell", "check_russell_equivalence", "check_sequences_distinct",
     "check_subset_derivations", "check_theorem1", "check_trichotomy",
     "check_union_lemma", "classify", "dumps_universe", "ensure_distinct_atoms",

@@ -33,8 +33,10 @@ from .errors import (
 
 SetId = int
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_RESERVED_NAMES = frozenset({"forall", "exists", "in", "notin"})
+# The one identifier grammar: atom names, formula variables and the atom
+# names inside set literals. The reserved words are the formula keywords.
+NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+RESERVED_NAMES = frozenset({"forall", "exists", "in", "notin"})
 
 
 class Universe:
@@ -53,7 +55,7 @@ class Universe:
         for name in names:
             if name == "":
                 raise EmptyAtomName("atom names must be nonempty")
-            if not _NAME_RE.match(name) or name in _RESERVED_NAMES:
+            if not NAME_RE.fullmatch(name) or name in RESERVED_NAMES:
                 raise InvalidAtomName(f"{name!r} is not a usable atom name")
             if name in seen:
                 raise DuplicateAtomName(f"atom name {name!r} given twice")

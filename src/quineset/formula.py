@@ -36,7 +36,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Mapping
 
-from .core import SetId, Universe
+from .core import NAME_RE, RESERVED_NAMES, SetId, Universe
 from .errors import FormulaSyntaxError, UnboundVariable, WrongArity
 
 
@@ -100,13 +100,10 @@ class Exists(Formula):
 
 Env = Mapping[str, SetId]
 
-KEYWORDS = frozenset({"forall", "exists", "in", "notin"})
-
 # Most levels a formula may nest; see the module docstring.
 MAX_NESTING = 100
 
-_TOKEN_RE = re.compile(r"<->|->|!=|[A-Za-z][A-Za-z0-9_]*|[()!&|=.]")
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_TOKEN_RE = re.compile(rf"<->|->|!=|{NAME_RE.pattern}|[()!&|=.]")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -167,7 +164,7 @@ class _Parser:
 
     def _ident(self, what: str) -> str:
         tok = self._peek()
-        if tok is None or not _IDENT_RE.match(tok) or tok in KEYWORDS:
+        if tok is None or not NAME_RE.fullmatch(tok) or tok in RESERVED_NAMES:
             raise FormulaSyntaxError(f"expected {what} but found {tok!r}", self._here())
         return self._advance()
 
@@ -389,13 +386,7 @@ class Classification(Enum):
     CONTINGENT = "contingent"
 
 
-def classify(
-    universe: Universe,
-    f: Formula,
-    var: str,
-    *,
-    domain_size: int | None = None,
-) -> Classification:
+def classify(universe: Universe, f: Formula, var: str) -> Classification:
     """Pointwise classification of a one-variable criterion over the universe.
 
     ``CONTRADICTORY`` means false of every set, ``TAUTOLOGICAL`` true of
@@ -403,7 +394,7 @@ def classify(
     variables must be exactly ``{var}``.
     """
     fn = compile_criterion(f, var)
-    n = len(universe) if domain_size is None else domain_size
+    n = len(universe)
     sets = universe.member_sets
     env: dict[str, SetId] = {}
     seen_true = seen_false = False

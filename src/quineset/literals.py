@@ -10,12 +10,8 @@ error. Printing any id and re-parsing it yields the same id.
 
 from __future__ import annotations
 
-import re
-
-from .core import SetId, Universe
+from .core import NAME_RE, SetId, Universe
 from .errors import LiteralSyntaxError
-
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 # Most braces a literal may nest.
 MAX_NESTING = 100
@@ -42,7 +38,7 @@ class _LiteralParser:
         ch = self._peek()
         if ch == "{":
             return self._braced()
-        match = _NAME_RE.match(self.text, self.pos)
+        match = NAME_RE.match(self.text, self.pos)
         if match is None:
             raise LiteralSyntaxError(
                 f"expected an atom name or '{{' but found {ch!r}", self.pos

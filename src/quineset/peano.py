@@ -13,7 +13,7 @@ from itertools import combinations
 from .constructors import pair, union_members
 from .core import SetId, Universe, ensure_distinct_atoms
 from .errors import MalformedSequence, UnknownId
-from .verifier import CheckResult, Report, Status
+from .verifier import CheckResult, Report
 
 
 @dataclass(frozen=True)
@@ -64,87 +64,39 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
     sets = universe.member_sets
     elements = seq.elements
     length = len(elements)
-    results: list[CheckResult] = []
-
-    if seq.base == elements[0]:
-        results.append(CheckResult("base-in-sequence", Status.HOLDS, 1))
-    else:
-        results.append(
-            CheckResult.failure("base-in-sequence", 1, n, "b = e", b=seq.base, e=elements[0])
-        )
-
+    pairs = length * (length - 1) // 2
+    steps = list(zip(elements, elements[1:]))
     # The member set of each element's successor, e together with {e}.
     succs = [sets[e] | {e} for e in elements]
-
-    step_result = CheckResult("successor-chain", Status.HOLDS, length - 1)
-    for k in range(length - 1):
-        if succs[k] != sets[elements[k + 1]]:
-            step_result = CheckResult.failure(
-                "successor-chain", length - 1, n,
-                "forall w. ((w in y) <-> ((w in e) | (w = e)))",
-                e=elements[k], y=elements[k + 1],
-            )
-            break
-    results.append(step_result)
-
-    pairs = length * (length - 1) // 2
-    inj_result = CheckResult("successor-injective", Status.HOLDS, pairs)
-    for (x, sx), (y, sy) in combinations(zip(elements, succs), 2):
-        if sx == sy and x != y:
-            inj_result = CheckResult.failure(
-                "successor-injective", pairs, n,
-                "(forall w. (((w in x) | (w = x)) <-> ((w in y) | (w = y)))) -> (x = y)",
-                x=x, y=y,
-            )
-            break
-    results.append(inj_result)
-
-    base_result = CheckResult("base-not-successor", Status.HOLDS, length)
-    for e, se in zip(elements, succs):
-        if se == sets[seq.base]:
-            base_result = CheckResult.failure(
-                "base-not-successor", length, n,
-                "!(forall w. ((w in b) <-> ((w in e) | (w = e))))",
-                e=e, b=seq.base,
-            )
-            break
-    results.append(base_result)
-
-    distinct_result = CheckResult("elements-distinct", Status.HOLDS, pairs)
-    for x, y in combinations(elements, 2):
-        if x == y:
-            distinct_result = CheckResult.failure(
-                "elements-distinct", pairs, n, "x != y", x=x, y=y
-            )
-            break
-    results.append(distinct_result)
-
-    structure_result = CheckResult("transitive-chain", Status.HOLDS, length)
-    for e in elements:
-        if not universe.is_transitive(e) or not all(
-            universe.is_transitive(m) for m in sets[e]
-        ):
-            structure_result = CheckResult.failure(
-                "transitive-chain", length, n,
-                "(forall u. ((u in s) -> (forall w. ((w in u) -> (w in s))))) & "
-                "(forall u. ((u in s) -> (forall w. ((w in u) -> "
-                "(forall z. ((z in w) -> (z in u)))))))",
-                s=e,
-            )
-            break
-    results.append(structure_result)
-
-    union_result = CheckResult("union-inverse", Status.HOLDS, length - 1)
-    for k in range(length - 1):
-        if union_members(universe, elements[k + 1]) != sets[elements[k]]:
-            union_result = CheckResult.failure(
-                "union-inverse", length - 1, n,
-                "forall x. ((exists m. ((m in s) & (x in m))) <-> (x in t))",
-                s=elements[k + 1], t=elements[k],
-            )
-            break
-    results.append(union_result)
-
+    first = CheckResult.first
+    results = [
+        first("base-in-sequence", 1, n, "b = e",
+              [{"b": seq.base, "e": elements[0]}] if seq.base != elements[0] else ()),
+        first("successor-chain", length - 1, n,
+              "forall w. ((w in y) <-> ((w in e) | (w = e)))",
+              ({"e": e, "y": y} for (e, y), se in zip(steps, succs) if se != sets[y])),
+        first("successor-injective", pairs, n,
+              "(forall w. (((w in x) | (w = x)) <-> ((w in y) | (w = y)))) -> (x = y)",
+              ({"x": x, "y": y}
+               for (x, sx), (y, sy) in combinations(zip(elements, succs), 2)
+               if sx == sy and x != y)),
+        first("base-not-successor", length, n,
+              "!(forall w. ((w in b) <-> ((w in e) | (w = e))))",
+              ({"e": e, "b": seq.base}
+               for e, se in zip(elements, succs) if se == sets[seq.base])),
+        first("elements-distinct", pairs, n, "x != y",
+              ({"x": x, "y": y} for x, y in combinations(elements, 2) if x == y)),
+        first("transitive-chain", length, n,
+              "(forall u. ((u in s) -> (forall w. ((w in u) -> (w in s))))) & "
+              "(forall u. ((u in s) -> (forall w. ((w in u) -> "
+              "(forall z. ((z in w) -> (z in u)))))))",
+              ({"s": e} for e in elements
+               if not (universe.is_transitive(e)
+                       and all(universe.is_transitive(m) for m in sets[e])))),
+        first("union-inverse", length - 1, n,
+              "forall x. ((exists m. ((m in s) & (x in m))) <-> (x in t))",
+              ({"s": s, "t": t} for t, s in steps if union_members(universe, s) != sets[t])),
+    ]
     return Report.of(universe, results, n)
 
 
@@ -152,11 +104,8 @@ def check_sequences_distinct(
     universe: Universe, first: NumberSequence, second: NumberSequence
 ) -> CheckResult:
     """No element of one chain appears in the other (bases included)."""
-    scanned = len(first.elements) * len(second.elements)
-    for x in first.elements:
-        for y in second.elements:
-            if x == y:
-                return CheckResult.failure(
-                    "sequences-distinct", scanned, len(universe), "x != y", x=x, y=y
-                )
-    return CheckResult("sequences-distinct", Status.HOLDS, scanned)
+    return CheckResult.first(
+        "sequences-distinct", len(first.elements) * len(second.elements), len(universe),
+        "x != y",
+        ({"x": x, "y": y} for x in first.elements for y in second.elements if x == y),
+    )

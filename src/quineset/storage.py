@@ -14,10 +14,15 @@ The header carries the format version, the atom names (atoms take ids
 0..k-1 implicitly), and the build depth and cap when known. Each body line
 is one composite set in id order: its member ids, comma-separated, in
 strictly increasing order. Members always precede their set, so
-re-interning the records in order reproduces identical ids. The loader
-verifies that, and rejects as a format error a record that is out of
-order, repeats an id or does not intern to a fresh set. A file written by
-:func:`dumps_universe` loads and dumps back byte for byte.
+re-interning the records in order reproduces identical ids.
+
+The loader accepts only what :func:`dumps_universe` writes: ASCII text
+with ``\n`` line ends, a newline after the last line, the ``depth`` and
+``max-sets`` lines at most once each and in that order, and every number in
+plain decimal (no sign, space, underscore or leading zero). It rejects as a
+format error, naming the line, any other spelling and a record that is out
+of order, repeats an id or does not intern to a fresh set. So a file that
+loads dumps back byte for byte.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ from .errors import UniverseFormatError, WorkbenchError
 
 MAGIC = "quineset-universe 1"
 
+# A leading zero, which no id written in plain decimal has.
+_ZERO_LED = tuple(f"0{digit}" for digit in "0123456789")
+
 
 def dumps_universe(universe: Universe) -> str:
     lines = [MAGIC, "atoms " + ",".join(universe.atom_names)]
@@ -37,27 +45,38 @@ def dumps_universe(universe: Universe) -> str:
     if universe.max_sets is not None:
         lines.append(f"max-sets {universe.max_sets}")
     sets = universe.member_sets
+    decimal = list(map(str, range(len(universe))))
     for sid in range(len(universe.atom_names), len(universe)):
-        lines.append(",".join(map(str, sorted(sets[sid]))))
+        lines.append(",".join(map(decimal.__getitem__, sorted(sets[sid]))))
     return "\n".join(lines) + "\n"
 
 
 def loads_universe(text: str) -> Universe:
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if not text.isascii() or "\r" in text:
+        lineno = next(i for i, line in enumerate(lines, 1) if not line.isascii() or "\r" in line)
+        raise UniverseFormatError(f"line {lineno}: not ASCII text with \\n line ends")
+    # Every line ends in "\n", so the split leaves one empty string last.
+    if lines.pop():
+        raise UniverseFormatError(f"line {len(lines) + 1}: no newline at end of file")
     if not lines or lines[0] != MAGIC:
-        raise UniverseFormatError(f"missing header line {MAGIC!r}")
+        raise UniverseFormatError(f"line 1: missing header line {MAGIC!r}")
     if len(lines) < 2 or not lines[1].startswith("atoms "):
-        raise UniverseFormatError("missing atoms line")
+        raise UniverseFormatError("line 2: missing atoms line")
     names = lines[1][len("atoms "):].split(",")
     depth: int | None = None
     max_sets: int | None = None
     row = 2
-    while row < len(lines) and lines[row].split(" ", 1)[0] in ("depth", "max-sets"):
-        key, _, value = lines[row].partition(" ")
+    for key in ("depth", "max-sets"):
+        if row == len(lines) or lines[row].partition(" ")[0] != key:
+            continue
+        value = lines[row][len(key) + 1:]
         try:
             parsed = int(value)
         except ValueError:
-            raise UniverseFormatError(f"line {row + 1}: bad {key} value {value!r}") from None
+            parsed = None
+        if parsed is None or str(parsed) != value:
+            raise UniverseFormatError(f"line {row + 1}: bad {key} value {value!r}")
         if key == "depth":
             if parsed < 0:
                 raise UniverseFormatError(f"line {row + 1}: depth {parsed} is negative")
@@ -72,16 +91,24 @@ def loads_universe(text: str) -> Universe:
     try:
         universe = Universe(names, max_sets=max_sets)
     except (WorkbenchError, ValueError) as exc:
-        raise UniverseFormatError(f"bad atom list: {exc}") from exc
+        raise UniverseFormatError(f"line 2: bad atom list: {exc}") from exc
     universe.build_depth = depth
     for lineno in range(row, len(lines)):
         line = lines[lineno]
         try:
-            members = [int(part) for part in line.split(",")]
+            members = list(map(int, line.split(",")))
         except ValueError:
-            raise UniverseFormatError(
-                f"line {lineno + 1}: not a member-id list: {line!r}"
-            ) from None
+            members = None
+        # int() also takes signs, spaces, underscores and leading zeros, none
+        # of which dumps back the same. Only a bad record has ",0" (0 is the
+        # least id, so it can only come first), so the split runs only there.
+        if (
+            members is None
+            or not line.replace(",", "").isdigit()
+            or line.startswith(_ZERO_LED)
+            or ",0" in line and any(part.startswith(_ZERO_LED) for part in line.split(","))
+        ):
+            raise UniverseFormatError(f"line {lineno + 1}: not a member-id list: {line!r}")
         expected = len(universe)
         try:
             sid = universe.intern(members)
@@ -101,12 +128,10 @@ def loads_universe(text: str) -> Universe:
 
 
 def save_universe(universe: Universe, path: str | Path) -> None:
-    Path(path).write_text(dumps_universe(universe), encoding="ascii")
+    Path(path).write_bytes(dumps_universe(universe).encode("ascii"))
 
 
 def load_universe(path: str | Path) -> Universe:
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        raise UniverseFormatError(f"{path}: not an ASCII universe file: {exc}") from exc
-    return loads_universe(text)
+    # Bytes are decoded as they are, without newline translation; a byte past
+    # ASCII becomes a lone surrogate, which loads_universe reports by line.
+    return loads_universe(Path(path).read_bytes().decode("ascii", "surrogateescape"))

@@ -1,19 +1,22 @@
 """Exhaustive checking of structural laws over a built universe.
 
 Every law is declared once, in :data:`LAWS`: its name, its suite, a direct
-Python scan and a closed formula oracle. Scans return data instead of
-raising; failures carry a witness whose formula re-evaluates to false under
-the witness bindings, so a reported failure can always be reproduced in
-isolation. :func:`check_dual_paths` cross-checks each scan against its
-oracle.
+Python scan and a closed formula oracle. :func:`run_suite` runs the laws of
+one suite and :func:`check_dual_paths` cross-checks each scan against its
+oracle. Scans return data instead of raising; failures carry a witness
+whose formula re-evaluates to false under the witness bindings, so a
+reported failure can always be reproduced in isolation. A scan that looks
+for one counterexample yields the bindings of each and lets
+:meth:`CheckResult.first` turn the first into the verdict.
 
-Scans are reads: each pins the universe size up front and decides its law
-by set algebra on ``member_sets`` over the ids below it, looking up rather
-than interning any set it must name. A set missing from the universe is
-named by a witness written over member sets instead. The one exception is
-subset-derivations, whose ``specify`` interns the selected subset when a
-hand-written file lacks it; on a universe made by the builder that never
-happens. Such a set stays outside the pinned size.
+Scans are reads: each pins the universe size up front (the ``snapshot`` of
+the named checks) and decides its law by set algebra on ``member_sets``
+over the ids below it, looking up rather than interning any set it must
+name. A set missing from the universe is named by a witness written over
+member sets instead. The one exception is subset-derivations, whose
+``specify`` interns the selected subset when a hand-written file lacks it;
+on a universe made by the builder that never happens. Such a set stays
+outside the pinned size.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from typing import Callable
+from typing import Callable, Iterable
 
 from .constructors import Specified, specify, union_members
 from .core import SetId, Universe, ensure_distinct_atoms
@@ -57,6 +60,25 @@ class CheckResult:
         """A failed check whose witness binds ``bindings`` in ``formula``."""
         witness = Witness(tuple(sorted(bindings.items())), formula, domain)
         return cls(name, Status.FAILS, scanned, witness)
+
+    @classmethod
+    def first(
+        cls,
+        name: str,
+        scanned: int,
+        domain: int,
+        formula: str,
+        failures: Iterable[dict[str, SetId]],
+    ) -> CheckResult:
+        """Holds over ``scanned``, or fails at the first bindings ``failures`` yields.
+
+        ``failures`` is read lazily, so a scan written as a generator stops
+        at its first counterexample.
+        """
+        bindings = next(iter(failures), None)
+        if bindings is None:
+            return cls(name, Status.HOLDS, scanned)
+        return cls.failure(name, scanned, domain, formula, **bindings)
 
 
 @dataclass(frozen=True)
@@ -231,61 +253,50 @@ UNION_LEMMA_FORMULA = (
 def _check_equality_substitution(universe: Universe, n: int) -> CheckResult:
     # Canonical interning makes equal ids interchangeable by construction;
     # the scan verifies the model side: no two ids share an extension.
-    name = "equality-substitution"
+    # ``seen`` maps each extension to the first id that has it.
+    sets = universe.member_sets
     seen: dict[frozenset[SetId], SetId] = {}
-    for s in range(n):
-        extension = universe.member_sets[s]
-        other = seen.get(extension)
-        if other is not None:
-            return CheckResult.failure(
-                name, n, n,
-                "(forall u. ((u in s) <-> (u in t))) -> (s = t)",
-                s=other, t=s,
-            )
-        seen[extension] = s
-    return CheckResult(name, Status.HOLDS, n)
+    return CheckResult.first(
+        "equality-substitution", n, n,
+        "(forall u. ((u in s) <-> (u in t))) -> (s = t)",
+        ({"s": seen[sets[t]], "t": t} for t in range(n) if seen.setdefault(sets[t], t) != t),
+    )
 
 
 def _check_individuals(universe: Universe, n: int) -> CheckResult:
-    name = "individuals-axiom"
     sets = universe.member_sets
-    for s in sorted(_self_membered(sets, n)):
-        if len(sets[s]) > 1:
-            u = next(u for u in sets[s] if u != s)
-            return CheckResult.failure(
-                name, n, n,
-                "((s in s) & (u in s)) -> (u = s)",
-                s=s, u=u,
-            )
-    return CheckResult(name, Status.HOLDS, n)
+    return CheckResult.first(
+        "individuals-axiom", n, n,
+        "((s in s) & (u in s)) -> (u = s)",
+        ({"s": s, "u": next(u for u in sets[s] if u != s)}
+         for s in sorted(_self_membered(sets, n)) if len(sets[s]) > 1),
+    )
 
 
 def _check_no_empty(universe: Universe, n: int) -> CheckResult:
-    name = "no-empty-set"
-    for s in range(n):
-        if not universe.member_sets[s]:
-            return CheckResult.failure(name, n, n, "exists u. (u in s)", s=s)
-    return CheckResult(name, Status.HOLDS, n)
+    sets = universe.member_sets
+    return CheckResult.first(
+        "no-empty-set", n, n, "exists u. (u in s)", ({"s": s} for s in range(n) if not sets[s])
+    )
 
 
 def _check_regularity(universe: Universe, n: int) -> CheckResult:
-    name = "regularity"
     sets = universe.member_sets
     individuals = _self_membered(sets, n)
-    for s in range(n):
-        if sets[s] <= individuals:
-            continue
+
+    def has_no_minimal_member(s: SetId) -> bool:
         # A member v is minimal when it shares no non-individual with s.
         non_individuals = sets[s] - individuals
-        if not any(sets[v].isdisjoint(non_individuals) for v in non_individuals):
-            return CheckResult.failure(
-                name, n, n,
-                "(exists u. ((u in s) & (u notin u))) -> "
-                "(exists v. ((v in s) & ((v notin v) & "
-                "(forall u. (((u in v) & (u in s)) -> (u in u))))))",
-                s=s,
-            )
-    return CheckResult(name, Status.HOLDS, n)
+        return not any(sets[v].isdisjoint(non_individuals) for v in non_individuals)
+
+    return CheckResult.first(
+        "regularity", n, n,
+        "(exists u. ((u in s) & (u notin u))) -> "
+        "(exists v. ((v in s) & ((v notin v) & "
+        "(forall u. (((u in v) & (u in s)) -> (u in u))))))",
+        ({"s": s} for s in range(n)
+         if not sets[s] <= individuals and has_no_minimal_member(s)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +307,11 @@ def check_russell(universe: Universe, *, snapshot: int | None = None) -> CheckRe
     n = _domain(universe, snapshot)
     sets = universe.member_sets
     non_individuals = frozenset(range(n)) - _self_membered(sets, n)
-    for s in range(n):
-        if sets[s] == non_individuals:
-            return CheckResult.failure(
-                "russell", n, n,
-                "!(forall u. ((u in s) <-> (u notin u)))",
-                s=s,
-            )
-    return CheckResult("russell", Status.HOLDS, n)
+    return CheckResult.first(
+        "russell", n, n,
+        "!(forall u. ((u in s) <-> (u notin u)))",
+        ({"s": s} for s in range(n) if sets[s] == non_individuals),
+    )
 
 
 def check_russell_equivalence(
@@ -566,29 +574,10 @@ SUITES = (*dict.fromkeys(law.suite for law in LAWS), "all")
 PAIR_SUITES = frozenset(law.suite for law in LAWS if law.needs_pair)
 
 
-def _scan_suite(
-    universe: Universe, suite: str, pair_atoms: PairAtoms | None, n: int
-) -> Report:
-    """Scan every law of ``suite`` over the first ``n`` sets, in table order."""
-    results = [
-        law.scan(universe, n, pair_atoms)
-        for law in LAWS
-        if suite in (law.suite, "all") and (pair_atoms is not None or not law.needs_pair)
-    ]
-    return Report.of(universe, results, n)
-
-
-def check_axioms(universe: Universe, *, snapshot: int | None = None) -> Report:
-    """Scan the equality, individuals, no-empty-set and regularity laws."""
-    return _scan_suite(universe, "axioms", None, _domain(universe, snapshot))
-
-
 def check_dual_paths(
     universe: Universe,
     a1: SetId | None = None,
     a2: SetId | None = None,
-    *,
-    snapshot: int | None = None,
 ) -> Report:
     """Cross-check every scan against evaluating its formula oracle.
 
@@ -597,7 +586,7 @@ def check_dual_paths(
     The pair-dependent checks run only when two atoms are supplied; their
     oracles bind the atoms as ``A`` and ``B`` and the atoms' pair as ``P``.
     """
-    n = _domain(universe, snapshot)
+    n = len(universe)
     pair_atoms = None
     names: dict[str, SetId | None] = {}
     if a1 is not None and a2 is not None:
@@ -640,4 +629,10 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}")
     if pair_atoms is None and suite in PAIR_SUITES:
         raise ValueError(f"the {suite} suite needs an atom pair")
-    return _scan_suite(universe, suite, pair_atoms, len(universe))
+    n = len(universe)
+    results = [
+        law.scan(universe, n, pair_atoms)
+        for law in LAWS
+        if suite in (law.suite, "all") and (pair_atoms is not None or not law.needs_pair)
+    ]
+    return Report.of(universe, results, n)

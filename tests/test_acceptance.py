@@ -14,7 +14,6 @@ from quineset import (
     Specified,
     Status,
     build,
-    check_axioms,
     check_dual_paths,
     check_pair_membership_claim,
     check_peano,
@@ -29,6 +28,7 @@ from quineset import (
     pair,
     parse,
     powerset,
+    run_suite,
     sequence,
     singleton,
     specify,
@@ -104,11 +104,11 @@ def test_criterion_3_russell_suite():
 
 def test_criterion_4_axiom_suite():
     u = default_universe()
-    clean = check_axioms(u)
+    clean = run_suite(u, "axioms")
     ok = all(r.status is Status.HOLDS for r in clean.results)
     tampered = default_universe()
     bad = inject_self_membered(tampered, 2)
-    report = check_axioms(tampered)
+    report = run_suite(tampered, "axioms")
     failing = {r.name: r for r in report.results}["individuals-axiom"]
     ok = ok and failing.status is Status.FAILS
     ok = ok and failing.witness is not None

@@ -2,6 +2,8 @@ import argparse
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quineset import (
     BuildConfig,
@@ -15,6 +17,8 @@ from quineset.cli import build_arg_parser, main
 from quineset.errors import LiteralSyntaxError, UniverseFormatError
 from quineset.literals import MAX_NESTING
 from quineset.verifier import SUITES
+
+from support import small_universes
 
 
 @pytest.fixture
@@ -336,6 +340,63 @@ def test_loader_applies_build_config_rules_to_the_header():
         loads_universe("quineset-universe 1\natoms u,v\nmax-sets 1\n")
     edge = loads_universe("quineset-universe 1\natoms u,v\ndepth 0\nmax-sets 2\n")
     assert (len(edge), edge.build_depth, edge.max_sets) == (2, 0, 2)
+
+
+HEAD = "quineset-universe 1\natoms u,v\n"
+
+# Files that dumps_universe never writes, with the line each is reported
+# at; int() or line splitting would take most of these spellings.
+MISSPELLED_FILES = {
+    "header-trailing-space": ("quineset-universe 1 \natoms u,v\n", 1),
+    "reserved-atom": ("quineset-universe 1\natoms u,in\n", 2),
+    "leading-zero": (HEAD + "0,01\n", 3),
+    "leading-zero-first": (HEAD + "0,1\n01,2\n", 4),
+    "plus-sign": (HEAD + "0,+1\n", 3),
+    "space": (HEAD + "0, 1\n", 3),
+    "underscore": ("quineset-universe 1\natoms a,b,c,d,e,f,g,h,i,j,k\n0,1_0\n", 3),
+    "non-ascii-digit": (HEAD + "0,\u0661\n", 3),
+    "crlf": (HEAD.replace("\n", "\r\n") + "0,1\r\n", 1),
+    "form-feed": (HEAD + "0,1\x0c\n", 3),
+    "no-final-newline": (HEAD + "0,1", 3),
+    "depth-leading-zero": (HEAD + "depth 03\n0,1\n", 3),
+    "max-sets-plus": (HEAD + "max-sets +9\n", 3),
+    "headers-swapped": (HEAD + "max-sets 9\ndepth 1\n", 4),
+}
+
+
+@pytest.mark.parametrize("text,line", MISSPELLED_FILES.values(), ids=MISSPELLED_FILES)
+def test_loader_accepts_only_what_dumps_writes(tmp_path, capsys, text, line):
+    with pytest.raises(UniverseFormatError, match=rf"^line {line}: "):
+        loads_universe(text)
+    path = tmp_path / "bad.hfu"
+    path.write_bytes(text.encode("utf-8"))
+    assert main(["check", str(path), "axioms"]) == 65
+    assert f"line {line}: " in capsys.readouterr().err
+
+
+# Digits, separators, signs, whitespace, a letter and a non-ASCII digit.
+EDIT_ALPHABET = "0123456789,\n\r\t\x0c +-_a\u0661"
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_universes(), st.characters())
+def test_every_one_character_edit_loads_only_as_itself(universe, extra):
+    # Every deletion, and every substitution or insertion of a character
+    # from the alphabet, either fails to load or dumps back as itself.
+    assume(not any(
+        i in universe.member_set(i) for i in range(len(universe.atoms), len(universe))
+    ))
+    text = dumps_universe(universe)
+    for i in range(len(text) + 1):
+        edits = [text[:i] + text[i + 1:]]
+        for char in EDIT_ALPHABET + extra:
+            edits += [text[:i] + char + text[i + 1:], text[:i] + char + text[i:]]
+        for edited in edits:
+            try:
+                loaded = loads_universe(edited)
+            except UniverseFormatError:
+                continue
+            assert dumps_universe(loaded) == edited
 
 
 def test_set_literal_round_trip_all_ids(default_universe):

@@ -8,7 +8,6 @@ from quineset import (
     Status,
     Universe,
     build,
-    check_axioms,
     check_dual_paths,
     check_peano,
     check_pair_membership_claim,
@@ -38,7 +37,7 @@ def all_hold(report):
 
 
 def test_axioms_hold_on_default(default_universe):
-    report = check_axioms(default_universe)
+    report = run_suite(default_universe, "axioms")
     assert all_hold(report)
     assert {r.name for r in report.results} == {
         "equality-substitution", "individuals-axiom", "no-empty-set", "regularity",
@@ -48,12 +47,12 @@ def test_axioms_hold_on_default(default_universe):
 
 def test_axioms_hold_on_single_atom():
     universe = Universe(["u"])
-    assert all_hold(check_axioms(universe))
+    assert all_hold(run_suite(universe, "axioms"))
 
 
 def test_individuals_axiom_fails_on_injected_node(default_universe):
     bad = inject_self_membered(default_universe, 2)
-    report = check_axioms(default_universe)
+    report = run_suite(default_universe, "axioms")
     by_name = {r.name: r for r in report.results}
     failing = by_name["individuals-axiom"]
     assert failing.status is Status.FAILS
@@ -250,7 +249,7 @@ def test_report_json_shape(default_universe):
 
 def test_failing_witnesses_reproduce(default_universe):
     inject_self_membered(default_universe, 3)
-    report = check_axioms(default_universe)
+    report = run_suite(default_universe, "axioms")
     for result in report.results:
         if result.status is Status.FAILS:
             assert witness_reproduces(default_universe, result.witness)
