@@ -333,6 +333,47 @@ def test_loader_rejects_records_that_would_dump_differently(records, line):
         loads_universe("quineset-universe 1\natoms u,v\n" + records)
 
 
+# One bad record per file, with the whole message it must get. When a record
+# breaks several rules, the unknown id wins over the order, the cap over the
+# order, and the order over freshness.
+LOADER_ERRORS = {
+    "unknown-id-and-out-of-order": (
+        "atoms u,v\n1,5,0\n",
+        "line 3: 5 is not a set id of this universe"),
+    "unknown-id-first-record": (
+        "atoms u,v\n2\n",
+        "line 3: 2 is not a set id of this universe"),
+    "duplicate-at-cap": (
+        "atoms u,v\nmax-sets 3\n0,1\n0,1\n",
+        "line 5: record does not intern to a fresh set"),
+    "atom-singleton": (
+        "atoms u,v\n0\n",
+        "line 3: record does not intern to a fresh set"),
+    "fresh-past-cap": (
+        "atoms u,v,w\nmax-sets 4\n0,1\n0,2\n",
+        "line 5: interning needs 5 sets, exceeding the cap of 4"),
+    "fresh-past-cap-out-of-order": (
+        "atoms u,v\nmax-sets 2\n1,0\n",
+        "line 4: interning needs 3 sets, exceeding the cap of 2"),
+    "duplicate-at-cap-out-of-order": (
+        "atoms u,v\nmax-sets 3\n0,1\n1,0\n",
+        "line 5: member ids are not strictly increasing: '1,0'"),
+    "out-of-order": (
+        "atoms u,v\n1,0\n",
+        "line 3: member ids are not strictly increasing: '1,0'"),
+    "repeated-id": (
+        "atoms u,v\n0,0,1\n",
+        "line 3: member ids are not strictly increasing: '0,0,1'"),
+}
+
+
+@pytest.mark.parametrize("body,message", LOADER_ERRORS.values(), ids=LOADER_ERRORS)
+def test_loader_error_precedence(body, message):
+    with pytest.raises(UniverseFormatError) as err:
+        loads_universe("quineset-universe 1\n" + body)
+    assert str(err.value) == message
+
+
 def test_loader_applies_build_config_rules_to_the_header():
     with pytest.raises(UniverseFormatError, match="depth -4"):
         loads_universe("quineset-universe 1\natoms u,v\ndepth -4\n")
