@@ -108,6 +108,8 @@ def _cmd_build(args) -> int:
     universe, report = build(config)
     save_universe(universe, args.out)
     print(list(report.counts))
+    if report.fixed_point_stage is not None:
+        print(f"fixed point at stage {report.fixed_point_stage}")
     return EXIT_OK
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import SetId, Universe
-from .errors import CapExceeded
 from .formula import Classification, Formula, classify, compile_criterion
 
 
@@ -48,16 +47,7 @@ def powerset(universe: Universe, s: SetId) -> SetId:
     A set of n members has 2**n - 1 nonempty subsets, so this honours the
     universe's ``max_sets`` cap the same way the stage builder does.
     """
-    base = universe.members(s)
-    count = (1 << len(base)) - 1
-    if universe.max_sets is not None and count > universe.max_sets:
-        raise CapExceeded(required=count, max_sets=universe.max_sets)
-    subsets = []
-    for mask in range(1, 1 << len(base)):
-        subsets.append(
-            universe.intern([m for i, m in enumerate(base) if mask >> i & 1])
-        )
-    return universe.intern(subsets)
+    return universe.intern(universe.intern_subsets(universe.members(s)))
 
 
 class NoSetReason(Enum):

@@ -7,8 +7,14 @@ extensions to ids. Atoms are the only self-membered objects: each atom's
 sole member is itself, and the singleton of an atom collapses back to the
 atom at interning time. There is no empty set.
 
-Interning is the only write, and it needs a single writer. Every other
-method here is a read, and so are the checks in :mod:`quineset.verifier` and
+Interning is the only write, and it needs a single writer. After the
+atoms, every write goes through one append rule: a set already in the index keeps its id, and
+a new one is appended if the universe is under its cap. Three methods feed
+it: :meth:`Universe.intern` validates any member collection,
+:meth:`Universe.intern_subsets` interns every nonempty subset of an id list
+(the builder's stages and ``powerset``), and :meth:`Universe.intern_record`
+takes a record already in file form (the loader). Every other method here
+is a read, and so are the checks in :mod:`quineset.verifier` and
 :mod:`quineset.peano` on a universe made by the builder (or loaded from a
 file it wrote): they may run from any number of threads at once while
 nothing interns.
@@ -17,7 +23,7 @@ nothing interns.
 from __future__ import annotations
 
 import re
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Collection, Iterable
 
 from .errors import (
     AtomsEqual,
@@ -63,17 +69,27 @@ class Universe:
         self.max_sets = max_sets
         self.build_depth: int | None = None
         # member_sets[i] is set i's members, the same frozenset that keys it
-        # in _index; read-only.
-        self.member_sets: list[frozenset[SetId]] = []
-        self._index: dict[frozenset[SetId], SetId] = {}
+        # in _index; read-only. Atom i's sole member is itself.
+        self.member_sets: list[frozenset[SetId]] = [frozenset((i,)) for i in range(len(names))]
+        self._index: dict[frozenset[SetId], SetId] = {
+            ms: i for i, ms in enumerate(self.member_sets)
+        }
         # Memoised is_transitive column; replaced whole, never mutated.
         self._transitive: list[bool] = []
-        self._atom_ids: dict[str, SetId] = {}
-        for name in names:
-            self._atom_ids[name] = self._append(frozenset((len(self.member_sets),)))
+        self._atom_ids: dict[str, SetId] = dict(zip(names, range(len(names))))
 
-    def _append(self, ms: frozenset[SetId]) -> SetId:
+    def _add(self, ms: frozenset[SetId]) -> SetId:
+        """The one append rule: the id of ``ms`` if interned, else a fresh id under the cap.
+
+        ``ms`` must already be a valid member set of existing ids. Every
+        write after the atoms goes through here.
+        """
+        found = self._index.get(ms)
+        if found is not None:
+            return found
         sid = len(self.member_sets)
+        if self.max_sets is not None and sid >= self.max_sets:
+            raise CapExceeded(required=sid + 1, max_sets=self.max_sets)
         self.member_sets.append(ms)
         self._index[ms] = sid
         return sid
@@ -117,6 +133,10 @@ class Universe:
         ms = frozenset(members)
         if not ms:
             raise EmptySetForbidden("a set needs at least one member")
+        self._check_ids(ms)
+        return self._add(ms)
+
+    def _check_ids(self, ms: Collection[SetId]) -> None:
         # Once every member is an int, the least and greatest bound them all;
         # the per-member scan below only runs to name the first bad id.
         if not (
@@ -126,12 +146,55 @@ class Universe:
         ):
             for m in sorted(ms):
                 self._check_id(m)
-        found = self._index.get(ms)
-        if found is not None:
-            return found
-        if self.max_sets is not None and len(self.member_sets) >= self.max_sets:
-            raise CapExceeded(required=len(self.member_sets) + 1, max_sets=self.max_sets)
-        return self._append(ms)
+
+    def intern_subsets(self, ids: Iterable[SetId]) -> list[SetId]:
+        """Intern every nonempty subset of ``ids``; their ids, in mask order.
+
+        Entry ``mask - 1`` is the subset holding ``ids[i]`` exactly when bit
+        ``i`` of ``mask`` is set, so ids are interned in the same order as a
+        loop over masks would intern them. Singletons of atoms collapse onto
+        the atoms. When the ``2**len(ids) - 1`` subsets alone exceed the cap,
+        nothing is interned.
+        """
+        ids = list(ids)
+        if ids:
+            self._check_ids(ids)
+        count = (1 << len(ids)) - 1
+        if self.max_sets is not None and count > self.max_sets:
+            raise CapExceeded(required=count, max_sets=self.max_sets)
+        # subsets[mask] is the canonical member set of subset ``mask``. The
+        # masks whose top bit is bit k are the masks below 2**k plus that
+        # bit, in order, so each subset is one union of a subset built
+        # earlier and the singleton of ids[k].
+        sets = self.member_sets
+        add = self._add
+        subsets: list[frozenset[SetId]] = [frozenset()]
+        interned: list[SetId] = []
+        for m in ids:
+            single = frozenset((m,))
+            fresh = [add(ms | single) for ms in subsets]
+            interned += fresh
+            subsets += map(sets.__getitem__, fresh)
+        return interned
+
+    def intern_record(self, record: list[int]) -> SetId | None:
+        """Intern a record in file form: existing ids, each once, in increasing order.
+
+        The record is a list of ints. Its set is appended by the same rule
+        as in :meth:`intern`; the cap applies. Returns ``None``,
+        interning nothing, for a list in any other form: :meth:`intern`
+        takes those, and names the fault of any it rejects.
+        """
+        ms = frozenset(record)
+        if not (
+            ms
+            and record[0] >= 0
+            and record[-1] < len(self.member_sets)
+            and len(ms) == len(record)
+            and record == sorted(record)
+        ):
+            return None
+        return self._add(ms)
 
     def lookup(self, extension: AbstractSet[SetId]) -> SetId | None:
         """The id of the set whose members are exactly ``extension``, if interned.

@@ -38,8 +38,18 @@ class CapExceeded(WorkbenchError):
         self.stage = stage
         where = f"stage {stage}" if stage is not None else "interning"
         super().__init__(
-            f"{where} needs {required} sets, exceeding the cap of {max_sets}"
+            f"{where} needs {_count(required)} sets, exceeding the cap of {max_sets}"
         )
+
+
+def _count(n: int) -> str:
+    """``n`` in decimal, or as a power of two when it is too long to print."""
+    if n.bit_length() <= 1000:
+        return str(n)
+    # A stage or powerset of k sets needs 2**k - 1.
+    if n & (n + 1) == 0:
+        return f"2**{n.bit_length()} - 1"
+    return f"over 2**{n.bit_length() - 1}"
 
 
 class ParseError(WorkbenchError):

@@ -23,6 +23,13 @@ plain decimal (no sign, space, underscore or leading zero). It rejects as a
 format error, naming the line, any other spelling and a record that is out
 of order, repeats an id or does not intern to a fresh set. So a file that
 loads dumps back byte for byte.
+
+Records take a fast path. An id spelling already met in a record that
+passed the spelling rules maps straight to its int, and a record in file
+form goes to :meth:`Universe.intern_record`, which appends a fresh set by
+the same rule as ``intern``. Only a record that fails either test goes
+through the full spelling rules and ``intern``, which pick its error, so
+messages and line numbers do not depend on the path.
 """
 
 from __future__ import annotations
@@ -33,9 +40,6 @@ from .core import Universe
 from .errors import UniverseFormatError, WorkbenchError
 
 MAGIC = "quineset-universe 1"
-
-# A leading zero, which no id written in plain decimal has.
-_ZERO_LED = tuple(f"0{digit}" for digit in "0123456789")
 
 
 def dumps_universe(universe: Universe) -> str:
@@ -93,30 +97,35 @@ def loads_universe(text: str) -> Universe:
     except (WorkbenchError, ValueError) as exc:
         raise UniverseFormatError(f"line 2: bad atom list: {exc}") from exc
     universe.build_depth = depth
+    # Each id spelling met in a record that passed the spelling rules. A
+    # record made only of these passes them too, so it skips them.
+    spelled: dict[str, int] = {}
     for lineno in range(row, len(lines)):
         line = lines[lineno]
+        parts = line.split(",")
         try:
-            members = list(map(int, line.split(",")))
-        except ValueError:
-            members = None
-        # int() also takes signs, spaces, underscores and leading zeros, none
-        # of which dumps back the same. Only a bad record has ",0" (0 is the
-        # least id, so it can only come first), so the split runs only there.
-        if (
-            members is None
-            or not line.replace(",", "").isdigit()
-            or line.startswith(_ZERO_LED)
-            or ",0" in line and any(part.startswith(_ZERO_LED) for part in line.split(","))
-        ):
-            raise UniverseFormatError(f"line {lineno + 1}: not a member-id list: {line!r}")
+            members = list(map(spelled.__getitem__, parts))
+        except KeyError:
+            # int() also takes signs, spaces, underscores and leading zeros,
+            # none of which dumps back the same; the text is ASCII, so
+            # isdigit means 0-9.
+            if not all(part.isdigit() and (part[0] != "0" or part == "0") for part in parts):
+                raise UniverseFormatError(f"line {lineno + 1}: not a member-id list: {line!r}")
+            members = list(map(int, parts))
+            spelled.update(zip(parts, members))
         expected = len(universe)
         try:
-            sid = universe.intern(members)
+            # A record in file form is appended at once when its set is fresh
+            # and fits; any other record goes through intern.
+            sid = universe.intern_record(members)
+            in_form = sid is not None
+            if not in_form:
+                sid = universe.intern(members)
         except WorkbenchError as exc:
             raise UniverseFormatError(f"line {lineno + 1}: {exc}") from exc
-        # intern takes ids in any order and with repeats; a record lists
-        # each id once, in order, so that it dumps back to the same line.
-        if len(universe.member_sets[sid]) != len(members) or members != sorted(members):
+        # A record that intern takes but intern_record does not is out of
+        # order or repeats an id, so it would not dump back to the same line.
+        if not in_form:
             raise UniverseFormatError(
                 f"line {lineno + 1}: member ids are not strictly increasing: {line!r}"
             )

@@ -22,9 +22,11 @@ from quineset import (
     Member,
     Not,
     Or,
+    Universe,
     build,
     union_all,
 )
+from quineset.errors import CapExceeded
 
 # --- frozenset model of the set theory ------------------------------------
 
@@ -82,6 +84,41 @@ def rep_of(universe, sid):
     if universe.is_atom(sid):
         return universe.atom_names[sid]
     return frozenset(rep_of(universe, m) for m in universe.member_set(sid))
+
+
+# --- reference constructions: one intern per subset mask ----------------------
+
+def _intern_masks(universe, base):
+    """Intern each nonempty subset of ``base`` by its own ``intern`` call, in mask order."""
+    return [
+        universe.intern([m for i, m in enumerate(base) if mask >> i & 1])
+        for mask in range(1, 1 << len(base))
+    ]
+
+
+def reference_build(config):
+    """``(universe, counts, fixed_point_stage)`` built one subset mask at a time."""
+    universe = Universe(config.atom_names, max_sets=config.max_sets)
+    counts = [len(universe)]
+    for stage in range(1, config.depth + 1):
+        n = len(universe)
+        closure = (1 << n) - 1
+        if closure > config.max_sets:
+            raise CapExceeded(required=closure, max_sets=config.max_sets, stage=stage)
+        _intern_masks(universe, range(n))
+        counts.append(len(universe))
+        if len(universe) == n:
+            return universe, counts, stage
+    return universe, counts, None
+
+
+def reference_powerset(universe, s):
+    """The powerset of ``s``, its subsets interned one mask at a time."""
+    base = universe.members(s)
+    count = (1 << len(base)) - 1
+    if universe.max_sets is not None and count > universe.max_sets:
+        raise CapExceeded(required=count, max_sets=universe.max_sets)
+    return universe.intern(_intern_masks(universe, base))
 
 
 # --- reference formula evaluator -------------------------------------------

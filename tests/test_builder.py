@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quineset import BuildConfig, build
+from quineset import DEFAULT_MAX_SETS, BuildConfig, build
 from quineset.errors import CapExceeded, DuplicateAtomName
 
-from support import model_counts
+from support import model_counts, reference_build
 
 
 def test_depth_zero_is_atoms_only():
@@ -34,9 +36,11 @@ def test_three_atom_depth_two():
 
 def test_single_atom_fixed_point():
     universe, report = build(BuildConfig(("u",), depth=3))
-    assert report.counts == (1, 1, 1, 1)
+    # The counts stop at the fixed point instead of repeating it.
+    assert report.counts == (1, 1)
     assert report.fixed_point_stage == 1
     assert len(universe) == 1
+    assert universe.build_depth == 3
 
 
 def test_cap_exceeded_names_stage():
@@ -107,3 +111,30 @@ def test_build_depth_recorded():
     universe, _ = build(BuildConfig(("u", "v"), depth=2))
     assert universe.build_depth == 2
     assert universe.max_sets == BuildConfig(("u", "v"), depth=2).max_sets
+
+
+@st.composite
+def build_configs(draw):
+    atoms = tuple("abcde"[: draw(st.integers(1, 5))])
+    cap = draw(st.one_of(st.integers(len(atoms), 300), st.just(DEFAULT_MAX_SETS)))
+    return BuildConfig(atoms, draw(st.integers(0, 3)), cap)
+
+
+def _outcome(builder, config):
+    """What a builder leaves: its sets, counts and fixed point, or its cap error."""
+    try:
+        universe, counts, fixed_point = builder(config)
+    except CapExceeded as exc:
+        return ("cap", exc.stage, exc.required, exc.max_sets)
+    return (universe.member_sets, list(counts), fixed_point)
+
+
+def _build(config):
+    universe, report = build(config)
+    return universe, report.counts, report.fixed_point_stage
+
+
+@settings(max_examples=80, deadline=None)
+@given(build_configs())
+def test_build_matches_the_mask_by_mask_reference(config):
+    assert _outcome(_build, config) == _outcome(reference_build, config)

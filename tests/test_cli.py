@@ -41,8 +41,15 @@ def test_build_prints_stage_counts(tmp_path, capsys):
 def test_build_fixed_point(tmp_path, capsys):
     path = tmp_path / "u.hfu"
     assert main(["build", "--atoms", "u", "--depth", "5", "--out", str(path)]) == 0
-    assert capsys.readouterr().out.strip() == "[1, 1, 1, 1, 1, 1]"
+    assert capsys.readouterr().out == "[1, 1]\nfixed point at stage 1\n"
     assert len(loads_universe(path.read_text())) == 1
+    assert "depth 5\n" in path.read_text()
+
+
+def test_build_output_stays_short_at_any_depth(tmp_path, capsys):
+    path = tmp_path / "u.hfu"
+    assert main(["build", "--atoms", "u", "--depth", "3000000", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == "[1, 1]\nfixed point at stage 1\n"
 
 
 def test_build_cap_exceeded(tmp_path, capsys):
@@ -56,6 +63,13 @@ def test_build_cap_exceeded(tmp_path, capsys):
     assert "stage 4" in err
     assert str(2**127 - 1) in err
     assert not path.exists()
+
+
+def test_build_cap_exceeded_by_a_count_too_long_to_print(tmp_path, capsys):
+    # Stage 3 of four atoms needs 2**32767 - 1 sets, a number with 9864 digits.
+    code = main(["build", "--atoms", "a,b,c,d", "--depth", "3", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "stage 3 needs 2**32767 - 1 sets, exceeding the cap of 100000" in capsys.readouterr().err
 
 
 def test_build_bad_flags_usage_error(tmp_path):

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,7 +32,14 @@ from quineset import (
 from quineset.errors import CapExceeded, WrongArity
 from quineset.formula import compile_criterion
 
-from support import model_powerset, model_union, reference_eval, rep_of
+from support import (
+    model_powerset,
+    model_union,
+    reference_eval,
+    reference_powerset,
+    rep_of,
+    small_universes,
+)
 
 
 def test_pair_of_distinct_atoms_is_not_individual():
@@ -174,6 +183,29 @@ def test_powerset_cap():
     top = u.intern([0, 1, 2, s])
     with pytest.raises(CapExceeded):
         powerset(u, top)
+
+
+def _powerset_outcome(construct, universe, s):
+    """The id ``construct`` returns, or its cap error, and the sets it leaves."""
+    try:
+        result = construct(universe, s)
+    except CapExceeded as exc:
+        result = ("cap", exc.required, exc.max_sets)
+    return result, universe.member_sets
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_universes(), st.data())
+def test_powerset_matches_the_mask_by_mask_reference(universe, data):
+    # Grown universes may hold self-membered composites; a drawn cap may
+    # stop the subsets up front or part way through.
+    universe.max_sets = data.draw(st.one_of(
+        st.none(), st.integers(1, len(universe) + 3)))
+    # Counted from the end, so draws favour the grown sets.
+    s = len(universe) - 1 - data.draw(st.integers(0, len(universe) - 1))
+    twin = copy.deepcopy(universe)
+    assert _powerset_outcome(powerset, universe, s) == _powerset_outcome(
+        reference_powerset, twin, s)
 
 
 def test_cantor_failure_for_atoms_and_singletons(default_universe):
