@@ -5,10 +5,18 @@ not there yet, so it needs exclusive access to the universe while it may
 grow it. On a universe closed under the construction (any universe made by
 the builder, for the sets a check asks for) nothing is interned and the call
 is a read.
+
+:func:`specify` computes each criterion's comprehension ``{x : φ(x)}`` once
+per universe and size, lazily: it evaluates the criterion only at members
+no earlier call on that universe has seen, and selects by one frozenset
+intersection. The memo costs at most two sets of ids per criterion, is
+keyed weakly by the universe, and starts afresh once the universe grows.
+Concurrent calls that intern nothing may share it (see :func:`specify`).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -68,6 +76,22 @@ class NoSet:
 SpecifyOutcome = Specified | NoSet
 
 
+class _Comprehension:
+    """The ids at which one criterion has been evaluated, and those where it
+    held, over a universe of ``size`` sets (quantifiers range over them)."""
+
+    __slots__ = ("size", "known", "true")
+
+    def __init__(self, size: int):
+        self.size = size
+        self.known: set[SetId] = set()
+        self.true: set[SetId] = set()
+
+
+# Per universe, per compiled criterion; an entry dies with its universe.
+_comprehensions: weakref.WeakKeyDictionary[Universe, dict] = weakref.WeakKeyDictionary()
+
+
 def specify(universe: Universe, s: SetId, criterion: Formula, var: str) -> SpecifyOutcome:
     """Select the members of ``s`` satisfying a one-variable criterion.
 
@@ -77,20 +101,40 @@ def specify(universe: Universe, s: SetId, criterion: Formula, var: str) -> Speci
     holds of nothing in the whole universe (mutually exclusive properties
     specify no set), and ``NO_WITNESS`` when it merely misses every member
     of ``s``.
+
+    The criterion is evaluated only at members of ``s`` that no earlier
+    call with it on this universe, at this size, has evaluated, so a call
+    never evaluates more than ``len(s)`` ids, and a scan over every set
+    evaluates each id about once. The selection is looked up and interned
+    only when missing. Calls that intern nothing may run from several
+    threads at once: an id joins the true set before the known set, so
+    every id a call finds known has its verdict in place.
     """
     fn = compile_criterion(criterion, var)
     n = len(universe)
-    sets = universe.member_sets
-    env: dict[str, SetId] = {}
-    chosen = []
-    for m in universe.member_set(s):
-        env[var] = m
-        if fn(env, n, sets):
-            chosen.append(m)
-    if len(chosen) == len(sets[s]):
+    mem = universe.member_set(s)
+    memos = _comprehensions.setdefault(universe, {})
+    memo = memos.get(fn)
+    if memo is None or memo.size != n:
+        memo = memos[fn] = _Comprehension(n)
+    todo = mem - memo.known
+    if todo:
+        sets = universe.member_sets
+        env: dict[str, SetId] = {}
+        for m in todo:
+            env[var] = m
+            if fn(env, n, sets):
+                memo.true.add(m)
+        memo.known |= todo
+    chosen = mem & memo.true
+    if len(chosen) == len(mem):
         return Specified(s)
     if chosen:
-        return Specified(universe.intern(chosen))
+        found = universe.lookup(chosen)
+        return Specified(universe.intern(chosen) if found is None else found)
+    if memo.true:
+        # It holds somewhere, so it is not contradictory.
+        return NoSet(NoSetReason.NO_WITNESS)
     if classify(universe, criterion, var) is Classification.CONTRADICTORY:
         return NoSet(NoSetReason.CONTRADICTORY_CRITERION)
     return NoSet(NoSetReason.NO_WITNESS)

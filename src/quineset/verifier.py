@@ -13,10 +13,10 @@ Scans are reads: each pins the universe size up front (the ``snapshot`` of
 the named checks) and decides its law by set algebra on ``member_sets``
 over the ids below it, looking up rather than interning any set it must
 name. A set missing from the universe is named by a witness written over
-member sets instead. The one exception is subset-derivations, whose
-``specify`` interns the selected subset when a hand-written file lacks it;
-on a universe made by the builder that never happens. Such a set stays
-outside the pinned size.
+member sets instead, or, for a subset that separation must select, is
+itself the failure. subset-derivations calls ``specify`` only for a
+selection it has found among the scanned sets, so that call interns
+nothing either.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from enum import Enum
 from itertools import compress
 from typing import Callable, Iterable
 
-from .constructors import Specified, specify, union_members
+from .constructors import specify, union_members
 from .core import SetId, Universe, ensure_distinct_atoms
 from .formula import Formula, Member, Not, evaluate, format_formula, free_vars, parse
 
@@ -339,7 +339,15 @@ def check_subset_derivations(
 ) -> CheckResult:
     """Selected-subset facts: the non-individual part of any set is a subset
     but never a member; the individual part is an individual member or not an
-    individual; and (wherever a non-individual exists) no set is universal."""
+    individual; and (wherever a non-individual exists) no set is universal.
+
+    A set whose members are all individuals, or all non-individuals, selects
+    itself, and then no clause can fail: were ``s`` in ``s`` it would be an
+    individual member of itself. Only a mixed set needs ``specify``, and only
+    once its selection is known to be among the scanned sets, so that
+    ``specify`` finds it and interns nothing. A selection missing from them
+    is a failure at ``s``.
+    """
     name = "subset-derivations"
     n = _domain(universe, snapshot)
     sets = universe.member_sets
@@ -347,17 +355,22 @@ def check_subset_derivations(
     has_non_individual = len(individuals) < n
     not_self = Not(Member("x", "x"))
     in_self = Member("x", "x")
+
+    def scanned(part: frozenset[SetId]) -> bool:
+        found = universe.lookup(part)
+        return found is not None and found < n
+
     for s in range(n):
         mem = sets[s]
-        if not mem <= individuals:
-            out = specify(universe, s, not_self, "x")
-            if not isinstance(out, Specified):
+        rest = mem - individuals
+        if rest and len(rest) < len(mem):
+            if not scanned(rest):
                 return CheckResult.failure(
                     name, n, n,
                     "exists v. (forall u. ((u in v) <-> ((u in s) & (u notin u))))",
                     s=s,
                 )
-            v = out.set_id
+            v = specify(universe, s, not_self, "x").set_id
             if not sets[v] <= mem:
                 return CheckResult.failure(
                     name, n, n, "forall u. ((u in v) -> (u in s))", v=v, s=s
@@ -366,15 +379,13 @@ def check_subset_derivations(
                 return CheckResult.failure(name, n, n, "v notin v", v=v)
             if v in mem:
                 return CheckResult.failure(name, n, n, "v notin s", v=v, s=s)
-        if not mem.isdisjoint(individuals):
-            out = specify(universe, s, in_self, "x")
-            if not isinstance(out, Specified):
+            if not scanned(mem & individuals):
                 return CheckResult.failure(
                     name, n, n,
                     "exists v. (forall u. ((u in v) <-> ((u in s) & (u in u))))",
                     s=s,
                 )
-            w = out.set_id
+            w = specify(universe, s, in_self, "x").set_id
             if w in sets[w] and w not in mem:
                 return CheckResult.failure(
                     name, n, n,
@@ -489,12 +500,17 @@ def check_union_lemma(universe: Universe, *, snapshot: int | None = None) -> Che
     n = _domain(universe, snapshot)
     sets = universe.member_sets
     transitive = _transitive_ids(universe, n)
+    individuals = _self_membered(sets, n)
     qualifying = 0
     for s in sorted(transitive):
         mem = sets[s]
         if s in mem or not mem <= transitive:
             continue
         qualifying += 1
+        # With only self-membered members, U = s: transitivity gives U <= s
+        # and self-membership s <= U.
+        if mem <= individuals:
+            continue
         union = union_members(universe, s)
         if union == mem:
             # U = s, which qualified: transitive, with transitive members,

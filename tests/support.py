@@ -237,8 +237,7 @@ def model_verdicts(universe, pair_atoms=None):
         return all(ext[m] <= ext[x] for m in ext[x])
 
     def find(extension):
-        # The id a lookup or intern would give; None means a fresh id, which
-        # no set below n contains.
+        # The id of the set below n with this extension, or None.
         return next((i for i in ids if ext[i] == extension), None)
 
     def whole(fails):
@@ -256,13 +255,15 @@ def model_verdicts(universe, pair_atoms=None):
     has_non_individual = any(not ind(i) for i in ids)
 
     def derivation_fails(s):
+        # A selection missing from the universe is a failure: its set does
+        # not exist among the ids below n.
         if any(not ind(u) for u in ext[s]):
             v = find(frozenset(u for u in ext[s] if not ind(u)))
-            if v is not None and (v in ext[v] or v in ext[s]):
+            if v is None or v in ext[v] or v in ext[s]:
                 return True
         if any(ind(u) for u in ext[s]):
             w = find(frozenset(u for u in ext[s] if ind(u)))
-            if w is not None and w in ext[w] and w not in ext[s]:
+            if w is None or (w in ext[w] and w not in ext[s]):
                 return True
         return has_non_individual and all(i in ext[s] for i in ids)
 

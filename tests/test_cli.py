@@ -259,6 +259,19 @@ def test_check_names_a_union_missing_from_a_full_file(tmp_path, capsys):
     assert "  witness: s={u,v,w,{u,v}}" in out
 
 
+@pytest.mark.parametrize("cap", ["", "max-sets 5\n"])
+def test_check_names_a_selection_missing_from_the_file(tmp_path, capsys, cap):
+    # Neither part of {u,v,w,{u,v}} is in the file, capped or not: the check
+    # fails there instead of interning the selected subset.
+    path = tmp_path / "f.hfu"
+    path.write_text(f"quineset-universe 1\natoms u,v,w\n{cap}0,1\n0,1,2,3\n")
+    assert main(["check", str(path), "derivations"]) == 1
+    out = capsys.readouterr().out
+    assert "universe: atoms=u,v,w size=5" in out
+    assert "subset-derivations: fails (scanned 5)" in out
+    assert "  witness: s={u,v,w,{u,v}}" in out
+
+
 # --- peano ---------------------------------------------------------------------
 
 def test_peano_text_output(tmp_path, capsys):

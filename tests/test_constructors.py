@@ -1,4 +1,5 @@
 import copy
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from quineset import (
     specify,
     union_all,
 )
+from quineset import constructors
 from quineset.errors import CapExceeded, WrongArity
 from quineset.formula import compile_criterion
 
@@ -361,3 +363,70 @@ def test_specify_and_classify_match_per_member_references(crit):
             assert out == NoSet(NoSetReason.CONTRADICTORY_CRITERION), s
         else:
             assert out == NoSet(NoSetReason.NO_WITNESS), s
+
+
+def _reference_specify(universe, s, crit):
+    """What ``specify`` should return at the universe's present size, and
+    the size after it: one ``reference_eval`` per member of ``s``."""
+    n = len(universe)
+    mem = universe.member_set(s)
+    chosen = frozenset(m for m in mem if reference_eval(universe, crit, {"x": m}))
+    if chosen == mem:
+        return Specified(s), n
+    if chosen:
+        found = next((i for i in range(n) if universe.member_set(i) == chosen), None)
+        return (Specified(n), n + 1) if found is None else (Specified(found), n)
+    if any(reference_eval(universe, crit, {"x": i}) for i in range(n)):
+        return NoSet(NoSetReason.NO_WITNESS), n
+    return NoSet(NoSetReason.CONTRADICTORY_CRITERION), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_universes(), one_variable_criteria())
+def test_specify_in_sequence_matches_the_reference_as_the_universe_grows(universe, crit):
+    # One universe for every call, so the comprehension memo stays warm
+    # across calls and is dropped whenever a call interns its selection.
+    for s in list(universe.ids()):
+        expected = _reference_specify(universe, s, crit)
+        assert (specify(universe, s, crit, "x"), len(universe)) == expected, s
+
+
+def test_specify_re_evaluates_a_quantified_criterion_once_the_universe_grows():
+    # "{x} exists": true of atoms, and of p = {a,b} only once {p} is interned.
+    crit = parse("exists y. ((x in y) & (forall z. ((z in y) -> (z = x))))")
+    u = Universe(["a", "b"])
+    p = pair(u, 0, 1)
+    s = u.intern([0, p])
+    assert specify(u, s, crit, "x") == Specified(0)
+    singleton(u, p)
+    assert specify(u, s, crit, "x") == Specified(s)
+
+
+def test_specify_takes_no_verdict_another_thread_has_not_stored(monkeypatch):
+    # One thread stops inside its evaluation at p; a second selection from
+    # the same set, meanwhile, must evaluate p itself rather than read p's
+    # verdict as known.
+    u = Universe(["a", "b"])
+    p = pair(u, 0, 1)
+    s = u.intern([0, p])
+    box = singleton(u, p)
+    crit = parse("x notin x")
+    plain = compile_criterion(crit, "x")
+    inside, resume = threading.Event(), threading.Event()
+
+    def paused(env, n, sets):
+        if env["x"] == p and threading.current_thread() is first:
+            inside.set()
+            resume.wait(timeout=60)
+        return plain(env, n, sets)
+
+    monkeypatch.setattr(constructors, "compile_criterion", lambda f, var: paused)
+    results = {}
+    first = threading.Thread(target=lambda: results.update(first=specify(u, s, crit, "x")))
+    first.start()
+    assert inside.wait(timeout=60)
+    results["second"] = specify(u, s, crit, "x")
+    resume.set()
+    first.join(timeout=60)
+    assert not first.is_alive()
+    assert results == {"first": Specified(box), "second": Specified(box)}

@@ -1,4 +1,8 @@
+import gc
 import json
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,9 +23,11 @@ from quineset import (
     check_union_lemma,
     loads_universe,
     pair,
+    parse,
     run_suite,
     sequence,
     singleton,
+    specify,
     union_all,
     witness_reproduces,
 )
@@ -315,7 +321,7 @@ def test_scans_agree_with_the_model(universe):
     expected = model_verdicts(universe, pair_atoms)
     size = len(universe)
     for suite in SUITES:
-        if suite in ("derivations", "all") or (suite in PAIR_SUITES and not pair_atoms):
+        if suite in PAIR_SUITES and not pair_atoms:
             continue
         run_suite(universe, suite, pair_atoms)
         assert len(universe) == size, suite
@@ -336,3 +342,62 @@ def test_union_lemma_names_a_union_missing_from_the_file():
     assert dict(result.witness.bindings) == {"s": 4}
     assert len(universe) == 5
     assert witness_reproduces(universe, result.witness)
+
+
+def test_subset_derivations_name_a_selection_missing_from_the_file():
+    # {u,v,w,{u,v}} mixes individuals and a non-individual, and the file has
+    # neither part, {{u,v}} nor {u,v,w}; the scan fails there, interning
+    # nothing, and agrees with its oracle.
+    universe = loads_universe(UNION_MISSING)
+    expected = model_verdicts(universe)["subset-derivations"]
+    result = check_subset_derivations(universe)
+    assert (result.status.value, result.scanned) == expected == ("fails", 5)
+    assert dict(result.witness.bindings) == {"s": 4}
+    assert witness_reproduces(universe, result.witness)
+    by_name = {r.name: r.status for r in check_dual_paths(universe).results}
+    assert by_name["dualpath-subset-derivations"] is Status.HOLDS
+    assert len(universe) == 5
+
+
+# --- lifetime and threads -----------------------------------------------------------
+
+def test_a_checked_universe_can_be_collected():
+    universe, _ = build(BuildConfig(("u", "v"), 3))
+    run_suite(universe, "all")
+    ref = weakref.ref(universe)
+    del universe
+    gc.collect()
+    assert ref() is None
+
+
+def test_threads_scanning_one_cold_universe_agree_with_one_thread():
+    # Every selection is in a built universe, so no call interns and the
+    # threads share each criterion's memo from cold.
+    crit = parse("exists y. ((y in x) & (y notin y))")
+
+    def scan(universe):
+        selections = [specify(universe, s, crit, "x") for s in universe.ids()]
+        return selections, run_suite(universe, "derivations").to_dict()
+
+    expected = scan(build(BuildConfig(("o", "a", "e"), 2))[0])
+    universe, _ = build(BuildConfig(("o", "a", "e"), 2))
+    start = threading.Barrier(4, timeout=60)
+    reports = []
+
+    def scan_together():
+        start.wait()
+        reports.append(scan(universe))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=scan_together) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert reports == [expected] * 4
+    assert len(universe) == 127
