@@ -9,8 +9,9 @@ is a read.
 :func:`specify` computes each criterion's comprehension ``{x : φ(x)}`` once
 per universe and size, lazily: it evaluates the criterion only at members
 no earlier call on that universe has seen, and selects by one frozenset
-intersection. The memo costs at most two sets of ids per criterion, is
-keyed weakly by the universe, and starts afresh once the universe grows.
+intersection. The memo costs at most two sets of ids for each of at most
+256 criteria per universe, is keyed weakly by the universe, and is dropped
+whole by the first call after the universe grows.
 Concurrent calls that intern nothing may share it (see :func:`specify`).
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .core import SetId, Universe
 from .formula import Classification, Formula, classify, compile_criterion
@@ -77,19 +79,25 @@ SpecifyOutcome = Specified | NoSet
 
 
 class _Comprehension:
-    """The ids at which one criterion has been evaluated, and those where it
-    held, over a universe of ``size`` sets (quantifiers range over them)."""
+    """The ids at which one criterion has been evaluated, and those where it held."""
 
-    __slots__ = ("size", "known", "true")
+    __slots__ = ("known", "true")
 
-    def __init__(self, size: int):
-        self.size = size
+    def __init__(self) -> None:
         self.known: set[SetId] = set()
         self.true: set[SetId] = set()
 
 
-# Per universe, per compiled criterion; an entry dies with its universe.
-_comprehensions: weakref.WeakKeyDictionary[Universe, dict] = weakref.WeakKeyDictionary()
+# At most this many criteria are remembered per universe (as many as
+# compile_criterion caches); one more clears them all.
+_MAX_COMPREHENSIONS = 256
+
+# Per universe: the size its memos hold for (quantifiers range over the ids
+# below it) and one memo per compiled criterion. Weakly keyed, so an entry
+# dies with its universe.
+_comprehensions: weakref.WeakKeyDictionary[
+    Universe, tuple[int, dict[Callable, _Comprehension]]
+] = weakref.WeakKeyDictionary()
 
 
 def specify(universe: Universe, s: SetId, criterion: Formula, var: str) -> SpecifyOutcome:
@@ -105,18 +113,25 @@ def specify(universe: Universe, s: SetId, criterion: Formula, var: str) -> Speci
     The criterion is evaluated only at members of ``s`` that no earlier
     call with it on this universe, at this size, has evaluated, so a call
     never evaluates more than ``len(s)`` ids, and a scan over every set
-    evaluates each id about once. The selection is looked up and interned
-    only when missing. Calls that intern nothing may run from several
-    threads at once: an id joins the true set before the known set, so
-    every id a call finds known has its verdict in place.
+    evaluates each id about once. A universe remembers at most 256
+    criteria, each as at most two sets of ids, and the first call after it
+    grows forgets all of them. The selection is looked up and interned only when
+    missing. Calls that intern nothing may run from several threads at
+    once: an id joins the true set before the known set, so every id a
+    call finds known has its verdict in place.
     """
     fn = compile_criterion(criterion, var)
     n = len(universe)
     mem = universe.member_set(s)
-    memos = _comprehensions.setdefault(universe, {})
+    entry = _comprehensions.get(universe)
+    if entry is None or entry[0] != n:
+        entry = _comprehensions[universe] = (n, {})
+    memos = entry[1]
     memo = memos.get(fn)
-    if memo is None or memo.size != n:
-        memo = memos[fn] = _Comprehension(n)
+    if memo is None:
+        if len(memos) >= _MAX_COMPREHENSIONS:
+            memos.clear()
+        memo = memos[fn] = _Comprehension()
     todo = mem - memo.known
     if todo:
         sets = universe.member_sets
@@ -132,9 +147,6 @@ def specify(universe: Universe, s: SetId, criterion: Formula, var: str) -> Speci
     if chosen:
         found = universe.lookup(chosen)
         return Specified(universe.intern(chosen) if found is None else found)
-    if memo.true:
-        # It holds somewhere, so it is not contradictory.
-        return NoSet(NoSetReason.NO_WITNESS)
     if classify(universe, criterion, var) is Classification.CONTRADICTORY:
         return NoSet(NoSetReason.CONTRADICTORY_CRITERION)
     return NoSet(NoSetReason.NO_WITNESS)
