@@ -124,6 +124,8 @@ def _cmd_eval(args) -> int:
         name, sep, literal = binding.partition("=")
         if not sep or not name:
             raise ValueError(f"bindings look like NAME=LITERAL, got {binding!r}")
+        if name in env:
+            raise ValueError(f"variable {name!r} is bound more than once")
         env[name] = parse_set_literal(universe, literal)
     value = evaluate(universe, parsed, env, domain_size=domain)
     print("true" if value else "false")

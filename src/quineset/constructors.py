@@ -6,21 +6,14 @@ grow it. On a universe closed under the construction (any universe made by
 the builder, for the sets a check asks for) nothing is interned and the call
 is a read.
 
-:func:`specify` computes each criterion's comprehension ``{x : φ(x)}`` once
-per universe and size, lazily: it evaluates the criterion only at members
-no earlier call on that universe has seen, and selects by one frozenset
-intersection. The memo costs at most two sets of ids for each of at most
-256 criteria per universe, is keyed weakly by the universe, and is dropped
-whole by the first call after the universe grows.
-Concurrent calls that intern nothing may share it (see :func:`specify`).
+None of them keeps state between calls: :func:`specify` evaluates its
+criterion afresh at each member of the set it selects from.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from .core import SetId, Universe
 from .formula import Classification, Formula, classify, compile_criterion
@@ -78,28 +71,6 @@ class NoSet:
 SpecifyOutcome = Specified | NoSet
 
 
-class _Comprehension:
-    """The ids at which one criterion has been evaluated, and those where it held."""
-
-    __slots__ = ("known", "true")
-
-    def __init__(self) -> None:
-        self.known: set[SetId] = set()
-        self.true: set[SetId] = set()
-
-
-# At most this many criteria are remembered per universe (as many as
-# compile_criterion caches); one more clears them all.
-_MAX_COMPREHENSIONS = 256
-
-# Per universe: the size its memos hold for (quantifiers range over the ids
-# below it) and one memo per compiled criterion. Weakly keyed, so an entry
-# dies with its universe.
-_comprehensions: weakref.WeakKeyDictionary[
-    Universe, tuple[int, dict[Callable, _Comprehension]]
-] = weakref.WeakKeyDictionary()
-
-
 def specify(universe: Universe, s: SetId, criterion: Formula, var: str) -> SpecifyOutcome:
     """Select the members of ``s`` satisfying a one-variable criterion.
 
@@ -110,38 +81,20 @@ def specify(universe: Universe, s: SetId, criterion: Formula, var: str) -> Speci
     specify no set), and ``NO_WITNESS`` when it merely misses every member
     of ``s``.
 
-    The criterion is evaluated only at members of ``s`` that no earlier
-    call with it on this universe, at this size, has evaluated, so a call
-    never evaluates more than ``len(s)`` ids, and a scan over every set
-    evaluates each id about once. A universe remembers at most 256
-    criteria, each as at most two sets of ids, and the first call after it
-    grows forgets all of them. The selection is looked up and interned only when
-    missing. Calls that intern nothing may run from several threads at
-    once: an id joins the true set before the known set, so every id a
-    call finds known has its verdict in place.
+    The criterion is evaluated once at each member of ``s``, and over the
+    whole universe only when no member qualifies. The selection is looked up
+    and interned only when missing.
     """
     fn = compile_criterion(criterion, var)
     n = len(universe)
+    sets = universe.member_sets
     mem = universe.member_set(s)
-    entry = _comprehensions.get(universe)
-    if entry is None or entry[0] != n:
-        entry = _comprehensions[universe] = (n, {})
-    memos = entry[1]
-    memo = memos.get(fn)
-    if memo is None:
-        if len(memos) >= _MAX_COMPREHENSIONS:
-            memos.clear()
-        memo = memos[fn] = _Comprehension()
-    todo = mem - memo.known
-    if todo:
-        sets = universe.member_sets
-        env: dict[str, SetId] = {}
-        for m in todo:
-            env[var] = m
-            if fn(env, n, sets):
-                memo.true.add(m)
-        memo.known |= todo
-    chosen = mem & memo.true
+    env: dict[str, SetId] = {}
+    chosen = []
+    for m in mem:
+        env[var] = m
+        if fn(env, n, sets):
+            chosen.append(m)
     if len(chosen) == len(mem):
         return Specified(s)
     if chosen:

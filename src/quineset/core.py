@@ -17,7 +17,10 @@ takes a record already in file form (the loader). Every other method here
 is a read, and so are the checks in :mod:`quineset.verifier` and
 :mod:`quineset.peano` on a universe made by the builder (or loaded from a
 file it wrote): they may run from any number of threads at once while
-nothing interns.
+nothing interns. The two columns the checks share,
+:meth:`Universe.transitivity` and :meth:`Universe.individuals`, are kept
+per universe size and each published by one assignment, so a concurrent
+reader sees a whole column or computes its own.
 """
 
 from __future__ import annotations
@@ -74,8 +77,10 @@ class Universe:
         self._index: dict[frozenset[SetId], SetId] = {
             ms: i for i, ms in enumerate(self.member_sets)
         }
-        # Memoised is_transitive column; replaced whole, never mutated.
+        # Memoised is_transitive column and (size, self-membered ids below
+        # it); each replaced whole, never mutated.
         self._transitive: list[bool] = []
+        self._individuals: tuple[int, frozenset[SetId]] = (0, frozenset())
         self._atom_ids: dict[str, SetId] = dict(zip(names, range(len(names))))
 
     def _add(self, ms: frozenset[SetId]) -> SetId:
@@ -217,8 +222,25 @@ class Universe:
         return x in self.member_set(s)
 
     def is_individual(self, s: SetId) -> bool:
-        """True when ``s`` is a member of itself, i.e. ``s`` is an atom."""
+        """True when ``s`` is a member of itself (see :meth:`individuals`)."""
         return s in self.member_set(s)
+
+    def individuals(self) -> frozenset[SetId]:
+        """The self-membered ids interned so far; read-only.
+
+        These are the atoms, plus any self-membered composite a test fixture
+        installed past :meth:`intern`, so they are not assumed to be ids
+        ``0..k-1``. Kept per universe size like :meth:`transitivity`: only ids
+        interned since the last call are tested, and the new set is
+        published with one assignment.
+        """
+        size, ids = self._individuals
+        sets = self.member_sets
+        n = len(sets)
+        if size < n:
+            ids = ids.union(i for i in range(size, n) if i in sets[i])
+            self._individuals = (n, ids)
+        return ids
 
     def is_subset(self, s: SetId, t: SetId) -> bool:
         return self.member_set(s) <= self.member_set(t)

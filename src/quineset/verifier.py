@@ -9,14 +9,15 @@ reported failure can always be reproduced in isolation. A scan that looks
 for one counterexample yields the bindings of each and lets
 :meth:`CheckResult.first` turn the first into the verdict.
 
-Scans are reads: each pins the universe size up front (the ``snapshot`` of
-the named checks) and decides its law by set algebra on ``member_sets``
-over the ids below it, looking up rather than interning any set it must
-name. A set missing from the universe is named by a witness written over
-member sets instead, or, for a subset that separation must select, is
-itself the failure. subset-derivations calls ``specify`` only for a
-selection it has found among the scanned sets, so that call interns
-nothing either.
+Scans are reads with one signature, ``_check_*(universe)``,
+``check_*(universe)`` or ``check_*(universe, a1, a2)``. Each decides its
+law over the ids below ``len(universe)`` by set algebra on ``member_sets``
+and the columns the universe keeps (``individuals()``, ``transitivity()``),
+looking up rather than interning any set it must name. A set missing from
+the universe is named by a witness written over member sets instead, or,
+for a subset that separation must select, is itself the failure.
+subset-derivations calls ``specify`` only for a selection it has found
+among the scanned sets, so that call interns nothing either.
 """
 
 from __future__ import annotations
@@ -130,19 +131,6 @@ def witness_reproduces(universe: Universe, witness: Witness) -> bool:
     return value is False
 
 
-def _domain(universe: Universe, snapshot: int | None) -> int:
-    return len(universe) if snapshot is None else snapshot
-
-
-def _self_membered(sets: list[frozenset[SetId]], n: int) -> frozenset[SetId]:
-    """The ids below ``n`` that are members of themselves.
-
-    These are the atoms, plus any self-membered composite a test fixture
-    installed, so they are not assumed to be ids ``0..k-1``.
-    """
-    return frozenset(compress(range(n), map(frozenset.__contains__, sets, range(n))))
-
-
 def _transitive_ids(universe: Universe, n: int) -> frozenset[SetId]:
     return frozenset(compress(range(n), universe.transitivity()))
 
@@ -250,7 +238,8 @@ UNION_LEMMA_FORMULA = (
 # ---------------------------------------------------------------------------
 # Axiom scans.
 
-def _check_equality_substitution(universe: Universe, n: int) -> CheckResult:
+def _check_equality_substitution(universe: Universe) -> CheckResult:
+    n = len(universe)
     # Canonical interning makes equal ids interchangeable by construction;
     # the scan verifies the model side: no two ids share an extension.
     # ``seen`` maps each extension to the first id that has it.
@@ -263,26 +252,29 @@ def _check_equality_substitution(universe: Universe, n: int) -> CheckResult:
     )
 
 
-def _check_individuals(universe: Universe, n: int) -> CheckResult:
+def _check_individuals(universe: Universe) -> CheckResult:
+    n = len(universe)
     sets = universe.member_sets
     return CheckResult.first(
         "individuals-axiom", n, n,
         "((s in s) & (u in s)) -> (u = s)",
         ({"s": s, "u": next(u for u in sets[s] if u != s)}
-         for s in sorted(_self_membered(sets, n)) if len(sets[s]) > 1),
+         for s in sorted(universe.individuals()) if len(sets[s]) > 1),
     )
 
 
-def _check_no_empty(universe: Universe, n: int) -> CheckResult:
+def _check_no_empty(universe: Universe) -> CheckResult:
+    n = len(universe)
     sets = universe.member_sets
     return CheckResult.first(
         "no-empty-set", n, n, "exists u. (u in s)", ({"s": s} for s in range(n) if not sets[s])
     )
 
 
-def _check_regularity(universe: Universe, n: int) -> CheckResult:
+def _check_regularity(universe: Universe) -> CheckResult:
+    n = len(universe)
     sets = universe.member_sets
-    individuals = _self_membered(sets, n)
+    individuals = universe.individuals()
 
     def has_no_minimal_member(s: SetId) -> bool:
         # A member v is minimal when it shares no non-individual with s.
@@ -302,11 +294,11 @@ def _check_regularity(universe: Universe, n: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 # Named checks.
 
-def check_russell(universe: Universe, *, snapshot: int | None = None) -> CheckResult:
+def check_russell(universe: Universe) -> CheckResult:
     """No set collects exactly the non-self-membered sets."""
-    n = _domain(universe, snapshot)
+    n = len(universe)
     sets = universe.member_sets
-    non_individuals = frozenset(range(n)) - _self_membered(sets, n)
+    non_individuals = frozenset(range(n)) - universe.individuals()
     return CheckResult.first(
         "russell", n, n,
         "!(forall u. ((u in s) <-> (u notin u)))",
@@ -314,13 +306,11 @@ def check_russell(universe: Universe, *, snapshot: int | None = None) -> CheckRe
     )
 
 
-def check_russell_equivalence(
-    universe: Universe, *, snapshot: int | None = None
-) -> CheckResult:
+def check_russell_equivalence(universe: Universe) -> CheckResult:
     """Both sides of the paradox-elimination biconditional, computed separately."""
-    n = _domain(universe, snapshot)
+    n = len(universe)
     sets = universe.member_sets
-    individuals = _self_membered(sets, n)
+    individuals = universe.individuals()
     non_individuals = frozenset(range(n)) - individuals
     # Some u has (u in s) <-> (u in u): an individual in s or a
     # non-individual outside it.
@@ -334,9 +324,7 @@ def check_russell_equivalence(
     return CheckResult("russell-equivalence", Status.HOLDS, n)
 
 
-def check_subset_derivations(
-    universe: Universe, *, snapshot: int | None = None
-) -> CheckResult:
+def check_subset_derivations(universe: Universe) -> CheckResult:
     """Selected-subset facts: the non-individual part of any set is a subset
     but never a member; the individual part is an individual member or not an
     individual; and (wherever a non-individual exists) no set is universal.
@@ -349,9 +337,9 @@ def check_subset_derivations(
     is a failure at ``s``.
     """
     name = "subset-derivations"
-    n = _domain(universe, snapshot)
+    n = len(universe)
     sets = universe.member_sets
-    individuals = _self_membered(sets, n)
+    individuals = universe.individuals()
     has_non_individual = len(individuals) < n
     not_self = Not(Member("x", "x"))
     in_self = Member("x", "x")
@@ -397,12 +385,12 @@ def check_subset_derivations(
     return CheckResult(name, Status.HOLDS, n)
 
 
-def check_theorem1(universe: Universe, *, snapshot: int | None = None) -> CheckResult:
+def check_theorem1(universe: Universe) -> CheckResult:
     """Every transitive set with a non-individual member also has a member
     that is a non-individual set of individuals."""
-    n = _domain(universe, snapshot)
+    n = len(universe)
     sets = universe.member_sets
-    individuals = _self_membered(sets, n)
+    individuals = universe.individuals()
     qualifying = 0
     for s in compress(range(n), universe.transitivity()):
         if sets[s] <= individuals:
@@ -423,14 +411,12 @@ def check_theorem1(universe: Universe, *, snapshot: int | None = None) -> CheckR
     return CheckResult("theorem1", Status.HOLDS, qualifying)
 
 
-def check_pair_membership_claim(
-    universe: Universe, a1: SetId, a2: SetId, *, snapshot: int | None = None
-) -> CheckResult:
+def check_pair_membership_claim(universe: Universe, a1: SetId, a2: SetId) -> CheckResult:
     """For transitive sets whose individuals are exactly the two given atoms:
     the atoms' pair is the only possible non-individual set of individuals in
     the set, and the pair belongs to the set's successor."""
     ensure_distinct_atoms(universe, a1, a2)
-    n = _domain(universe, snapshot)
+    n = len(universe)
     sets = universe.member_sets
     atoms = frozenset((a1, a2))
     p = universe.lookup(atoms)
@@ -439,7 +425,7 @@ def check_pair_membership_claim(
         # it as its first non-individual member; so without the pair no set
         # qualifies.
         return CheckResult("pair-membership", Status.NOT_APPLICABLE, 0)
-    individuals = _self_membered(sets, n)
+    individuals = universe.individuals()
     qualifying = 0
     for s in compress(range(n), universe.transitivity()):
         if sets[s] & individuals != atoms:
@@ -460,16 +446,14 @@ def check_pair_membership_claim(
     return CheckResult("pair-membership", Status.HOLDS, qualifying)
 
 
-def check_trichotomy(
-    universe: Universe, a1: SetId, a2: SetId, *, snapshot: int | None = None
-) -> CheckResult:
+def check_trichotomy(universe: Universe, a1: SetId, a2: SetId) -> CheckResult:
     """Membership trichotomy for pairs of transitive sets with transitive
     members whose individual members all lie in the given atom pair."""
     ensure_distinct_atoms(universe, a1, a2)
-    n = _domain(universe, snapshot)
+    n = len(universe)
     sets = universe.member_sets
     atoms = frozenset((a1, a2))
-    individuals = _self_membered(sets, n)
+    individuals = universe.individuals()
     transitive = _transitive_ids(universe, n)
     qualifying = [
         i
@@ -493,14 +477,14 @@ def check_trichotomy(
     return CheckResult("trichotomy", Status.HOLDS, pairs)
 
 
-def check_union_lemma(universe: Universe, *, snapshot: int | None = None) -> CheckResult:
+def check_union_lemma(universe: Universe) -> CheckResult:
     """For every non-individual transitive set with transitive members, its
     union is again transitive with transitive members, does not contain the
     set, and the set is either its own union or the union's successor."""
-    n = _domain(universe, snapshot)
+    n = len(universe)
     sets = universe.member_sets
     transitive = _transitive_ids(universe, n)
-    individuals = _self_membered(sets, n)
+    individuals = universe.individuals()
     qualifying = 0
     for s in sorted(transitive):
         mem = sets[s]
@@ -542,7 +526,7 @@ PairAtoms = tuple[SetId, SetId]
 
 @dataclass(frozen=True)
 class Law:
-    """One law: its scan over ``(universe, n, pair_atoms)`` and its oracle.
+    """One law: its scan over ``(universe, pair_atoms)`` and its oracle.
 
     Scans are reached through this module's globals at call time, so a
     wrapper installed on a ``check_*`` function sees every call.
@@ -550,38 +534,35 @@ class Law:
 
     name: str
     suite: str
-    scan: Callable[[Universe, int, PairAtoms | None], CheckResult]
+    scan: Callable[[Universe, PairAtoms | None], CheckResult]
     oracle: Formula
     needs_pair: bool = False
 
 
 LAWS = (
     Law("equality-substitution", "axioms",
-        lambda u, n, ab: _check_equality_substitution(u, n), parse(EQUALITY_FORMULA)),
+        lambda u, ab: _check_equality_substitution(u), parse(EQUALITY_FORMULA)),
     Law("individuals-axiom", "axioms",
-        lambda u, n, ab: _check_individuals(u, n), parse(INDIVIDUALS_FORMULA)),
+        lambda u, ab: _check_individuals(u), parse(INDIVIDUALS_FORMULA)),
     Law("no-empty-set", "axioms",
-        lambda u, n, ab: _check_no_empty(u, n), parse(NO_EMPTY_FORMULA)),
+        lambda u, ab: _check_no_empty(u), parse(NO_EMPTY_FORMULA)),
     Law("regularity", "axioms",
-        lambda u, n, ab: _check_regularity(u, n), parse(REGULARITY_FORMULA)),
+        lambda u, ab: _check_regularity(u), parse(REGULARITY_FORMULA)),
     Law("russell", "russell",
-        lambda u, n, ab: check_russell(u, snapshot=n), parse(RUSSELL_FORMULA)),
+        lambda u, ab: check_russell(u), parse(RUSSELL_FORMULA)),
     Law("russell-equivalence", "russell",
-        lambda u, n, ab: check_russell_equivalence(u, snapshot=n),
-        parse(RUSSELL_EQUIVALENCE_FORMULA)),
+        lambda u, ab: check_russell_equivalence(u), parse(RUSSELL_EQUIVALENCE_FORMULA)),
     Law("subset-derivations", "derivations",
-        lambda u, n, ab: check_subset_derivations(u, snapshot=n),
-        parse(DERIVATIONS_FORMULA)),
+        lambda u, ab: check_subset_derivations(u), parse(DERIVATIONS_FORMULA)),
     Law("theorem1", "theorem1",
-        lambda u, n, ab: check_theorem1(u, snapshot=n), parse(THEOREM1_FORMULA)),
+        lambda u, ab: check_theorem1(u), parse(THEOREM1_FORMULA)),
     Law("trichotomy", "trichotomy",
-        lambda u, n, ab: check_trichotomy(u, *ab, snapshot=n),
-        parse(TRICHOTOMY_FORMULA), needs_pair=True),
+        lambda u, ab: check_trichotomy(u, *ab), parse(TRICHOTOMY_FORMULA), needs_pair=True),
     Law("pair-membership", "trichotomy",
-        lambda u, n, ab: check_pair_membership_claim(u, *ab, snapshot=n),
-        parse(PAIR_CLAIM_FORMULA), needs_pair=True),
+        lambda u, ab: check_pair_membership_claim(u, *ab), parse(PAIR_CLAIM_FORMULA),
+        needs_pair=True),
     Law("union-lemma", "union-lemma",
-        lambda u, n, ab: check_union_lemma(u, snapshot=n), parse(UNION_LEMMA_FORMULA)),
+        lambda u, ab: check_union_lemma(u), parse(UNION_LEMMA_FORMULA)),
 )
 
 SUITES = (*dict.fromkeys(law.suite for law in LAWS), "all")
@@ -621,7 +602,7 @@ def check_dual_paths(
             results.append(CheckResult(name, Status.NOT_APPLICABLE, 0))
             continue
         formula_true = evaluate(universe, law.oracle, env, domain_size=n)
-        scan_true = law.scan(universe, n, pair_atoms).status is not Status.FAILS
+        scan_true = law.scan(universe, pair_atoms).status is not Status.FAILS
         if formula_true == scan_true:
             results.append(CheckResult(name, Status.HOLDS, n))
         else:
@@ -645,10 +626,9 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}")
     if pair_atoms is None and suite in PAIR_SUITES:
         raise ValueError(f"the {suite} suite needs an atom pair")
-    n = len(universe)
     results = [
-        law.scan(universe, n, pair_atoms)
+        law.scan(universe, pair_atoms)
         for law in LAWS
         if suite in (law.suite, "all") and (pair_atoms is not None or not law.needs_pair)
     ]
-    return Report.of(universe, results, n)
+    return Report.of(universe, results, len(universe))

@@ -150,12 +150,11 @@ def test_criterion_5_specification_suite():
 
 def test_criterion_6_transitive_set_laws():
     u = default_universe()
-    n = len(u)
     results = [
-        check_theorem1(u, snapshot=n),
-        check_pair_membership_claim(u, 0, 1, snapshot=n),
-        check_trichotomy(u, 0, 1, snapshot=n),
-        check_union_lemma(u, snapshot=n),
+        check_theorem1(u),
+        check_pair_membership_claim(u, 0, 1),
+        check_trichotomy(u, 0, 1),
+        check_union_lemma(u),
     ]
     ok = all(r.status is Status.HOLDS for r in results)
     trichotomy = results[2]

@@ -148,6 +148,15 @@ def test_eval_bad_binding_shape(universe_file):
     assert main(["eval", str(universe_file), "x in x", "--bind", "x"]) == 64
 
 
+def test_eval_repeated_binding_is_a_usage_error(universe_file, capsys):
+    code = main(["eval", str(universe_file), "x = y",
+                 "--bind", "x=u", "--bind", "y=u", "--bind", "x=v"])
+    assert code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'x' is bound more than once" in captured.err
+
+
 def test_eval_deep_formula_is_a_usage_error(universe_file, capsys):
     code = main(["eval", str(universe_file), "!" * 3000 + "u in u", "--bind", "u=u"])
     assert code == 64

@@ -384,8 +384,8 @@ def _reference_specify(universe, s, crit):
 @settings(max_examples=60, deadline=None)
 @given(small_universes(), one_variable_criteria())
 def test_specify_in_sequence_matches_the_reference_as_the_universe_grows(universe, crit):
-    # One universe for every call, so the comprehension memo stays warm
-    # across calls and is dropped whenever a call interns its selection.
+    # One universe for every call, so a call sees every set that the calls
+    # before it interned, and quantifiers range over the grown universe.
     for s in list(universe.ids()):
         expected = _reference_specify(universe, s, crit)
         assert (specify(universe, s, crit, "x"), len(universe)) == expected, s
@@ -404,8 +404,8 @@ def test_specify_re_evaluates_a_quantified_criterion_once_the_universe_grows():
 
 def test_specify_takes_no_verdict_another_thread_has_not_stored(monkeypatch):
     # One thread stops inside its evaluation at p; a second selection from
-    # the same set, meanwhile, must evaluate p itself rather than read p's
-    # verdict as known.
+    # the same set, meanwhile, must reach the same verdict on p by itself,
+    # taking nothing from the call that is still running.
     u = Universe(["a", "b"])
     p = pair(u, 0, 1)
     s = u.intern([0, p])
@@ -430,29 +430,3 @@ def test_specify_takes_no_verdict_another_thread_has_not_stored(monkeypatch):
     first.join(timeout=60)
     assert not first.is_alive()
     assert results == {"first": Specified(box), "second": Specified(box)}
-
-
-def test_specify_keeps_a_bounded_memo_per_universe():
-    # More distinct criteria than compile_criterion caches: each one past the
-    # cache is a new closure, and the universe must not keep a memo for each.
-    u = Universe(["a", "b"])
-    s = u.intern([0, pair(u, 0, 1)])
-    for k in range(3 * constructors._MAX_COMPREHENSIONS):
-        crit = parse(f"exists y{k}. (x in y{k})")
-        assert specify(u, s, crit, "x") == Specified(s)
-        size, memos = constructors._comprehensions[u]
-        assert size == len(u)
-        assert 1 <= len(memos) <= constructors._MAX_COMPREHENSIONS
-
-
-def test_specify_drops_every_memo_once_the_universe_grows():
-    u = Universe(["a", "b"])
-    p = pair(u, 0, 1)
-    s = u.intern([0, p])
-    specify(u, s, parse("x in x"), "x")
-    specify(u, s, parse("x notin x"), "x")
-    assert len(constructors._comprehensions[u][1]) == 2
-    singleton(u, p)
-    specify(u, s, parse("x in x"), "x")
-    assert constructors._comprehensions[u][0] == len(u)
-    assert len(constructors._comprehensions[u][1]) == 1

@@ -304,6 +304,26 @@ def test_transitivity_covers_injected_self_membered_sets(default_universe):
     _assert_transitivity_matches(fresh)
 
 
+# --- kept individuals ------------------------------------------------------------
+
+def _individuals_by_definition(u):
+    return {i for i in u.ids() if i in u.member_set(i)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_universes(), st.data())
+def test_individuals_are_the_self_membered_ids(u, data):
+    assert u.individuals() == _individuals_by_definition(u)
+    n = len(u)
+    for members in data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
+                                      max_size=4)):
+        u.intern(members)
+    assert u.individuals() == _individuals_by_definition(u)
+    injected = inject_self_membered(u, data.draw(st.integers(0, len(u) - 1)))
+    assert injected in u.individuals()
+    assert u.individuals() == _individuals_by_definition(u)
+
+
 def test_is_transitive_unknown_id():
     u = Universe(["u"])
     with pytest.raises(UnknownId):
