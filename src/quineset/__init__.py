@@ -21,7 +21,7 @@ from .constructors import (
     specify,
     union_all,
 )
-from .core import SetId, Universe, ensure_distinct_atoms
+from .core import SetId, Universe, ensure_distinct_atoms, ids_of
 from .formula import (
     And,
     Classification,
@@ -81,6 +81,7 @@ __all__ = [
     "check_subset_derivations", "check_theorem1", "check_trichotomy",
     "check_union_lemma", "classify", "dumps_universe", "ensure_distinct_atoms",
     "errors", "evaluate", "format_formula", "format_set_literal", "free_vars",
+    "ids_of",
     "load_universe", "loads_universe", "pair", "parse", "parse_set_literal",
     "powerset", "run_suite", "save_universe", "sequence", "singleton",
     "specify", "successor", "union_all", "witness_reproduces",

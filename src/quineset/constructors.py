@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import or_
 
-from .core import SetId, Universe
+from .core import SetId, Universe, ids_of
 from .formula import Classification, Formula, classify, compile_criterion
 
 
@@ -29,15 +31,14 @@ def singleton(universe: Universe, s: SetId) -> SetId:
     return universe.intern((s,))
 
 
-def union_members(universe: Universe, s: SetId) -> frozenset[SetId]:
-    """The members of the union of the members of ``s``; interns nothing."""
-    sets = universe.member_sets
-    return frozenset().union(*map(sets.__getitem__, universe.member_set(s)))
+def union_members(universe: Universe, s: SetId) -> int:
+    """The member mask of the union of the members of ``s``; interns nothing."""
+    return reduce(or_, map(universe.member_sets.__getitem__, universe.members(s)), 0)
 
 
 def union_all(universe: Universe, s: SetId) -> SetId:
     """The union of the members of ``s``; never empty, since every member has a member."""
-    return universe.intern(union_members(universe, s))
+    return universe.intern(ids_of(union_members(universe, s)))
 
 
 def binary_union(universe: Universe, s: SetId, t: SetId) -> SetId:
@@ -88,18 +89,17 @@ def specify(universe: Universe, s: SetId, criterion: Formula, var: str) -> Speci
     fn = compile_criterion(criterion, var)
     n = len(universe)
     sets = universe.member_sets
-    mem = universe.member_set(s)
     env: dict[str, SetId] = {}
-    chosen = []
-    for m in mem:
+    chosen = 0
+    for m in universe.members(s):
         env[var] = m
         if fn(env, n, sets):
-            chosen.append(m)
-    if len(chosen) == len(mem):
+            chosen |= 1 << m
+    if chosen == sets[s]:
         return Specified(s)
     if chosen:
-        found = universe.lookup(chosen)
-        return Specified(universe.intern(chosen) if found is None else found)
+        found = universe.lookup_mask(chosen)
+        return Specified(universe.intern(ids_of(chosen)) if found is None else found)
     if classify(universe, criterion, var) is Classification.CONTRADICTORY:
         return NoSet(NoSetReason.CONTRADICTORY_CRITERION)
     return NoSet(NoSetReason.NO_WITNESS)

@@ -1,11 +1,16 @@
 """Canonical finite sets over self-membered atoms.
 
 A :class:`Universe` interns every set exactly once, so two ids are equal
-exactly when their member sets are equal. It stores each set once, as the
-frozenset of its member ids, and that same frozenset keys the index from
-extensions to ids. Atoms are the only self-membered objects: each atom's
-sole member is itself, and the singleton of an atom collapses back to the
-atom at interning time. There is no empty set.
+exactly when their member sets are equal. It stores each set once, as an
+int mask whose bit ``i`` is set when id ``i`` is a member, and that same
+mask keys the index from extensions to ids. A built universe grows stage
+by stage, each set's members taken from the stage before, so its masks are
+small ints. :func:`ids_of` lists a mask's ids in
+increasing order; :meth:`Universe.member_set` and :meth:`Universe.members`
+build a frozenset or a sorted tuple from it on demand. Atoms are the only
+self-membered objects: atom ``i`` is the mask ``1 << i``, its sole member is
+itself, and the singleton of an atom, having the same mask, is the atom.
+There is no empty set.
 
 Interning is the only write, and it needs a single writer. After the
 atoms, every write goes through one append rule: a set already in the index keeps its id, and
@@ -26,6 +31,8 @@ reader sees a whole column or computes its own.
 from __future__ import annotations
 
 import re
+from functools import reduce
+from operator import or_
 from typing import AbstractSet, Collection, Iterable
 
 from .errors import (
@@ -46,6 +53,49 @@ SetId = int
 # names inside set literals. The reserved words are the formula keywords.
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 RESERVED_NAMES = frozenset({"forall", "exists", "in", "notin"})
+
+# The set bits of each byte value, as positions in the low and in the high
+# byte of a 16-bit mask.
+_LOW_BYTE = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+_HIGH_BYTE = tuple(tuple(i + 8 for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def ids_of(mask: int) -> tuple[SetId, ...]:
+    """The ids whose bits are set in ``mask``, in increasing order."""
+    if mask < 0x10000:
+        return _LOW_BYTE[mask & 0xFF] + _HIGH_BYTE[mask >> 8]
+    ids: list[SetId] = []
+    if mask.bit_count() * 32 < mask.bit_length():
+        # Under one id in 32 (a successor chain's sets, say): take the
+        # lowest bit off at a time, not a Python step per byte.
+        while mask:
+            low = mask & -mask
+            ids.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(ids)
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    for base, byte in enumerate(data):
+        if byte:
+            ids += map((base * 8).__add__, _LOW_BYTE[byte])
+    return tuple(ids)
+
+
+def mask_of(ids: Iterable[SetId]) -> int:
+    """The mask with the bit of each of ``ids`` set; ids must be ints from 0."""
+    return reduce(or_, map((1).__lshift__, ids), 0)
+
+
+def _byte_unions(sets: list[int], base: int) -> list[int]:
+    """Entry ``b``: the union of the masks of the ids ``base + i`` for the set bits ``i`` of ``b``.
+
+    An id past the end of ``sets`` adds nothing.
+    """
+    unions = [0]
+    for sid in range(base, base + 8):
+        # The bytes whose top bit is this id's: those below it, with its mask.
+        ms = sets[sid] if sid < len(sets) else 0
+        unions += [u | ms for u in unions]
+    return unions
 
 
 class Universe:
@@ -71,22 +121,20 @@ class Universe:
             seen.add(name)
         self.max_sets = max_sets
         self.build_depth: int | None = None
-        # member_sets[i] is set i's members, the same frozenset that keys it
-        # in _index; read-only. Atom i's sole member is itself.
-        self.member_sets: list[frozenset[SetId]] = [frozenset((i,)) for i in range(len(names))]
-        self._index: dict[frozenset[SetId], SetId] = {
-            ms: i for i, ms in enumerate(self.member_sets)
-        }
-        # Memoised is_transitive column and (size, self-membered ids below
-        # it); each replaced whole, never mutated.
+        # member_sets[i] is set i's member mask, the same int that keys it in
+        # _index; read-only. Atom i's sole member is itself.
+        self.member_sets: list[int] = [1 << i for i in range(len(names))]
+        self._index: dict[int, SetId] = {ms: i for i, ms in enumerate(self.member_sets)}
+        # Memoised is_transitive column and (size, mask of the self-membered
+        # ids below it); each replaced whole, never mutated.
         self._transitive: list[bool] = []
-        self._individuals: tuple[int, frozenset[SetId]] = (0, frozenset())
+        self._individuals: tuple[int, int] = (0, 0)
         self._atom_ids: dict[str, SetId] = dict(zip(names, range(len(names))))
 
-    def _add(self, ms: frozenset[SetId]) -> SetId:
-        """The one append rule: the id of ``ms`` if interned, else a fresh id under the cap.
+    def _add(self, ms: int) -> SetId:
+        """The one append rule: the id of mask ``ms`` if interned, else a fresh id under the cap.
 
-        ``ms`` must already be a valid member set of existing ids. Every
+        ``ms`` must already be a valid member mask of existing ids. Every
         write after the atoms goes through here.
         """
         found = self._index.get(ms)
@@ -139,7 +187,7 @@ class Universe:
         if not ms:
             raise EmptySetForbidden("a set needs at least one member")
         self._check_ids(ms)
-        return self._add(ms)
+        return self._add(mask_of(ms))
 
     def _check_ids(self, ms: Collection[SetId]) -> None:
         # Once every member is an int, the least and greatest bound them all;
@@ -167,36 +215,34 @@ class Universe:
         count = (1 << len(ids)) - 1
         if self.max_sets is not None and count > self.max_sets:
             raise CapExceeded(required=count, max_sets=self.max_sets)
-        # subsets[mask] is the canonical member set of subset ``mask``. The
-        # masks whose top bit is bit k are the masks below 2**k plus that
-        # bit, in order, so each subset is one union of a subset built
-        # earlier and the singleton of ids[k].
-        sets = self.member_sets
-        add = self._add
-        subsets: list[frozenset[SetId]] = [frozenset()]
+        # subsets[mask] is the member mask of subset ``mask``. The masks
+        # whose top bit is bit k are the masks below 2**k plus that bit, in
+        # order, so each subset is one earlier subset with ids[k] added.
+        subsets = [0]
         interned: list[SetId] = []
         for m in ids:
-            single = frozenset((m,))
-            fresh = [add(ms | single) for ms in subsets]
-            interned += fresh
-            subsets += map(sets.__getitem__, fresh)
+            bit = 1 << m
+            fresh = [ms | bit for ms in subsets]
+            interned += map(self._add, fresh)
+            subsets += fresh
         return interned
 
-    def intern_record(self, record: list[int]) -> SetId | None:
-        """Intern a record in file form: existing ids, each once, in increasing order.
+    def intern_record(self, bits: list[int]) -> SetId | None:
+        """Intern a record in file form, given as its members' bits, ``1 << id`` each.
 
-        The record is a list of ints. Its set is appended by the same rule
-        as in :meth:`intern`; the cap applies. Returns ``None``,
-        interning nothing, for a list in any other form: :meth:`intern`
-        takes those, and names the fault of any it rejects.
+        In file form the members are existing ids, each once, in increasing
+        order. The record's set is appended by the same rule as in
+        :meth:`intern`; the cap applies. Returns ``None``, interning
+        nothing, for a list in any other form: :meth:`intern` takes those,
+        and names the fault of any it rejects.
         """
-        ms = frozenset(record)
+        ms = sum(bits)
+        # Distinct bits sum without a carry, so the sum has one bit for each.
         if not (
-            ms
-            and record[0] >= 0
-            and record[-1] < len(self.member_sets)
-            and len(ms) == len(record)
-            and record == sorted(record)
+            bits
+            and ms.bit_count() == len(bits)
+            and ms.bit_length() <= len(self.member_sets)
+            and bits == sorted(bits)
         ):
             return None
         return self._add(ms)
@@ -207,57 +253,77 @@ class Universe:
         Never interns. A singleton of an atom finds the atom, as in
         :meth:`intern`; an empty or unknown extension finds nothing.
         """
-        return self._index.get(frozenset(extension))
+        ids = frozenset(extension)
+        n = len(self.member_sets)
+        if not all(isinstance(m, int) and 0 <= m < n for m in ids):
+            return None
+        return self._index.get(mask_of(ids))
+
+    def lookup_mask(self, mask: int) -> SetId | None:
+        """The id of the set whose member mask is ``mask``, if interned; never interns."""
+        return self._index.get(mask)
 
     def members(self, sid: SetId) -> tuple[SetId, ...]:
-        """Sorted, duplicate-free member ids; an atom's members are itself."""
-        return tuple(sorted(self.member_set(sid)))
+        """Sorted member ids; an atom's members are itself."""
+        self._check_id(sid)
+        return ids_of(self.member_sets[sid])
 
     def member_set(self, sid: SetId) -> frozenset[SetId]:
-        self._check_id(sid)
-        return self.member_sets[sid]
+        """The member ids as a frozenset, built on each call."""
+        return frozenset(self.members(sid))
 
     def is_member(self, x: SetId, s: SetId) -> bool:
         self._check_id(x)
-        return x in self.member_set(s)
+        self._check_id(s)
+        return bool(self.member_sets[s] >> x & 1)
 
     def is_individual(self, s: SetId) -> bool:
         """True when ``s`` is a member of itself (see :meth:`individuals`)."""
-        return s in self.member_set(s)
+        self._check_id(s)
+        return bool(self.member_sets[s] >> s & 1)
 
-    def individuals(self) -> frozenset[SetId]:
-        """The self-membered ids interned so far; read-only.
+    def individuals(self) -> int:
+        """The mask of the self-membered ids interned so far.
 
         These are the atoms, plus any self-membered composite a test fixture
         installed past :meth:`intern`, so they are not assumed to be ids
         ``0..k-1``. Kept per universe size like :meth:`transitivity`: only ids
-        interned since the last call are tested, and the new set is
+        interned since the last call are tested, and the new mask is
         published with one assignment.
         """
-        size, ids = self._individuals
+        size, mask = self._individuals
         sets = self.member_sets
         n = len(sets)
         if size < n:
-            ids = ids.union(i for i in range(size, n) if i in sets[i])
-            self._individuals = (n, ids)
-        return ids
+            mask |= mask_of(i for i in range(size, n) if sets[i] >> i & 1)
+            self._individuals = (n, mask)
+        return mask
 
     def is_subset(self, s: SetId, t: SetId) -> bool:
-        return self.member_set(s) <= self.member_set(t)
+        self._check_id(s)
+        self._check_id(t)
+        ms = self.member_sets[s]
+        return ms & self.member_sets[t] == ms
 
     def transitivity(self) -> list[bool]:
         """Column of :meth:`is_transitive` over every id interned so far; read-only.
 
-        Sets never change once interned, so entries are computed once. The
-        column is extended by building a longer list and publishing it with
-        one assignment, so a reader never sees a partly built column.
+        A set is transitive when the union of its members' masks lies
+        within its own. Sets never change once interned, so entries are
+        computed once. The column is extended by building a longer list and
+        publishing it with one assignment, so a reader never sees a partly
+        built column.
         """
         column = self._transitive
         sets = self.member_sets
         if len(column) < len(sets):
+            low, high = _byte_unions(sets, 0), _byte_unions(sets, 8)
+            # Starting the union at the set's own mask, it stays that mask
+            # exactly when every member's mask lies within it.
             column = column + [
-                all(sets[m] <= sets[s] for m in sets[s])
-                for s in range(len(column), len(sets))
+                low[ms & 0xFF] | high[ms >> 8] | ms == ms if ms < 0x10000
+                else reduce(or_, map(sets.__getitem__, ids_of(ms)), ms) == ms
+                for ms in sets[len(column):]
             ]
             self._transitive = column
         return column
@@ -271,7 +337,8 @@ class Universe:
         return column[s]
 
     def cardinality(self, s: SetId) -> int:
-        return len(self.member_set(s))
+        self._check_id(s)
+        return self.member_sets[s].bit_count()
 
 
 def ensure_distinct_atoms(universe: Universe, a1: SetId, a2: SetId) -> None:

@@ -295,10 +295,13 @@ _CompiledFn = Callable[[dict, int, list], bool]
 def _compile(f: Formula) -> _CompiledFn:
     # Compiles the AST to nested closures taking (env, domain, member_sets);
     # keeps exhaustive quantifier scans cheap enough for desk-scale checks.
+    # A membership test gives the member's bit, 0 or 1, and a connective may
+    # pass it on; so every result is 0, 1, False or True, and two compare
+    # equal exactly when they have the same truth.
     kind = type(f)
     if kind is Member:
         l, r = f.lhs, f.rhs
-        return lambda env, n, sets: env[l] in sets[env[r]]
+        return lambda env, n, sets: sets[env[r]] >> env[l] & 1
     if kind is Equal:
         l, r = f.lhs, f.rhs
         return lambda env, n, sets: env[l] == env[r]
@@ -320,15 +323,15 @@ def _compile(f: Formula) -> _CompiledFn:
     if kind is Forall or kind is Exists:
         body = _compile(f.body)
         var = f.var
-        want = kind is Exists
 
-        def quantified(env: dict, n: int, sets: list) -> bool:
+        # One loop per quantifier, so that neither compares each result.
+        def forall(env: dict, n: int, sets: list) -> bool:
             prev = env.get(var, _MISSING)
-            result = not want
+            result = True
             for i in range(n):
                 env[var] = i
-                if body(env, n, sets) == want:
-                    result = want
+                if not body(env, n, sets):
+                    result = False
                     break
             if prev is _MISSING:
                 del env[var]
@@ -336,7 +339,21 @@ def _compile(f: Formula) -> _CompiledFn:
                 env[var] = prev
             return result
 
-        return quantified
+        def exists(env: dict, n: int, sets: list) -> bool:
+            prev = env.get(var, _MISSING)
+            result = False
+            for i in range(n):
+                env[var] = i
+                if body(env, n, sets):
+                    result = True
+                    break
+            if prev is _MISSING:
+                del env[var]
+            else:
+                env[var] = prev
+            return result
+
+        return forall if kind is Forall else exists
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -359,9 +376,9 @@ def evaluate(
     if missing:
         raise UnboundVariable(sorted(missing)[0])
     for sid in bindings.values():
-        universe.member_set(sid)
+        universe.members(sid)
     n = len(universe) if domain_size is None else domain_size
-    return _compile(f)(bindings, n, universe.member_sets)
+    return bool(_compile(f)(bindings, n, universe.member_sets))
 
 
 @lru_cache(maxsize=256)
@@ -369,10 +386,11 @@ def compile_criterion(f: Formula, var: str) -> _CompiledFn:
     """Check that ``var`` is the only free variable of ``f`` and compile it.
 
     The predicate takes ``(env, domain_size, member_sets)`` with ``env``
-    binding ``var``; one compiled criterion serves any number of sets, where
-    :func:`evaluate` re-checks and recompiles on every call. Formulas are
-    immutable and the predicate keeps no state, so results are memoised on
-    ``(f, var)``.
+    binding ``var`` and returns a value to test for truth (a membership
+    bit may come back as 0 or 1). One compiled criterion serves any number
+    of sets, where :func:`evaluate` re-checks and recompiles on every call.
+    Formulas are immutable and the predicate keeps no state, so results are
+    memoised on ``(f, var)``.
     """
     fv = free_vars(f)
     if fv != {var}:

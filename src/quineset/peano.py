@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .constructors import pair, union_members
-from .core import SetId, Universe, ensure_distinct_atoms
+from .core import SetId, Universe, ensure_distinct_atoms, ids_of
 from .errors import MalformedSequence, UnknownId
 from .verifier import CheckResult, Report
 
@@ -27,7 +27,7 @@ def successor(universe: Universe, s: SetId) -> SetId:
 
     Interns the successor only, not the singleton {s}.
     """
-    return universe.intern(universe.member_set(s) | {s})
+    return universe.intern((*universe.members(s), s))
 
 
 def sequence(universe: Universe, a1: SetId, a2: SetId, n: int) -> NumberSequence:
@@ -50,14 +50,14 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
     structure: every element is transitive with transitive members, and the
     union of each element is the previous one.
 
-    Successors and unions are compared as member sets, so the check interns
+    Successors and unions are compared as member masks, so the check interns
     nothing.
     """
     if not seq.elements:
         raise MalformedSequence("a sequence needs at least one element")
     try:
         for sid in (seq.base, *seq.elements):
-            universe.member_set(sid)
+            universe.members(sid)
     except UnknownId as exc:
         raise MalformedSequence(str(exc)) from exc
     n = len(universe)
@@ -66,8 +66,8 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
     length = len(elements)
     pairs = length * (length - 1) // 2
     steps = list(zip(elements, elements[1:]))
-    # The member set of each element's successor, e together with {e}.
-    succs = [sets[e] | {e} for e in elements]
+    # The member mask of each element's successor, e together with {e}.
+    succs = [sets[e] | 1 << e for e in elements]
     first = CheckResult.first
     results = [
         first("base-in-sequence", 1, n, "b = e",
@@ -92,7 +92,7 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
               "(forall z. ((z in w) -> (z in u)))))))",
               ({"s": e} for e in elements
                if not (universe.is_transitive(e)
-                       and all(universe.is_transitive(m) for m in sets[e])))),
+                       and all(universe.is_transitive(m) for m in ids_of(sets[e]))))),
         first("union-inverse", length - 1, n,
               "forall x. ((exists m. ((m in s) & (x in m))) <-> (x in t))",
               ({"s": s, "t": t} for t, s in steps if union_members(universe, s) != sets[t])),

@@ -25,9 +25,10 @@ of order, repeats an id or does not intern to a fresh set. So a file that
 loads dumps back byte for byte.
 
 Records take a fast path. An id spelling already met in a record that
-passed the spelling rules maps straight to its int, and a record in file
-form goes to :meth:`Universe.intern_record`, which appends a fresh set by
-the same rule as ``intern``. Only a record that fails either test goes
+passed the spelling rules maps straight to the id's bit, and a record in
+file form goes to :meth:`Universe.intern_record`, which sums the bits into
+the set's member mask and appends a fresh set by the same rule as
+``intern``. Only a record that fails either test goes
 through the full spelling rules and ``intern``, which pick its error, so
 messages and line numbers do not depend on the path.
 """
@@ -36,10 +37,20 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .core import Universe
+from .core import Universe, ids_of
 from .errors import UniverseFormatError, WorkbenchError
 
 MAGIC = "quineset-universe 1"
+
+
+def _byte_texts(base: int) -> list[str]:
+    """Entry ``b``: the ids ``base + i`` for the set bits ``i`` of ``b``, comma-separated."""
+    texts = [""]
+    for i in range(8):
+        # The bytes whose top bit is bit i: those below it, with base + i last.
+        name = str(base + i)
+        texts += [f"{t},{name}" if t else name for t in texts]
+    return texts
 
 
 def dumps_universe(universe: Universe) -> str:
@@ -48,10 +59,17 @@ def dumps_universe(universe: Universe) -> str:
         lines.append(f"depth {universe.build_depth}")
     if universe.max_sets is not None:
         lines.append(f"max-sets {universe.max_sets}")
-    sets = universe.member_sets
-    decimal = list(map(str, range(len(universe))))
-    for sid in range(len(universe.atom_names), len(universe)):
-        lines.append(",".join(map(decimal.__getitem__, sorted(sets[sid]))))
+    # A mask lists its ids in increasing order, which is the file's order.
+    # The record of a 16-bit mask joins the texts of its low and its high
+    # byte.
+    low, high = _byte_texts(0), _byte_texts(8)
+    for ms in universe.member_sets[len(universe.atom_names):]:
+        if ms >= 0x10000:
+            lines.append(",".join(map(str, ids_of(ms))))
+        elif ms & 0xFF and ms >> 8:
+            lines.append(low[ms & 0xFF] + "," + high[ms >> 8])
+        else:
+            lines.append(low[ms] if ms < 0x100 else high[ms >> 8])
     return "\n".join(lines) + "\n"
 
 
@@ -97,14 +115,15 @@ def loads_universe(text: str) -> Universe:
     except (WorkbenchError, ValueError) as exc:
         raise UniverseFormatError(f"line 2: bad atom list: {exc}") from exc
     universe.build_depth = depth
-    # Each id spelling met in a record that passed the spelling rules. A
-    # record made only of these passes them too, so it skips them.
+    # The member bit, 1 << id, of each spelling of an existing id met in a
+    # record that passed the spelling rules. A record made only of these
+    # passes them too, so it skips them.
     spelled: dict[str, int] = {}
     for lineno in range(row, len(lines)):
         line = lines[lineno]
         parts = line.split(",")
         try:
-            members = list(map(spelled.__getitem__, parts))
+            bits = list(map(spelled.__getitem__, parts))
         except KeyError:
             # int() also takes signs, spaces, underscores and leading zeros,
             # none of which dumps back the same; the text is ASCII, so
@@ -112,15 +131,20 @@ def loads_universe(text: str) -> Universe:
             if not all(part.isdigit() and (part[0] != "0" or part == "0") for part in parts):
                 raise UniverseFormatError(f"line {lineno + 1}: not a member-id list: {line!r}")
             members = list(map(int, parts))
-            spelled.update(zip(parts, members))
+            # A record naming an id that does not exist yet has no bits; it
+            # goes to intern, which names that id.
+            bits = []
+            if max(members) < len(universe):
+                bits = [1 << m for m in members]
+                spelled.update(zip(parts, bits))
         expected = len(universe)
         try:
             # A record in file form is appended at once when its set is fresh
             # and fits; any other record goes through intern.
-            sid = universe.intern_record(members)
+            sid = universe.intern_record(bits)
             in_form = sid is not None
             if not in_form:
-                sid = universe.intern(members)
+                sid = universe.intern(map(int, parts))
         except WorkbenchError as exc:
             raise UniverseFormatError(f"line {lineno + 1}: {exc}") from exc
         # A record that intern takes but intern_record does not is out of

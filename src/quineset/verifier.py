@@ -11,11 +11,13 @@ for one counterexample yields the bindings of each and lets
 
 Scans are reads with one signature, ``_check_*(universe)``,
 ``check_*(universe)`` or ``check_*(universe, a1, a2)``. Each decides its
-law over the ids below ``len(universe)`` by set algebra on ``member_sets``
+law over the ids below ``len(universe)`` by mask algebra on ``member_sets``
 and the columns the universe keeps (``individuals()``, ``transitivity()``),
-looking up rather than interning any set it must name. A set missing from
-the universe is named by a witness written over member sets instead, or,
-for a subset that separation must select, is itself the failure.
+looking up rather than interning any set it must name. A subset test is
+written ``a & b == a`` and a difference ``a ^ (a & b)``, so that no
+negative operand spans the universe. A set missing from the universe is
+named by a witness written over member sets instead, or, for a subset that
+separation must select, is itself the failure.
 subset-derivations calls ``specify`` only for a selection it has found
 among the scanned sets, so that call interns nothing either.
 """
@@ -28,7 +30,7 @@ from itertools import compress
 from typing import Callable, Iterable
 
 from .constructors import specify, union_members
-from .core import SetId, Universe, ensure_distinct_atoms
+from .core import SetId, Universe, ensure_distinct_atoms, ids_of
 from .formula import Formula, Member, Not, evaluate, format_formula, free_vars, parse
 
 
@@ -131,8 +133,11 @@ def witness_reproduces(universe: Universe, witness: Witness) -> bool:
     return value is False
 
 
-def _transitive_ids(universe: Universe, n: int) -> frozenset[SetId]:
-    return frozenset(compress(range(n), universe.transitivity()))
+def _transitive_mask(universe: Universe, n: int) -> int:
+    """The mask of the transitive ids below ``n``."""
+    column = universe.transitivity()[:n]
+    # One binary digit per id, the highest id first.
+    return int("0" + "".join(map("01".__getitem__, reversed(column))), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +249,7 @@ def _check_equality_substitution(universe: Universe) -> CheckResult:
     # the scan verifies the model side: no two ids share an extension.
     # ``seen`` maps each extension to the first id that has it.
     sets = universe.member_sets
-    seen: dict[frozenset[SetId], SetId] = {}
+    seen: dict[int, SetId] = {}
     return CheckResult.first(
         "equality-substitution", n, n,
         "(forall u. ((u in s) <-> (u in t))) -> (s = t)",
@@ -258,8 +263,8 @@ def _check_individuals(universe: Universe) -> CheckResult:
     return CheckResult.first(
         "individuals-axiom", n, n,
         "((s in s) & (u in s)) -> (u = s)",
-        ({"s": s, "u": next(u for u in sets[s] if u != s)}
-         for s in sorted(universe.individuals()) if len(sets[s]) > 1),
+        ({"s": s, "u": next(u for u in ids_of(sets[s]) if u != s)}
+         for s in ids_of(universe.individuals()) if sets[s] != 1 << s),
     )
 
 
@@ -276,18 +281,19 @@ def _check_regularity(universe: Universe) -> CheckResult:
     sets = universe.member_sets
     individuals = universe.individuals()
 
-    def has_no_minimal_member(s: SetId) -> bool:
+    def has_no_minimal_member(ms: int) -> bool:
         # A member v is minimal when it shares no non-individual with s.
-        non_individuals = sets[s] - individuals
-        return not any(sets[v].isdisjoint(non_individuals) for v in non_individuals)
+        non_individuals = ms ^ (ms & individuals)
+        return bool(non_individuals) and all(
+            sets[v] & non_individuals for v in ids_of(non_individuals)
+        )
 
     return CheckResult.first(
         "regularity", n, n,
         "(exists u. ((u in s) & (u notin u))) -> "
         "(exists v. ((v in s) & ((v notin v) & "
         "(forall u. (((u in v) & (u in s)) -> (u in u))))))",
-        ({"s": s} for s in range(n)
-         if not sets[s] <= individuals and has_no_minimal_member(s)),
+        ({"s": s} for s in range(n) if has_no_minimal_member(sets[s])),
     )
 
 
@@ -298,7 +304,7 @@ def check_russell(universe: Universe) -> CheckResult:
     """No set collects exactly the non-self-membered sets."""
     n = len(universe)
     sets = universe.member_sets
-    non_individuals = frozenset(range(n)) - universe.individuals()
+    non_individuals = ((1 << n) - 1) ^ universe.individuals()
     return CheckResult.first(
         "russell", n, n,
         "!(forall u. ((u in s) <-> (u notin u)))",
@@ -311,14 +317,11 @@ def check_russell_equivalence(universe: Universe) -> CheckResult:
     n = len(universe)
     sets = universe.member_sets
     individuals = universe.individuals()
-    non_individuals = frozenset(range(n)) - individuals
+    non_individuals = ((1 << n) - 1) ^ individuals
     # Some u has (u in s) <-> (u in u): an individual in s or a
     # non-individual outside it.
-    lhs = all(
-        not sets[s].isdisjoint(individuals) or not non_individuals <= sets[s]
-        for s in range(n)
-    )
-    rhs = not any(sets[s] == non_individuals for s in range(n))
+    lhs = all(ms & individuals or ms & non_individuals != non_individuals for ms in sets)
+    rhs = non_individuals not in sets
     if lhs != rhs:
         return CheckResult.failure("russell-equivalence", n, n, RUSSELL_EQUIVALENCE_FORMULA)
     return CheckResult("russell-equivalence", Status.HOLDS, n)
@@ -339,19 +342,21 @@ def check_subset_derivations(universe: Universe) -> CheckResult:
     name = "subset-derivations"
     n = len(universe)
     sets = universe.member_sets
+    every = (1 << n) - 1
     individuals = universe.individuals()
-    has_non_individual = len(individuals) < n
+    has_non_individual = individuals != every
     not_self = Not(Member("x", "x"))
     in_self = Member("x", "x")
 
-    def scanned(part: frozenset[SetId]) -> bool:
-        found = universe.lookup(part)
+    def scanned(part: int) -> bool:
+        found = universe.lookup_mask(part)
         return found is not None and found < n
 
     for s in range(n):
         mem = sets[s]
-        rest = mem - individuals
-        if rest and len(rest) < len(mem):
+        own = mem & individuals
+        rest = mem ^ own
+        if rest and own:
             if not scanned(rest):
                 return CheckResult.failure(
                     name, n, n,
@@ -359,28 +364,28 @@ def check_subset_derivations(universe: Universe) -> CheckResult:
                     s=s,
                 )
             v = specify(universe, s, not_self, "x").set_id
-            if not sets[v] <= mem:
+            if sets[v] & mem != sets[v]:
                 return CheckResult.failure(
                     name, n, n, "forall u. ((u in v) -> (u in s))", v=v, s=s
                 )
-            if v in sets[v]:
+            if sets[v] >> v & 1:
                 return CheckResult.failure(name, n, n, "v notin v", v=v)
-            if v in mem:
+            if mem >> v & 1:
                 return CheckResult.failure(name, n, n, "v notin s", v=v, s=s)
-            if not scanned(mem & individuals):
+            if not scanned(own):
                 return CheckResult.failure(
                     name, n, n,
                     "exists v. (forall u. ((u in v) <-> ((u in s) & (u in u))))",
                     s=s,
                 )
             w = specify(universe, s, in_self, "x").set_id
-            if w in sets[w] and w not in mem:
+            if sets[w] >> w & 1 and not mem >> w & 1:
                 return CheckResult.failure(
                     name, n, n,
                     "(w notin w) | ((w in w) & (w in s))",
                     w=w, s=s,
                 )
-        if has_non_individual and len(mem) >= n and mem.issuperset(range(n)):
+        if has_non_individual and mem & every == every:
             return CheckResult.failure(name, n, n, "exists u. (u notin s)", s=s)
     return CheckResult(name, Status.HOLDS, n)
 
@@ -393,12 +398,12 @@ def check_theorem1(universe: Universe) -> CheckResult:
     individuals = universe.individuals()
     qualifying = 0
     for s in compress(range(n), universe.transitivity()):
-        if sets[s] <= individuals:
+        ms = sets[s]
+        rest = ms ^ (ms & individuals)
+        if not rest:
             continue
         qualifying += 1
-        if not any(
-            v not in individuals and sets[v] <= individuals for v in sets[s]
-        ):
+        if not any(sets[v] & individuals == sets[v] for v in ids_of(rest)):
             return CheckResult.failure(
                 "theorem1", qualifying, n,
                 "(exists u. ((u in s) & (u notin u))) -> "
@@ -418,8 +423,8 @@ def check_pair_membership_claim(universe: Universe, a1: SetId, a2: SetId) -> Che
     ensure_distinct_atoms(universe, a1, a2)
     n = len(universe)
     sets = universe.member_sets
-    atoms = frozenset((a1, a2))
-    p = universe.lookup(atoms)
+    atoms = 1 << a1 | 1 << a2
+    p = universe.lookup_mask(atoms)
     if p is None:
         # A qualifying set is the pair or, members preceding their sets, has
         # it as its first non-individual member; so without the pair no set
@@ -428,16 +433,18 @@ def check_pair_membership_claim(universe: Universe, a1: SetId, a2: SetId) -> Che
     individuals = universe.individuals()
     qualifying = 0
     for s in compress(range(n), universe.transitivity()):
-        if sets[s] & individuals != atoms:
+        ms = sets[s]
+        if ms & individuals != atoms:
             continue
         qualifying += 1
-        for m in sets[s]:
-            if m not in individuals and sets[m] <= individuals and m != p:
+        # The members that are not individuals are all but the two atoms.
+        for m in ids_of(ms ^ atoms):
+            if sets[m] & individuals == sets[m] and m != p:
                 return CheckResult.failure(
                     "pair-membership", qualifying, n, "m = P", m=m, P=p
                 )
         # P is in the successor s | {s}.
-        if not (p in sets[s] or p == s):
+        if not (ms >> p & 1 or p == s):
             return CheckResult.failure(
                 "pair-membership", qualifying, n, "(P in s) | (P = s)", P=p, s=s
             )
@@ -452,21 +459,21 @@ def check_trichotomy(universe: Universe, a1: SetId, a2: SetId) -> CheckResult:
     ensure_distinct_atoms(universe, a1, a2)
     n = len(universe)
     sets = universe.member_sets
-    atoms = frozenset((a1, a2))
+    atoms = 1 << a1 | 1 << a2
     individuals = universe.individuals()
-    transitive = _transitive_ids(universe, n)
+    transitive = _transitive_mask(universe, n)
     qualifying = [
         i
-        for i in sorted(transitive)
-        if sets[i] <= transitive and sets[i] & individuals <= atoms
+        for i in compress(range(n), universe.transitivity())
+        if sets[i] & transitive == sets[i] and sets[i] & individuals | atoms == atoms
     ]
     pairs = 0
     for idx, s in enumerate(qualifying):
         for t in qualifying[idx:]:
             pairs += 1
-            if s in sets[s] or t in sets[t]:
+            if sets[s] >> s & 1 or sets[t] >> t & 1:
                 continue
-            if not (s in sets[t] or s == t or t in sets[s]):
+            if not (sets[t] >> s & 1 or s == t or sets[s] >> t & 1):
                 return CheckResult.failure(
                     "trichotomy", pairs, n,
                     "(s in t) | ((s = t) | (t in s))",
@@ -483,30 +490,30 @@ def check_union_lemma(universe: Universe) -> CheckResult:
     set, and the set is either its own union or the union's successor."""
     n = len(universe)
     sets = universe.member_sets
-    transitive = _transitive_ids(universe, n)
+    transitive = _transitive_mask(universe, n)
     individuals = universe.individuals()
     qualifying = 0
-    for s in sorted(transitive):
+    for s in compress(range(n), universe.transitivity()):
         mem = sets[s]
-        if s in mem or not mem <= transitive:
+        if mem >> s & 1 or mem & transitive != mem:
             continue
         qualifying += 1
         # With only self-membered members, U = s: transitivity gives U <= s
         # and self-membership s <= U.
-        if mem <= individuals:
+        if mem & individuals == mem:
             continue
         union = union_members(universe, s)
         if union == mem:
             # U = s, which qualified: transitive, with transitive members,
             # and not a member of itself.
             continue
-        u = universe.lookup(union)
+        u = universe.lookup_mask(union)
         # Members of the union are members of members of s, so below n.
         clauses = (
-            all(sets[x] <= union for x in union),
-            union <= transitive,
-            s not in union,
-            u is not None and mem == union | {u},
+            all(sets[x] & union == sets[x] for x in ids_of(union)),
+            union & transitive == union,
+            not union >> s & 1,
+            u is not None and mem == union | 1 << u,
         )
         for holds, (over_u, over_s) in zip(clauses, _UNION_CLAUSES):
             if not holds:
@@ -589,7 +596,7 @@ def check_dual_paths(
     if a1 is not None and a2 is not None:
         ensure_distinct_atoms(universe, a1, a2)
         pair_atoms = (a1, a2)
-        names = {"A": a1, "B": a2, "P": universe.lookup(frozenset(pair_atoms))}
+        names = {"A": a1, "B": a2, "P": universe.lookup_mask(1 << a1 | 1 << a2)}
     results = []
     for law in LAWS:
         if law.needs_pair and pair_atoms is None:

@@ -126,10 +126,11 @@ def reference_powerset(universe, s):
 def reference_eval(universe, f, env, domain=None):
     """Naive recursive evaluator; the production one must agree with this."""
     n = len(universe) if domain is None else domain
+    ext = [universe.member_set(i) for i in universe.ids()]
 
     def ev(node, scope):
         if isinstance(node, Member):
-            return scope[node.lhs] in universe.member_set(scope[node.rhs])
+            return scope[node.lhs] in ext[scope[node.rhs]]
         if isinstance(node, Equal):
             return scope[node.lhs] == scope[node.rhs]
         if isinstance(node, Not):
@@ -183,12 +184,13 @@ def inject_self_membered(universe, extra_member):
     """Install an illegal composite that contains itself, past every check.
 
     Writes the universe's tables directly, the way ``Universe`` appends a
-    set, since interning rightly refuses a set that contains itself.
+    set's member mask, since interning rightly refuses a set that contains
+    itself.
     """
     new_id = len(universe)
-    members = frozenset((extra_member, new_id))
-    universe.member_sets.append(members)
-    universe._index[members] = new_id
+    mask = 1 << extra_member | 1 << new_id
+    universe.member_sets.append(mask)
+    universe._index[mask] = new_id
     return new_id
 
 

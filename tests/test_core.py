@@ -1,7 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quineset import Universe, dumps_universe, loads_universe, union_all
+from quineset import (
+    BuildConfig,
+    Universe,
+    build,
+    dumps_universe,
+    ids_of,
+    loads_universe,
+    successor,
+    union_all,
+)
 from quineset.errors import (
     DuplicateAtomName,
     EmptyAtomName,
@@ -251,6 +260,10 @@ def test_one_member_store(universe):
         assert universe.lookup(universe.member_set(i)) == i
         assert universe.members(i) == tuple(sorted(universe.member_set(i)))
         assert universe.is_atom(i) == (i < len(universe.atoms))
+    _assert_round_trip(universe)
+
+
+def _assert_round_trip(universe):
     text = dumps_universe(universe)
     injected = any(
         i in universe.member_set(i) for i in universe.ids() if not universe.is_atom(i)
@@ -263,11 +276,55 @@ def test_one_member_store(universe):
         assert dumps_universe(loads_universe(text)) == text
 
 
+# --- member masks ------------------------------------------------------------------
+
+_masks = (
+    st.integers(0, 300).flatmap(lambda width: st.integers(0, (1 << width) - 1))
+    | st.sets(st.integers(0, 299)).map(lambda ids: sum(1 << i for i in ids))
+)
+
+
+@settings(max_examples=300)
+@given(_masks)
+def test_ids_of_lists_the_set_bits_in_order(mask):
+    assert ids_of(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_masks_past_16_bits_read_and_round_trip(data):
+    # Five atoms at depth 1 give 31 sets. Each set added here has a member
+    # past id 15, so its mask is wider than 16 bits.
+    universe, _ = build(BuildConfig(("a", "b", "c", "d", "e"), 1))
+    expected = {}
+    for _ in range(data.draw(st.integers(1, 12))):
+        n = len(universe)
+        high = data.draw(st.integers(16, n - 1))
+        kind = data.draw(st.sampled_from(["set", "set", "successor", "inject"]))
+        if kind == "set":
+            members = data.draw(st.sets(st.integers(0, n - 1), max_size=4)) | {high}
+            expected[universe.intern(members)] = frozenset(members)
+        elif kind == "successor":
+            members = universe.member_set(high) | {high}
+            expected[successor(universe, high)] = members
+        else:
+            expected[inject_self_membered(universe, high)] = frozenset((high, n))
+    assert max(universe.member_sets) >= 1 << 16
+    for sid, members in expected.items():
+        assert universe.member_set(sid) == members
+    for i in universe.ids():
+        by_bit = frozenset(x for x in universe.ids() if universe.is_member(x, i))
+        assert universe.member_set(i) == frozenset(universe.members(i)) == by_bit
+        assert universe.members(i) == tuple(sorted(by_bit))
+        assert universe.lookup(by_bit) == i
+    _assert_round_trip(universe)
+
+
 # --- memoised transitivity ------------------------------------------------------
 
 def _transitive_by_definition(u, s):
-    sets = u.member_sets
-    return all(sets[m] <= sets[s] for m in sets[s])
+    ext = u.member_set(s)
+    return all(u.member_set(m) <= ext for m in ext)
 
 
 def _assert_transitivity_matches(u):
@@ -310,18 +367,23 @@ def _individuals_by_definition(u):
     return {i for i in u.ids() if i in u.member_set(i)}
 
 
+def _assert_individuals_match(u):
+    # The mask's ids, in increasing order, are exactly the self-membered ids.
+    assert ids_of(u.individuals()) == tuple(sorted(_individuals_by_definition(u)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_universes(), st.data())
 def test_individuals_are_the_self_membered_ids(u, data):
-    assert u.individuals() == _individuals_by_definition(u)
+    _assert_individuals_match(u)
     n = len(u)
     for members in data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
                                       max_size=4)):
         u.intern(members)
-    assert u.individuals() == _individuals_by_definition(u)
+    _assert_individuals_match(u)
     injected = inject_self_membered(u, data.draw(st.integers(0, len(u) - 1)))
-    assert injected in u.individuals()
-    assert u.individuals() == _individuals_by_definition(u)
+    assert injected in ids_of(u.individuals())
+    _assert_individuals_match(u)
 
 
 def test_is_transitive_unknown_id():

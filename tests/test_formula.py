@@ -22,7 +22,7 @@ from quineset import (
 from quineset.errors import FormulaSyntaxError, UnboundVariable, WrongArity
 from quineset.formula import MAX_NESTING
 
-from support import reference_eval
+from support import reference_eval, small_universes
 
 names = st.sampled_from(["s", "t", "u", "v", "w"])
 leaves = st.builds(Member, names, names) | st.builds(Equal, names, names)
@@ -198,13 +198,13 @@ def test_shadowed_quantifier():
     assert evaluate(u, f) is True
 
 
-@settings(max_examples=60)
-@given(formulas, st.randoms())
-def test_compiled_matches_reference(f, rng):
-    u = Universe(["a", "b"])
-    u.intern([0, 1])
+@settings(max_examples=60, deadline=None)
+@given(small_universes(), formulas, st.randoms())
+def test_compiled_matches_reference(u, f, rng):
+    # Universes of up to a few dozen sets, self-membered composites included;
+    # both evaluators return a bool.
     env = {name: rng.randrange(len(u)) for name in free_vars(f)}
-    assert evaluate(u, f, env) == reference_eval(u, f, env)
+    assert evaluate(u, f, env) is reference_eval(u, f, env)
 
 
 @settings(max_examples=40)
