@@ -5,7 +5,9 @@ exactly when their member sets are equal. It stores each set once, as an
 int mask whose bit ``i`` is set when id ``i`` is a member, and that same
 mask keys the index from extensions to ids. A built universe grows stage
 by stage, each set's members taken from the stage before, so its masks are
-small ints. :func:`ids_of` lists a mask's ids in
+small ints. A mask is as wide as its set's highest member id, so a file of
+sets with late members, such as a long chain of nested singletons, holds
+bits with the square of its length. :func:`ids_of` lists a mask's ids in
 increasing order; :meth:`Universe.member_set` and :meth:`Universe.members`
 build a frozenset or a sorted tuple from it on demand. Atoms are the only
 self-membered objects: atom ``i`` is the mask ``1 << i``, its sole member is
@@ -13,12 +15,13 @@ itself, and the singleton of an atom, having the same mask, is the atom.
 There is no empty set.
 
 Interning is the only write, and it needs a single writer. After the
-atoms, every write goes through one append rule: a set already in the index keeps its id, and
-a new one is appended if the universe is under its cap. Three methods feed
-it: :meth:`Universe.intern` validates any member collection,
-:meth:`Universe.intern_subsets` interns every nonempty subset of an id list
-(the builder's stages and ``powerset``), and :meth:`Universe.intern_record`
-takes a record already in file form (the loader). Every other method here
+atoms, every write goes through one append rule: a set already in the
+index keeps its id, and a new one is appended if the universe is under its
+cap. Three methods feed it: :meth:`Universe.intern` validates any member
+collection, :meth:`Universe.intern_subsets` interns every nonempty subset
+of an id list (the builder's stages and ``powerset``), and
+:meth:`Universe.intern_record` takes a record's member mask and the number
+of ids it listed (the loader). Every other method here
 is a read, and so are the checks in :mod:`quineset.verifier` and
 :mod:`quineset.peano` on a universe made by the builder (or loaded from a
 file it wrote): they may run from any number of threads at once while
@@ -64,19 +67,12 @@ def ids_of(mask: int) -> tuple[SetId, ...]:
     """The ids whose bits are set in ``mask``, in increasing order."""
     if mask < 0x10000:
         return _LOW_BYTE[mask & 0xFF] + _HIGH_BYTE[mask >> 8]
+    # Wider masks: take the lowest set bit off at a time.
     ids: list[SetId] = []
-    if mask.bit_count() * 32 < mask.bit_length():
-        # Under one id in 32 (a successor chain's sets, say): take the
-        # lowest bit off at a time, not a Python step per byte.
-        while mask:
-            low = mask & -mask
-            ids.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(ids)
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    for base, byte in enumerate(data):
-        if byte:
-            ids += map((base * 8).__add__, _LOW_BYTE[byte])
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(ids)
 
 
@@ -227,25 +223,24 @@ class Universe:
             subsets += fresh
         return interned
 
-    def intern_record(self, bits: list[int]) -> SetId | None:
-        """Intern a record in file form, given as its members' bits, ``1 << id`` each.
+    def intern_record(self, mask: int, count: int) -> SetId | None:
+        """Intern a record of ``count`` member ids, given as their mask.
 
-        In file form the members are existing ids, each once, in increasing
-        order. The record's set is appended by the same rule as in
-        :meth:`intern`; the cap applies. Returns ``None``, interning
-        nothing, for a list in any other form: :meth:`intern` takes those,
-        and names the fault of any it rejects.
+        The record's set is appended by the same rule as in :meth:`intern`;
+        the cap applies. Returns ``None``, interning nothing, unless ``mask``
+        is an int with ``count`` bits set, each the bit of an existing id, so
+        the record named existing ids, each once: :meth:`intern` takes any
+        other record, and names the fault of any it rejects. A mask keeps no
+        order, so a record's order is the caller's to check.
         """
-        ms = sum(bits)
-        # Distinct bits sum without a carry, so the sum has one bit for each.
         if not (
-            bits
-            and ms.bit_count() == len(bits)
-            and ms.bit_length() <= len(self.member_sets)
-            and bits == sorted(bits)
+            isinstance(mask, int)
+            and mask > 0
+            and mask.bit_count() == count
+            and mask.bit_length() <= len(self.member_sets)
         ):
             return None
-        return self._add(ms)
+        return self._add(mask)
 
     def lookup(self, extension: AbstractSet[SetId]) -> SetId | None:
         """The id of the set whose members are exactly ``extension``, if interned.

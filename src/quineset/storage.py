@@ -26,9 +26,9 @@ loads dumps back byte for byte.
 
 Records take a fast path. An id spelling already met in a record that
 passed the spelling rules maps straight to the id's bit, and a record in
-file form goes to :meth:`Universe.intern_record`, which sums the bits into
-the set's member mask and appends a fresh set by the same rule as
-``intern``. Only a record that fails either test goes
+file form goes, as the sum of its bits (the set's member mask) and its
+length, to :meth:`Universe.intern_record`, which appends a fresh set by the
+same rule as ``intern``. Only a record that fails either test goes
 through the full spelling rules and ``intern``, which pick its error, so
 messages and line numbers do not depend on the path.
 """
@@ -140,8 +140,11 @@ def loads_universe(text: str) -> Universe:
         expected = len(universe)
         try:
             # A record in file form is appended at once when its set is fresh
-            # and fits; any other record goes through intern.
-            sid = universe.intern_record(bits)
+            # and fits; any other record goes through intern. The bits are
+            # in increasing order exactly when the ids are.
+            sid = None
+            if bits == sorted(bits):
+                sid = universe.intern_record(sum(bits), len(bits))
             in_form = sid is not None
             if not in_form:
                 sid = universe.intern(map(int, parts))

@@ -290,6 +290,38 @@ def test_ids_of_lists_the_set_bits_in_order(mask):
     assert ids_of(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def test_intern_record_takes_a_mask_and_the_count_of_listed_ids():
+    u = Universe(["u", "v"])
+    pair = u.intern_record(0b11, 2)
+    assert (pair, u.member_set(pair)) == (2, {0, 1})
+    assert u.intern_record(0b11, 2) == pair
+    assert u.member_set(u.intern_record(1 << pair, 1)) == {pair}
+    size = len(u)
+    # Lists (of ids, or a malformed one) are not masks. A count other than the
+    # mask's bits (an id listed twice), no bits, a negative mask and the bit of
+    # an id not yet interned give nothing too.
+    for mask, count in [([1, 2], 2), ([0, 0, 7], 3), (0b11, 3), (0, 0), (-3, 2), (1 << size, 1)]:
+        assert u.intern_record(mask, count) is None
+    assert len(u) == size
+
+
+def test_a_long_nested_singleton_file_keeps_masks_as_wide_as_their_ids():
+    # Each record after the first is the singleton of the set before it, so
+    # set i's mask is 1 << (i - 1): the masks of such a file hold bits with
+    # the square of its length (README, "Universe files").
+    n = 3000
+    text = "quineset-universe 1\natoms u,v\n0,1\n" + "".join(f"{i}\n" for i in range(2, n - 1))
+    u = loads_universe(text)
+    assert len(u) == n
+    assert all(u.member_sets[i] == 1 << (i - 1) for i in range(3, n))
+    # Bit lengths 1 and 2 for the atoms and 2 for {u, v}, then 3, 4, ..., n - 1.
+    assert sum(ms.bit_length() for ms in u.member_sets) == n * (n - 1) // 2 + 2
+    assert u.members(n - 1) == (n - 2,)
+    assert u.lookup({n - 2}) == n - 1
+    assert not u.is_transitive(n - 1)
+    assert dumps_universe(u) == text
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_masks_past_16_bits_read_and_round_trip(data):
