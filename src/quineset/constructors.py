@@ -86,13 +86,13 @@ def specify(universe: Universe, s: SetId, criterion: Formula, var: str) -> Speci
     whole universe only when no member qualifies. The selection is looked up
     and interned only when missing.
     """
-    fn = compile_criterion(criterion, var)
+    fn, width = compile_criterion(criterion, var)
     n = len(universe)
     sets = universe.member_sets
-    env: dict[str, SetId] = {}
+    env = [0] * width
     chosen = 0
     for m in universe.members(s):
-        env[var] = m
+        env[0] = m
         if fn(env, n, sets):
             chosen |= 1 << m
     if chosen == sets[s]:

@@ -56,6 +56,9 @@ SetId = int
 # names inside set literals. The reserved words are the formula keywords.
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 RESERVED_NAMES = frozenset({"forall", "exists", "in", "notin"})
+# Most levels a formula or a set literal may nest, which keeps their
+# recursive parsers, printers and the evaluator inside the interpreter's stack.
+MAX_NESTING = 100
 
 # The set bits of each byte value, as positions in the low and in the high
 # byte of a 16-bit mask.

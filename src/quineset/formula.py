@@ -12,13 +12,13 @@ Surface syntax, whitespace-insensitive, with precedence ! > & > | > -> > <->:
     atom    := "(" formula ")" | ident ("in" | "notin" | "=" | "!=") ident
 
 ``x notin y`` is sugar for ``!(x in y)`` and ``x != y`` for ``!(x = y)``;
-both survive printing. A formula nests at most :data:`MAX_NESTING` levels:
-no path from its root down to an atomic formula passes more subformulas,
-the atomic one included, and no point of its text lies inside more
-parentheses. Deeper input is a syntax error, which keeps the recursive
-parser, printer and evaluator inside the interpreter's stack. The printer
-puts one pair of parentheses around each subformula, so the printed form of
-any formula that parses parses again.
+both survive printing. A formula nests at most
+:data:`~quineset.core.MAX_NESTING` levels: no path from its root down to an
+atomic formula passes more subformulas, the atomic one included, and no
+point of its text lies inside more parentheses. Deeper input is a syntax
+error, which keeps the recursive parser, printer and evaluator inside the
+interpreter's stack. The printer puts one pair of parentheses around each
+subformula, so the printed form of any formula that parses parses again.
 
 A quantifier binds exactly the unary that follows the dot, so in
 ``forall u. (u in u) & (u in s)`` the second ``u`` is free.
@@ -26,6 +26,15 @@ A quantifier binds exactly the unary that follows the dot, so in
 Semantics are classical and two-valued. Quantifiers range over every set id
 of a universe (or over an explicitly pinned domain size). Formulas and
 environments are immutable values; evaluation is pure.
+
+The evaluator compiles a formula to nested closures over one list of set
+ids. Each variable is resolved to an index of that list, its slot, at
+compile time: the free variables take the first slots, and each quantifier
+the next slot that no enclosing quantifier or free variable holds, so
+sibling quantifiers share one. A quantifier is a loop that assigns its own
+slot, and a variable it shadows lives on in another slot, so no binding is
+saved or restored. :func:`classify` is two such evaluations, of the
+criterion's ``exists`` and its ``forall``.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Mapping
 
-from .core import NAME_RE, RESERVED_NAMES, SetId, Universe
+from .core import MAX_NESTING, NAME_RE, RESERVED_NAMES, SetId, Universe
 from .errors import FormulaSyntaxError, UnboundVariable, WrongArity
 
 
@@ -99,9 +108,6 @@ class Exists(Formula):
 
 
 Env = Mapping[str, SetId]
-
-# Most levels a formula may nest; see the module docstring.
-MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(rf"<->|->|!=|{NAME_RE.pattern}|[()!&|=.]")
 
@@ -287,73 +293,65 @@ def free_vars(f: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-_MISSING = object()
-
-_CompiledFn = Callable[[dict, int, list], bool]
+_CompiledFn = Callable[[list, int, list], bool]
 
 
-def _compile(f: Formula) -> _CompiledFn:
+def _quantifier_depth(f: Formula) -> int:
+    """Most quantifiers on one path down ``f``: the slots its quantifiers need."""
+    if isinstance(f, (Member, Equal)):
+        return 0
+    if isinstance(f, Not):
+        return _quantifier_depth(f.body)
+    if isinstance(f, (Forall, Exists)):
+        return 1 + _quantifier_depth(f.body)
+    return max(_quantifier_depth(f.lhs), _quantifier_depth(f.rhs))
+
+
+def _compile(f: Formula, slots: dict[str, int], top: int) -> _CompiledFn:
     # Compiles the AST to nested closures taking (env, domain, member_sets);
     # keeps exhaustive quantifier scans cheap enough for desk-scale checks.
+    # ``slots`` maps each variable in scope to its index in the list env. A
+    # quantifier takes slot ``top``, which no variable in its scope reads,
+    # and its body compiles with ``top + 1``.
     # A membership test gives the member's bit, 0 or 1, and a connective may
     # pass it on; so every result is 0, 1, False or True, and two compare
     # equal exactly when they have the same truth.
     kind = type(f)
     if kind is Member:
-        l, r = f.lhs, f.rhs
+        l, r = slots[f.lhs], slots[f.rhs]
         return lambda env, n, sets: sets[env[r]] >> env[l] & 1
     if kind is Equal:
-        l, r = f.lhs, f.rhs
+        l, r = slots[f.lhs], slots[f.rhs]
         return lambda env, n, sets: env[l] == env[r]
     if kind is Not:
-        body = _compile(f.body)
+        body = _compile(f.body, slots, top)
         return lambda env, n, sets: not body(env, n, sets)
-    if kind is And:
-        a, b = _compile(f.lhs), _compile(f.rhs)
-        return lambda env, n, sets: a(env, n, sets) and b(env, n, sets)
-    if kind is Or:
-        a, b = _compile(f.lhs), _compile(f.rhs)
-        return lambda env, n, sets: a(env, n, sets) or b(env, n, sets)
-    if kind is Implies:
-        a, b = _compile(f.lhs), _compile(f.rhs)
-        return lambda env, n, sets: (not a(env, n, sets)) or b(env, n, sets)
-    if kind is Iff:
-        a, b = _compile(f.lhs), _compile(f.rhs)
-        return lambda env, n, sets: a(env, n, sets) == b(env, n, sets)
     if kind is Forall or kind is Exists:
-        body = _compile(f.body)
-        var = f.var
+        body = _compile(f.body, {**slots, f.var: top}, top + 1)
 
         # One loop per quantifier, so that neither compares each result.
-        def forall(env: dict, n: int, sets: list) -> bool:
-            prev = env.get(var, _MISSING)
-            result = True
-            for i in range(n):
-                env[var] = i
+        def forall(env: list, n: int, sets: list) -> bool:
+            for env[top] in range(n):
                 if not body(env, n, sets):
-                    result = False
-                    break
-            if prev is _MISSING:
-                del env[var]
-            else:
-                env[var] = prev
-            return result
+                    return False
+            return True
 
-        def exists(env: dict, n: int, sets: list) -> bool:
-            prev = env.get(var, _MISSING)
-            result = False
-            for i in range(n):
-                env[var] = i
+        def exists(env: list, n: int, sets: list) -> bool:
+            for env[top] in range(n):
                 if body(env, n, sets):
-                    result = True
-                    break
-            if prev is _MISSING:
-                del env[var]
-            else:
-                env[var] = prev
-            return result
+                    return True
+            return False
 
         return forall if kind is Forall else exists
+    a, b = _compile(f.lhs, slots, top), _compile(f.rhs, slots, top)
+    if kind is And:
+        return lambda env, n, sets: a(env, n, sets) and b(env, n, sets)
+    if kind is Or:
+        return lambda env, n, sets: a(env, n, sets) or b(env, n, sets)
+    if kind is Implies:
+        return lambda env, n, sets: (not a(env, n, sets)) or b(env, n, sets)
+    if kind is Iff:
+        return lambda env, n, sets: a(env, n, sets) == b(env, n, sets)
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -371,31 +369,37 @@ def evaluate(
     the current universe size; pinning it keeps a quantifier range fixed
     while other code grows the universe.
     """
-    bindings = dict(env) if env else {}
-    missing = free_vars(f) - bindings.keys()
+    bindings = env or {}
+    names = sorted(free_vars(f))
+    missing = [name for name in names if name not in bindings]
     if missing:
-        raise UnboundVariable(sorted(missing)[0])
+        raise UnboundVariable(missing[0])
     for sid in bindings.values():
         universe.members(sid)
     n = len(universe) if domain_size is None else domain_size
-    return bool(_compile(f)(bindings, n, universe.member_sets))
+    fn = _compile(f, {name: i for i, name in enumerate(names)}, len(names))
+    slots = [bindings[name] for name in names] + [0] * _quantifier_depth(f)
+    return bool(fn(slots, n, universe.member_sets))
 
 
 @lru_cache(maxsize=256)
-def compile_criterion(f: Formula, var: str) -> _CompiledFn:
+def compile_criterion(f: Formula, var: str) -> tuple[_CompiledFn, int]:
     """Check that ``var`` is the only free variable of ``f`` and compile it.
 
-    The predicate takes ``(env, domain_size, member_sets)`` with ``env``
-    binding ``var`` and returns a value to test for truth (a membership
-    bit may come back as 0 or 1). One compiled criterion serves any number
-    of sets, where :func:`evaluate` re-checks and recompiles on every call.
-    Formulas are immutable and the predicate keeps no state, so results are
-    memoised on ``(f, var)``.
+    Returns the predicate and the length of the list it reads. The
+    predicate takes ``(env, domain_size, member_sets)``, where ``env`` is a
+    list of that length holding the set id bound to ``var`` at index 0; its
+    other entries are the quantifiers' scratch slots, so one list serves
+    any number of calls from one thread. It returns a value to test for
+    truth (a membership bit may come back as 0 or 1). One compiled
+    criterion serves any number of sets, where :func:`evaluate` re-checks
+    and recompiles on every call. Formulas are immutable and the predicate
+    keeps no state, so results are memoised on ``(f, var)``.
     """
     fv = free_vars(f)
     if fv != {var}:
         raise WrongArity(f"criterion must have exactly the free variable {var!r}, got {sorted(fv)}")
-    return _compile(f)
+    return _compile(f, {var: 0}, 1), 1 + _quantifier_depth(f)
 
 
 class Classification(Enum):
@@ -411,17 +415,9 @@ def classify(universe: Universe, f: Formula, var: str) -> Classification:
     every set, ``CONTINGENT`` anything in between. The criterion's free
     variables must be exactly ``{var}``.
     """
-    fn = compile_criterion(f, var)
-    n = len(universe)
-    sets = universe.member_sets
-    env: dict[str, SetId] = {}
-    seen_true = seen_false = False
-    for i in range(n):
-        env[var] = i
-        if fn(env, n, sets):
-            seen_true = True
-        else:
-            seen_false = True
-        if seen_true and seen_false:
-            return Classification.CONTINGENT
-    return Classification.TAUTOLOGICAL if seen_true else Classification.CONTRADICTORY
+    compile_criterion(f, var)  # raises WrongArity unless var is f's only free variable
+    if not evaluate(universe, Exists(var, f)):
+        return Classification.CONTRADICTORY
+    if evaluate(universe, Forall(var, f)):
+        return Classification.TAUTOLOGICAL
+    return Classification.CONTINGENT

@@ -3,18 +3,15 @@
 A literal is an atom name or a brace-wrapped, comma-separated list of
 literals. Parsing interns missing composites on the fly; a singleton of an
 atom collapses onto the atom, and empty braces are an error because there is
-no empty set. Braces nest at most :data:`MAX_NESTING` deep, which keeps the
-recursive parser inside the interpreter's stack; deeper input is a syntax
-error. Printing any id and re-parsing it yields the same id.
+no empty set. Braces nest at most :data:`~quineset.core.MAX_NESTING` deep,
+which keeps the recursive parser inside the interpreter's stack; deeper
+input is a syntax error. Printing any id and re-parsing it yields the same id.
 """
 
 from __future__ import annotations
 
-from .core import NAME_RE, SetId, Universe
+from .core import MAX_NESTING, NAME_RE, SetId, Universe
 from .errors import LiteralSyntaxError
-
-# Most braces a literal may nest.
-MAX_NESTING = 100
 
 
 class _LiteralParser:

@@ -29,8 +29,10 @@ passed the spelling rules maps straight to the id's bit, and a record in
 file form goes, as the sum of its bits (the set's member mask) and its
 length, to :meth:`Universe.intern_record`, which appends a fresh set by the
 same rule as ``intern``. Only a record that fails either test goes
-through the full spelling rules and ``intern``, which pick its error, so
-messages and line numbers do not depend on the path.
+through the full spelling rules, the unknown-id check and ``intern``, which
+pick its error, so messages and line numbers do not depend on the path.
+The unknown-id check compares spellings with the universe's size as text,
+so an id too long for ``int()`` is reported like any other.
 """
 
 from __future__ import annotations
@@ -130,13 +132,19 @@ def loads_universe(text: str) -> Universe:
             # isdigit means 0-9.
             if not all(part.isdigit() and (part[0] != "0" or part == "0") for part in parts):
                 raise UniverseFormatError(f"line {lineno + 1}: not a member-id list: {line!r}")
-            members = list(map(int, parts))
-            # A record naming an id that does not exist yet has no bits; it
-            # goes to intern, which names that id.
-            bits = []
-            if max(members) < len(universe):
-                bits = [1 << m for m in members]
-                spelled.update(zip(parts, bits))
+            # A plain decimal names an existing id exactly when it sorts,
+            # by length and then by text, below the universe's size, so an
+            # unknown id is named, the least first as intern would, without
+            # an int() of a spelling that may pass int()'s 4300-digit limit.
+            size = str(len(universe))
+            unknown = [part for part in parts if (len(part), part) >= (len(size), size)]
+            if unknown:
+                least = min(unknown, key=lambda part: (len(part), part))
+                raise UniverseFormatError(
+                    f"line {lineno + 1}: {least} is not a set id of this universe"
+                )
+            bits = [1 << int(part) for part in parts]
+            spelled.update(zip(parts, bits))
         expected = len(universe)
         try:
             # A record in file form is appended at once when its set is fresh

@@ -1,8 +1,10 @@
 import argparse
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quineset import (
@@ -14,8 +16,8 @@ from quineset import (
     parse_set_literal,
 )
 from quineset.cli import build_arg_parser, main
+from quineset.core import MAX_NESTING
 from quineset.errors import LiteralSyntaxError, UniverseFormatError
-from quineset.literals import MAX_NESTING
 from quineset.verifier import SUITES
 
 from support import small_universes
@@ -379,6 +381,18 @@ LOADER_ERRORS = {
     "unknown-id-first-record": (
         "atoms u,v\n2\n",
         "line 3: 2 is not a set id of this universe"),
+    "unknown-ids-least-first": (
+        "atoms u,v\n0,10,9\n",
+        "line 3: 9 is not a set id of this universe"),
+    "unknown-id-of-4300-digits": (
+        "atoms u,v\n0," + "9" * 4300 + "\n",
+        "line 3: " + "9" * 4300 + " is not a set id of this universe"),
+    "unknown-id-past-int-limit": (
+        "atoms u,v\n" + "9" * 5000 + "\n",
+        "line 3: " + "9" * 5000 + " is not a set id of this universe"),
+    "unknown-ids-past-int-limit-least-first": (
+        "atoms u,v\n0,1\n0," + "9" * 5000 + ",3\n",
+        "line 4: 3 is not a set id of this universe"),
     "duplicate-at-cap": (
         "atoms u,v\nmax-sets 3\n0,1\n0,1\n",
         "line 5: record does not intern to a fresh set"),
@@ -501,3 +515,93 @@ def test_set_literal_collapse_and_errors(default_universe):
         parse_set_literal(default_universe, "{u,v")
     with pytest.raises(LiteralSyntaxError):
         parse_set_literal(default_universe, "u}v")
+
+
+# --- the command line boundary under fuzzed input -----------------------------
+
+EXIT_CODES = {0, 1, 2, 64, 65, 74}
+UV2 = dumps_universe(build(BuildConfig(("u", "v"), depth=2))[0])
+HUGE_ID = "9" * 5000  # past int()'s 4300-digit limit for decimal text
+
+# Text spliced into a dump: digits, separators, spellings the loader
+# rejects, header keywords, and an id too long for int().
+FILE_PIECES = ["", "0", "1", "7", "9", "10", ",", "\n", " ", "-", "+", "_", "u", "w",
+               "atoms ", "depth ", "max-sets ", "\r", "\u0661", HUGE_ID]
+FILE_COMMANDS = [
+    ["check", "all"],
+    ["check", "axioms", "--format", "json"],
+    ["check", "trichotomy", "--pair", "u,v"],
+    ["eval", "exists x. (x notin x)"],
+    ["peano", "--base", "u,v", "--length", "3"],
+]
+FORMULA_TOKENS = ["forall", "exists", "x", "y", "u", "in", "notin", "=", "!=",
+                  "(", ")", "!", "&", "|", "->", "<->", ".", " ", "-", "{"]
+BINDINGS = ["x=u", "x=v", "y={u,v}", "x={u,{u,v}}", "y={{u}}", "x={}", "x=w",
+            "x", "=u", "y={u", "x=u,v", "u=v"]
+
+
+def _exit_code(argv) -> tuple[int, str]:
+    """Run the command line in-process; its exit code and standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in EXIT_CODES, (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "uv2.hfu").write_text(UV2)
+    return path
+
+
+@st.composite
+def mutated_files(draw):
+    text = UV2
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        text = text[:at] + draw(st.sampled_from(FILE_PIECES)) + text[at + cut:]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@example(text="quineset-universe 1\natoms u,v\n0," + HUGE_ID + "\n", command=["check", "all"])
+@example(text="quineset-universe 1\natoms u,v\n" + HUGE_ID + "\n", command=["check", "all"])
+@given(text=mutated_files(), command=st.sampled_from(FILE_COMMANDS))
+def test_mutated_universe_files_exit_with_a_documented_code(fuzz_dir, text, command):
+    path = fuzz_dir / "mutated.hfu"
+    path.write_bytes(text.encode("utf-8"))
+    code, err = _exit_code([command[0], str(path), *command[1:]])
+    # A file that does not load is a bad file, whatever the command.
+    try:
+        loads_universe(text)
+    except UniverseFormatError:
+        assert code == 65, err
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    formula=st.lists(st.sampled_from(FORMULA_TOKENS), max_size=14).map(" ".join) | st.text(max_size=20),
+    bindings=st.lists(st.sampled_from(BINDINGS), max_size=3),
+)
+def test_formula_texts_exit_with_a_documented_code(fuzz_dir, formula, bindings):
+    argv = ["eval", str(fuzz_dir / "uv2.hfu"), formula]
+    for binding in bindings:
+        argv += ["--bind", binding]
+    _exit_code(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    base=st.sampled_from(["u,v", "v,u", "u,u", "u", "u,w", "", "u,v,u", ",", "U,V"]) | st.text(max_size=6),
+    length=st.integers(-3, 10).map(str) | st.sampled_from(["", "x", "3.5", "0x3", " 2", "+4", HUGE_ID]),
+    fmt=st.sampled_from([[], ["--format", "json"], ["--format", "xml"]]),
+)
+def test_peano_arguments_exit_with_a_documented_code(fuzz_dir, base, length, fmt):
+    _exit_code(["peano", str(fuzz_dir / "uv2.hfu"), "--base", base, "--length", length, *fmt])

@@ -1,3 +1,5 @@
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,8 +21,8 @@ from quineset import (
     free_vars,
     parse,
 )
+from quineset.core import MAX_NESTING
 from quineset.errors import FormulaSyntaxError, UnboundVariable, WrongArity
-from quineset.formula import MAX_NESTING
 
 from support import reference_eval, small_universes
 
@@ -196,6 +198,42 @@ def test_shadowed_quantifier():
     u = Universe(["a", "b"])
     f = parse("forall x. (exists x. (x in x))")
     assert evaluate(u, f) is True
+
+
+def test_free_variable_read_after_a_quantifier_rebinds_it():
+    # "forall x." stops at the composite {a,b}; the free x after it must
+    # still be the bound atom, not the quantifier's last value.
+    u = Universe(["a", "b"])
+    u.intern([0, 1])
+    f = parse("(forall x. (x in x)) | (x notin x)")
+    assert evaluate(u, f, {"x": 0}) is False
+    assert evaluate(u, f, {"x": 2}) is True
+
+
+def test_three_nested_shadowings_of_one_name():
+    # A free x and three quantifiers over x, each read after the one it
+    # encloses: the innermost stops at the composite {a,b}, which no other
+    # x may then be, since "x in x" holds only of atoms.
+    u = Universe(["a", "b"])
+    u.intern([0, 1])
+    f = parse(
+        "(exists x. ((exists x. ((exists x. (x notin x)) & (x in x))) & (x in x)))"
+        " & (x in x)"
+    )
+    for x, truth in [(0, True), (1, True), (2, False)]:
+        assert evaluate(u, f, {"x": x}) is truth
+        assert reference_eval(u, f, {"x": x}) is truth
+
+
+def test_evaluate_leaves_the_callers_env_unchanged():
+    u = Universe(["a", "b"])
+    u.intern([0, 1])
+    env = {"x": 0, "y": 2}
+    f = parse("(exists x. (exists y. (x in y))) & (x in y)")
+    assert evaluate(u, f, env) is True
+    assert env == {"x": 0, "y": 2}
+    # A read-only mapping serves, so nothing is written to it.
+    assert evaluate(u, f, MappingProxyType(env)) is True
 
 
 @settings(max_examples=60, deadline=None)
