@@ -20,15 +20,14 @@ index keeps its id, and a new one is appended if the universe is under its
 cap. Three methods feed it: :meth:`Universe.intern` validates any member
 collection, :meth:`Universe.intern_subsets` interns every nonempty subset
 of an id list (the builder's stages and ``powerset``), and
-:meth:`Universe.intern_record` takes a record's member mask and the number
-of ids it listed (the loader). Every other method here
-is a read, and so are the checks in :mod:`quineset.verifier` and
-:mod:`quineset.peano` on a universe made by the builder (or loaded from a
-file it wrote): they may run from any number of threads at once while
-nothing interns. The two columns the checks share,
-:meth:`Universe.transitivity` and :meth:`Universe.individuals`, are kept
-per universe size and each published by one assignment, so a concurrent
-reader sees a whole column or computes its own.
+:meth:`Universe.intern_record` takes a set's member mask (the loader).
+Every other method here is a read, and so are the checks in
+:mod:`quineset.verifier` and :mod:`quineset.peano` on a universe made by
+the builder (or loaded from a file it wrote): they may run from any number
+of threads at once while nothing interns. The two columns the checks
+share, :meth:`Universe.transitivity` and :meth:`Universe.individuals`, are
+kept per universe size and each published by one assignment, so a
+concurrent reader sees a whole column or computes its own.
 """
 
 from __future__ import annotations
@@ -226,23 +225,18 @@ class Universe:
             subsets += fresh
         return interned
 
-    def intern_record(self, mask: int, count: int) -> SetId | None:
-        """Intern a record of ``count`` member ids, given as their mask.
+    def intern_record(self, mask: int) -> SetId:
+        """Intern the set whose member mask is ``mask``, by the same rule as :meth:`intern`.
 
-        The record's set is appended by the same rule as in :meth:`intern`;
-        the cap applies. Returns ``None``, interning nothing, unless ``mask``
-        is an int with ``count`` bits set, each the bit of an existing id, so
-        the record named existing ids, each once: :meth:`intern` takes any
-        other record, and names the fault of any it rejects. A mask keeps no
-        order, so a record's order is the caller's to check.
+        The cap applies. Raises, interning nothing, unless ``mask`` is a
+        positive int whose bits are all ids of this universe. A mask keeps
+        neither the order nor the repeats of the ids it was made from, so
+        checking those is the caller's part.
         """
-        if not (
-            isinstance(mask, int)
-            and mask > 0
-            and mask.bit_count() == count
-            and mask.bit_length() <= len(self.member_sets)
-        ):
-            return None
+        if not isinstance(mask, int) or mask < 0 or mask.bit_length() > len(self.member_sets):
+            raise UnknownId(f"{mask!r} is not a member mask of this universe")
+        if not mask:
+            raise EmptySetForbidden("a set needs at least one member")
         return self._add(mask)
 
     def lookup(self, extension: AbstractSet[SetId]) -> SetId | None:
@@ -329,10 +323,7 @@ class Universe:
     def is_transitive(self, s: SetId) -> bool:
         """True when every member of ``s`` is also a subset of ``s``."""
         self._check_id(s)
-        column = self._transitive
-        if s >= len(column):
-            column = self.transitivity()
-        return column[s]
+        return self.transitivity()[s]
 
     def cardinality(self, s: SetId) -> int:
         self._check_id(s)

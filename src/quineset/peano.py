@@ -97,7 +97,7 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
               "forall x. ((exists m. ((m in s) & (x in m))) <-> (x in t))",
               ({"s": s, "t": t} for t, s in steps if union_members(universe, s) != sets[t])),
     ]
-    return Report.of(universe, results, n)
+    return Report.of(universe, results)
 
 
 def check_sequences_distinct(

@@ -24,19 +24,21 @@ format error, naming the line, any other spelling and a record that is out
 of order, repeats an id or does not intern to a fresh set. So a file that
 loads dumps back byte for byte.
 
-Records take a fast path. An id spelling already met in a record that
-passed the spelling rules maps straight to the id's bit, and a record in
-file form goes, as the sum of its bits (the set's member mask) and its
-length, to :meth:`Universe.intern_record`, which appends a fresh set by the
-same rule as ``intern``. Only a record that fails either test goes
-through the full spelling rules, the unknown-id check and ``intern``, which
-pick its error, so messages and line numbers do not depend on the path.
-The unknown-id check compares spellings with the universe's size as text,
-so an id too long for ``int()`` is reported like any other.
+One function, :func:`_record_line`, spells the record of a member mask; the
+dumper writes it and the loader holds each record to it. Once a record's
+ids have passed the spelling rules and the unknown-id check, the record
+equals the spelling of its mask (the OR of its ids' bits) exactly when
+its ids are strictly increasing. Each record is interned by one call to
+:meth:`Universe.intern_record` with that mask, before the order is judged,
+so a record past the cap reports the cap. The unknown-id check compares
+spellings with the universe's size as text, so an id too long for
+``int()`` is reported like any other.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 from .core import Universe, ids_of
@@ -45,14 +47,18 @@ from .errors import UniverseFormatError, WorkbenchError
 MAGIC = "quineset-universe 1"
 
 
-def _byte_texts(base: int) -> list[str]:
-    """Entry ``b``: the ids ``base + i`` for the set bits ``i`` of ``b``, comma-separated."""
-    texts = [""]
-    for i in range(8):
-        # The bytes whose top bit is bit i: those below it, with base + i last.
-        name = str(base + i)
-        texts += [f"{t},{name}" if t else name for t in texts]
-    return texts
+# The ids of the set bits of each byte value, comma-separated, as the low
+# and as the high byte of a 16-bit mask.
+_LOW_TEXT = tuple(",".join(map(str, ids_of(b))) for b in range(256))
+_HIGH_TEXT = tuple(",".join(map(str, ids_of(b << 8))) for b in range(256))
+
+
+def _record_line(mask: int) -> str:
+    """The record of a member mask: its ids in increasing order, comma-separated."""
+    if mask >= 0x10000:
+        return ",".join(map(str, ids_of(mask)))
+    low, high = _LOW_TEXT[mask & 0xFF], _HIGH_TEXT[mask >> 8]
+    return f"{low},{high}" if low and high else low or high
 
 
 def dumps_universe(universe: Universe) -> str:
@@ -61,17 +67,7 @@ def dumps_universe(universe: Universe) -> str:
         lines.append(f"depth {universe.build_depth}")
     if universe.max_sets is not None:
         lines.append(f"max-sets {universe.max_sets}")
-    # A mask lists its ids in increasing order, which is the file's order.
-    # The record of a 16-bit mask joins the texts of its low and its high
-    # byte.
-    low, high = _byte_texts(0), _byte_texts(8)
-    for ms in universe.member_sets[len(universe.atom_names):]:
-        if ms >= 0x10000:
-            lines.append(",".join(map(str, ids_of(ms))))
-        elif ms & 0xFF and ms >> 8:
-            lines.append(low[ms & 0xFF] + "," + high[ms >> 8])
-        else:
-            lines.append(low[ms] if ms < 0x100 else high[ms >> 8])
+    lines += map(_record_line, universe.member_sets[len(universe.atom_names):])
     return "\n".join(lines) + "\n"
 
 
@@ -125,7 +121,7 @@ def loads_universe(text: str) -> Universe:
         line = lines[lineno]
         parts = line.split(",")
         try:
-            bits = list(map(spelled.__getitem__, parts))
+            mask = reduce(or_, map(spelled.__getitem__, parts))
         except KeyError:
             # int() also takes signs, spaces, underscores and leading zeros,
             # none of which dumps back the same; the text is ASCII, so
@@ -145,22 +141,13 @@ def loads_universe(text: str) -> Universe:
                 )
             bits = [1 << int(part) for part in parts]
             spelled.update(zip(parts, bits))
+            mask = reduce(or_, bits)
         expected = len(universe)
         try:
-            # A record in file form is appended at once when its set is fresh
-            # and fits; any other record goes through intern. The bits are
-            # in increasing order exactly when the ids are.
-            sid = None
-            if bits == sorted(bits):
-                sid = universe.intern_record(sum(bits), len(bits))
-            in_form = sid is not None
-            if not in_form:
-                sid = universe.intern(map(int, parts))
+            sid = universe.intern_record(mask)
         except WorkbenchError as exc:
             raise UniverseFormatError(f"line {lineno + 1}: {exc}") from exc
-        # A record that intern takes but intern_record does not is out of
-        # order or repeats an id, so it would not dump back to the same line.
-        if not in_form:
+        if _record_line(mask) != line:
             raise UniverseFormatError(
                 f"line {lineno + 1}: member ids are not strictly increasing: {line!r}"
             )

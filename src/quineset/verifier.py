@@ -92,9 +92,9 @@ class Report:
     results: tuple[CheckResult, ...]
 
     @classmethod
-    def of(cls, universe: Universe, results, size: int) -> Report:
-        """The report of ``results`` over the first ``size`` sets of ``universe``."""
-        return cls(universe.atom_names, size, universe.build_depth, tuple(results))
+    def of(cls, universe: Universe, results) -> Report:
+        """The report of ``results`` over every set of ``universe``."""
+        return cls(universe.atom_names, len(universe), universe.build_depth, tuple(results))
 
     @property
     def passed(self) -> bool:
@@ -616,7 +616,7 @@ def check_dual_paths(
             text = format_formula(law.oracle)
             reproducer = f"(!{text})" if formula_true else text
             results.append(CheckResult.failure(name, n, n, reproducer, **env))
-    return Report.of(universe, results, n)
+    return Report.of(universe, results)
 
 
 def run_suite(
@@ -638,4 +638,4 @@ def run_suite(
         for law in LAWS
         if suite in (law.suite, "all") and (pair_atoms is not None or not law.needs_pair)
     ]
-    return Report.of(universe, results, len(universe))
+    return Report.of(universe, results)

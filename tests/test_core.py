@@ -19,6 +19,7 @@ from quineset.errors import (
     UnknownAtom,
     UnknownId,
     UniverseFormatError,
+    WorkbenchError,
 )
 
 from support import inject_self_membered, model_members, rep_of, small_universes
@@ -290,18 +291,18 @@ def test_ids_of_lists_the_set_bits_in_order(mask):
     assert ids_of(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def test_intern_record_takes_a_mask_and_the_count_of_listed_ids():
+def test_intern_record_takes_a_member_mask():
     u = Universe(["u", "v"])
-    pair = u.intern_record(0b11, 2)
+    pair = u.intern_record(0b11)
     assert (pair, u.member_set(pair)) == (2, {0, 1})
-    assert u.intern_record(0b11, 2) == pair
-    assert u.member_set(u.intern_record(1 << pair, 1)) == {pair}
+    assert u.intern_record(0b11) == pair
+    assert u.member_set(u.intern_record(1 << pair)) == {pair}
     size = len(u)
-    # Lists (of ids, or a malformed one) are not masks. A count other than the
-    # mask's bits (an id listed twice), no bits, a negative mask and the bit of
-    # an id not yet interned give nothing too.
-    for mask, count in [([1, 2], 2), ([0, 0, 7], 3), (0b11, 3), (0, 0), (-3, 2), (1 << size, 1)]:
-        assert u.intern_record(mask, count) is None
+    # No bits, a negative int, a list of ids and the bit of an id not yet
+    # interned are not member masks of this universe.
+    for mask in [0, -3, [0, 1], 1 << size]:
+        with pytest.raises(WorkbenchError):
+            u.intern_record(mask)
     assert len(u) == size
 
 
@@ -350,6 +351,29 @@ def test_masks_past_16_bits_read_and_round_trip(data):
         assert universe.members(i) == tuple(sorted(by_bit))
         assert universe.lookup(by_bit) == i
     _assert_round_trip(universe)
+    # Swapping two ids of a wide record, or repeating one, is reported as out
+    # of order on that record's line. Records load up to the first
+    # self-membered composite, whose own id is unknown on its line.
+    injected = [i for i in universe.ids() if not universe.is_atom(i) and universe.is_member(i, i)]
+    loadable = range(len(universe.atoms), injected[0] if injected else len(universe))
+    wide = [i for i in loadable if universe.member_sets[i] >= 1 << 16]
+    if wide:
+        lines = dumps_universe(universe).split("\n")
+        # The file's last line is empty, and the record of set i comes
+        # i - len(universe) lines before it.
+        row = len(lines) - 1 - len(universe) + data.draw(st.sampled_from(wide))
+        ids = lines[row].split(",")
+        if len(ids) > 1 and data.draw(st.booleans()):
+            i, j = sorted(data.draw(st.sets(st.integers(0, len(ids) - 1), min_size=2, max_size=2)))
+            ids[i], ids[j] = ids[j], ids[i]
+        else:
+            ids.insert(data.draw(st.integers(0, len(ids))), data.draw(st.sampled_from(ids)))
+        lines[row] = ",".join(ids)
+        with pytest.raises(UniverseFormatError) as err:
+            loads_universe("\n".join(lines))
+        assert str(err.value) == (
+            f"line {row + 1}: member ids are not strictly increasing: {lines[row]!r}"
+        )
 
 
 # --- memoised transitivity ------------------------------------------------------

@@ -41,6 +41,22 @@ formulas = st.recursive(
     ),
     max_leaves=25,
 )
+# One to four quantifiers over two names in front of a formula, so a name is
+# often bound again inside its own scope.
+quantifier_prefixes = st.lists(
+    st.tuples(st.sampled_from([Forall, Exists]), st.sampled_from(["s", "t"])),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _under(prefix, body):
+    for quantifier, var in reversed(prefix):
+        body = quantifier(var, body)
+    return body
+
+
+prefixed_formulas = st.builds(_under, quantifier_prefixes, formulas)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -236,8 +252,8 @@ def test_evaluate_leaves_the_callers_env_unchanged():
     assert evaluate(u, f, MappingProxyType(env)) is True
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_universes(), formulas, st.randoms())
+@settings(deadline=None)
+@given(small_universes(), formulas | prefixed_formulas, st.randoms())
 def test_compiled_matches_reference(u, f, rng):
     # Universes of up to a few dozen sets, self-membered composites included;
     # both evaluators return a bool.
