@@ -86,14 +86,12 @@ def specify(universe: Universe, s: SetId, criterion: Formula, var: str) -> Speci
     whole universe only when no member qualifies. The selection is looked up
     and interned only when missing.
     """
-    fn, width = compile_criterion(criterion, var)
-    n = len(universe)
+    fn = compile_criterion(criterion, var)
+    ids = range(len(universe))
     sets = universe.member_sets
-    env = [0] * width
     chosen = 0
     for m in universe.members(s):
-        env[0] = m
-        if fn(env, n, sets):
+        if fn(sets, ids, m):
             chosen |= 1 << m
     if chosen == sets[s]:
         return Specified(s)

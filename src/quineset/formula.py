@@ -27,14 +27,17 @@ Semantics are classical and two-valued. Quantifiers range over every set id
 of a universe (or over an explicitly pinned domain size). Formulas and
 environments are immutable values; evaluation is pure.
 
-The evaluator compiles a formula to nested closures over one list of set
-ids. Each variable is resolved to an index of that list, its slot, at
-compile time: the free variables take the first slots, and each quantifier
-the next slot that no enclosing quantifier or free variable holds, so
-sibling quantifiers share one. A quantifier is a loop that assigns its own
-slot, and a variable it shadows lives on in another slot, so no binding is
-saved or restored. :func:`classify` is two such evaluations, of the
-criterion's ``exists`` and its ``forall``.
+The evaluator writes each formula once as the source of one Python
+function, whose parameters are the member masks, the range of ids the
+quantifiers scan and the free variables' set ids. A quantifier is an
+``all`` or ``any`` over a generator, and ``x in y`` is the bit
+``sets[y] >> x & 1``. Every variable in the text is a generated name, so
+nothing a formula names reaches ``exec``, and each quantifier has a name of
+its own, so a variable it shadows lives on outside the generator. The text
+opens one bracket per formula level, so any formula :func:`parse` accepts
+stays inside the nesting Python compiles; one built in code and nested
+some hundreds of levels deep does not. :func:`classify` is two such
+evaluations, of the criterion's ``exists`` and its ``forall``.
 """
 
 from __future__ import annotations
@@ -293,66 +296,53 @@ def free_vars(f: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-_CompiledFn = Callable[[list, int, list], bool]
-
-
-def _quantifier_depth(f: Formula) -> int:
-    """Most quantifiers on one path down ``f``: the slots its quantifiers need."""
-    if isinstance(f, (Member, Equal)):
-        return 0
-    if isinstance(f, Not):
-        return _quantifier_depth(f.body)
-    if isinstance(f, (Forall, Exists)):
-        return 1 + _quantifier_depth(f.body)
-    return max(_quantifier_depth(f.lhs), _quantifier_depth(f.rhs))
-
-
-def _compile(f: Formula, slots: dict[str, int], top: int) -> _CompiledFn:
-    # Compiles the AST to nested closures taking (env, domain, member_sets);
-    # keeps exhaustive quantifier scans cheap enough for desk-scale checks.
-    # ``slots`` maps each variable in scope to its index in the list env. A
-    # quantifier takes slot ``top``, which no variable in its scope reads,
-    # and its body compiles with ``top + 1``.
-    # A membership test gives the member's bit, 0 or 1, and a connective may
-    # pass it on; so every result is 0, 1, False or True, and two compare
-    # equal exactly when they have the same truth.
+def _emit(f: Formula, scope: dict[str, str], top: int) -> str:
+    # The Python expression for ``f``. ``scope`` maps each variable in scope
+    # to its generated name; a quantifier binds ``v{top}``, which nothing in
+    # its scope reads, and its body is emitted with ``top + 1``. Each node
+    # opens one bracket, a membership test's ``sets[...]`` included, so the
+    # text nests exactly as deep as the formula, and a bracketed operand is
+    # never regrouped (``==`` would chain). A membership test gives the
+    # member's bit, 0 or 1, and a connective may pass it on; so every result
+    # is 0, 1, False or True, and two compare equal exactly when they have
+    # the same truth.
     kind = type(f)
     if kind is Member:
-        l, r = slots[f.lhs], slots[f.rhs]
-        return lambda env, n, sets: sets[env[r]] >> env[l] & 1
+        return f"sets[{scope[f.rhs]}] >> {scope[f.lhs]} & 1"
     if kind is Equal:
-        l, r = slots[f.lhs], slots[f.rhs]
-        return lambda env, n, sets: env[l] == env[r]
+        return f"({scope[f.lhs]} == {scope[f.rhs]})"
     if kind is Not:
-        body = _compile(f.body, slots, top)
-        return lambda env, n, sets: not body(env, n, sets)
+        return f"(not {_emit(f.body, scope, top)})"
     if kind is Forall or kind is Exists:
-        body = _compile(f.body, {**slots, f.var: top}, top + 1)
-
-        # One loop per quantifier, so that neither compares each result.
-        def forall(env: list, n: int, sets: list) -> bool:
-            for env[top] in range(n):
-                if not body(env, n, sets):
-                    return False
-            return True
-
-        def exists(env: list, n: int, sets: list) -> bool:
-            for env[top] in range(n):
-                if body(env, n, sets):
-                    return True
-            return False
-
-        return forall if kind is Forall else exists
-    a, b = _compile(f.lhs, slots, top), _compile(f.rhs, slots, top)
+        var = f"v{top}"
+        body = _emit(f.body, {**scope, f.var: var}, top + 1)
+        return f"{'all' if kind is Forall else 'any'}({body} for {var} in R)"
+    a, b = _emit(f.lhs, scope, top), _emit(f.rhs, scope, top)
     if kind is And:
-        return lambda env, n, sets: a(env, n, sets) and b(env, n, sets)
+        return f"({a} and {b})"
     if kind is Or:
-        return lambda env, n, sets: a(env, n, sets) or b(env, n, sets)
+        return f"({a} or {b})"
     if kind is Implies:
-        return lambda env, n, sets: (not a(env, n, sets)) or b(env, n, sets)
+        return f"(not {a} or {b})"
     if kind is Iff:
-        return lambda env, n, sets: a(env, n, sets) == b(env, n, sets)
+        return f"({a} == {b})"
     raise TypeError(f"not a formula node: {f!r}")
+
+
+@lru_cache(maxsize=256)
+def _function(f: Formula, names: tuple[str, ...]) -> Callable[..., object]:
+    """``f`` as the function ``f0(sets, R, *ids)``, the ids bound to ``names``.
+
+    ``sets`` is the universe's list of member masks and ``R`` the range of
+    ids the quantifiers scan. The result is a value to test for truth.
+    Formulas are immutable and the function keeps no state, so it is made
+    once per ``(f, names)``.
+    """
+    params = [f"v{i}" for i in range(len(names))]
+    body = _emit(f, dict(zip(names, params)), len(names))
+    namespace = {"__builtins__": {"all": all, "any": any}}
+    exec(f"def f0(sets, R, {', '.join(params)}):\n    return {body}\n", namespace)
+    return namespace["f0"]
 
 
 def evaluate(
@@ -377,29 +367,25 @@ def evaluate(
     for sid in bindings.values():
         universe.members(sid)
     n = len(universe) if domain_size is None else domain_size
-    fn = _compile(f, {name: i for i, name in enumerate(names)}, len(names))
-    slots = [bindings[name] for name in names] + [0] * _quantifier_depth(f)
-    return bool(fn(slots, n, universe.member_sets))
+    fn = _function(f, tuple(names))
+    return bool(fn(universe.member_sets, range(n), *[bindings[name] for name in names]))
 
 
 @lru_cache(maxsize=256)
-def compile_criterion(f: Formula, var: str) -> tuple[_CompiledFn, int]:
+def compile_criterion(f: Formula, var: str) -> Callable[..., object]:
     """Check that ``var`` is the only free variable of ``f`` and compile it.
 
-    Returns the predicate and the length of the list it reads. The
-    predicate takes ``(env, domain_size, member_sets)``, where ``env`` is a
-    list of that length holding the set id bound to ``var`` at index 0; its
-    other entries are the quantifiers' scratch slots, so one list serves
-    any number of calls from one thread. It returns a value to test for
-    truth (a membership bit may come back as 0 or 1). One compiled
-    criterion serves any number of sets, where :func:`evaluate` re-checks
-    and recompiles on every call. Formulas are immutable and the predicate
-    keeps no state, so results are memoised on ``(f, var)``.
+    Returns the predicate ``(member_sets, id_range, sid)``: the universe's
+    member masks, the ids its quantifiers scan and the set id bound to
+    ``var``. It returns a value to test for truth (a membership bit may come
+    back as 0 or 1). One compiled criterion serves any number of sets and
+    threads, where :func:`evaluate` re-checks its bindings on every call;
+    like the function it returns, it is memoised on ``(f, var)``.
     """
     fv = free_vars(f)
     if fv != {var}:
         raise WrongArity(f"criterion must have exactly the free variable {var!r}, got {sorted(fv)}")
-    return _compile(f, {var: 0}, 1), 1 + _quantifier_depth(f)
+    return _function(f, (var,))
 
 
 class Classification(Enum):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import compress
 from typing import Callable, Iterable
 
@@ -545,6 +546,11 @@ class Law:
     oracle: Formula
     needs_pair: bool = False
 
+    @cached_property
+    def dual_name(self) -> str:
+        """The name of this law's result in :func:`check_dual_paths`."""
+        return f"dualpath-{self.name}"
+
 
 LAWS = (
     Law("equality-substitution", "axioms",
@@ -601,7 +607,7 @@ def check_dual_paths(
     for law in LAWS:
         if law.needs_pair and pair_atoms is None:
             continue
-        name = f"dualpath-{law.name}"
+        name = law.dual_name
         env = {var: names[var] for var in free_vars(law.oracle)}
         if None in env.values():
             # The universe lacks the pair P, so no set qualifies for the

@@ -405,25 +405,24 @@ def test_specify_re_evaluates_a_quantified_criterion_once_the_universe_grows():
 def test_specify_takes_no_verdict_another_thread_has_not_stored(monkeypatch):
     # One thread stops inside its evaluation at a, the first member; a
     # second selection from the same set, meanwhile, must reach its verdicts
-    # by itself, taking nothing from the call that is still running and
-    # leaving that call's slots alone.
+    # by itself, taking nothing from the call that is still running.
     u = Universe(["a", "b"])
     p = pair(u, 0, 1)
     s = u.intern([0, p])
     box = singleton(u, p)
     crit = parse("x notin x")
-    plain, width = compile_criterion(crit, "x")
+    plain = compile_criterion(crit, "x")
     inside, resume = threading.Event(), threading.Event()
 
-    def paused(env, n, sets):
-        # Slot 0 holds x. Should the two calls share one env list, the
-        # second would leave p there, and the first would judge p for a.
-        if env[0] == 0 and threading.current_thread() is first:
+    def paused(sets, ids, x):
+        # Should the two calls share any state, the second would leave p's
+        # verdict behind, and the first would judge p for a.
+        if x == 0 and threading.current_thread() is first:
             inside.set()
             resume.wait(timeout=60)
-        return plain(env, n, sets)
+        return plain(sets, ids, x)
 
-    monkeypatch.setattr(constructors, "compile_criterion", lambda f, var: (paused, width))
+    monkeypatch.setattr(constructors, "compile_criterion", lambda f, var: paused)
     results = {}
     first = threading.Thread(target=lambda: results.update(first=specify(u, s, crit, "x")))
     first.start()

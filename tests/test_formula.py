@@ -58,6 +58,39 @@ def _under(prefix, body):
 
 prefixed_formulas = st.builds(_under, quantifier_prefixes, formulas)
 
+# Two to four quantifiers over s and t, each name at least once, around a
+# body whose truth turns on a leaf comparing s with t: should one name's
+# binding stand for the other's, the leaf reads one set twice.
+comparisons = st.sampled_from(
+    [Member("s", "t"), Member("t", "s"), Equal("s", "t"), Not(Equal("s", "t"))]
+)
+s_t_leaves = st.builds(Member, st.sampled_from("st"), st.sampled_from("st"))
+aliasing_formulas = st.builds(
+    _under,
+    quantifier_prefixes.filter(lambda p: len(p) >= 2 and len({var for _, var in p}) == 2),
+    comparisons
+    | st.builds(Not, comparisons)
+    | st.builds(And, comparisons, s_t_leaves)
+    | st.builds(Or, comparisons, s_t_leaves),
+)
+
+# Valid variable names that are also Python builtins, keywords or the
+# emitter's own generated names.
+python_names = st.sampled_from(
+    ["all", "any", "range", "sets", "R", "v0", "f0", "lambda", "not", "return"]
+)
+python_named_formulas = st.recursive(
+    st.builds(Member, python_names, python_names) | st.builds(Equal, python_names, python_names),
+    lambda kids: st.one_of(
+        st.builds(Not, kids),
+        st.builds(And, kids, kids),
+        st.builds(Iff, kids, kids),
+        st.builds(Forall, python_names, kids),
+        st.builds(Exists, python_names, kids),
+    ),
+    max_leaves=12,
+)
+
 
 # --- parsing ---------------------------------------------------------------
 
@@ -107,14 +140,26 @@ def test_syntax_errors_have_positions(text):
 LIMIT = MAX_NESTING
 
 
+def _mixed(cycles, leaf):
+    # Right-nested "!", a quantifier and "->": three levels a cycle.
+    quantifiers = ["forall", "exists"]
+    return "".join(
+        f"!{quantifiers[i % 2]} u. (u in u -> " for i in range(cycles)
+    ) + leaf + ")" * cycles
+
+
 @pytest.mark.parametrize("text", [
     "!" * (LIMIT - 1) + "u in u",
     "forall u. " * (LIMIT - 2) + "u notin u",
+    "exists u. " * (LIMIT - 2) + "u notin u",
     "(" * LIMIT + "u in u" + ")" * LIMIT,
     " & ".join(["u in u"] * LIMIT),
+    " | ".join(["u in u"] * LIMIT),
     " -> ".join(["u in u"] * LIMIT),
     " <-> ".join(["u in u"] * LIMIT),
-], ids=["not", "forall", "parens", "and-chain", "implies-chain", "iff-chain"])
+    _mixed((LIMIT - 1) // 3, "u in u"),
+], ids=["not", "forall", "exists", "parens", "and-chain", "or-chain", "implies-chain",
+        "iff-chain", "mixed"])
 def test_nesting_at_the_limit_parses_and_prints_back(text):
     f = parse(text)
     assert parse(format_formula(f)) == f
@@ -128,9 +173,10 @@ def test_nesting_at_the_limit_parses_and_prints_back(text):
     " & ".join(["u in u"] * (LIMIT + 1)),
     " -> ".join(["u in u"] * (LIMIT + 1)),
     " <-> ".join(["u in u"] * (LIMIT + 1)),
+    _mixed((LIMIT - 1) // 3, "u notin u"),
     "!" * 3000 + "u in u",
     "(" * 3000,
-], ids=["not", "forall", "parens", "and-chain", "implies-chain", "iff-chain",
+], ids=["not", "forall", "parens", "and-chain", "implies-chain", "iff-chain", "mixed",
         "not-3000", "parens-3000"])
 def test_nesting_past_the_limit_is_a_syntax_error(text):
     with pytest.raises(FormulaSyntaxError, match="nests deeper"):
@@ -258,6 +304,21 @@ def test_compiled_matches_reference(u, f, rng):
     # Universes of up to a few dozen sets, self-membered composites included;
     # both evaluators return a bool.
     env = {name: rng.randrange(len(u)) for name in free_vars(f)}
+    assert evaluate(u, f, env) is reference_eval(u, f, env)
+
+
+@settings(deadline=None)
+@given(small_universes(), aliasing_formulas)
+def test_nested_quantifiers_keep_their_own_bindings(u, f):
+    assert evaluate(u, f, {}) is reference_eval(u, f, {})
+
+
+@settings(deadline=None)
+@given(small_universes(), python_named_formulas, st.randoms())
+def test_python_names_are_plain_variables(u, f, rng):
+    # No name reaches the emitted source, so each is a variable like any other.
+    env = {name: rng.randrange(len(u)) for name in free_vars(f)}
+    assert parse(format_formula(f)) == f
     assert evaluate(u, f, env) is reference_eval(u, f, env)
 
 

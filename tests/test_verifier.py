@@ -332,6 +332,17 @@ def test_scans_agree_with_the_model(universe):
             assert witness_reproduces(universe, result.witness)
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_universes())
+@example(loads_universe(UNION_MISSING))
+def test_dual_paths_agree_on_random_universes(universe):
+    # Every emitted oracle against its scan, self-membered composites included.
+    pair_atoms = (0, 1) if len(universe.atoms) >= 2 else ()
+    report = check_dual_paths(universe, *pair_atoms)
+    assert len(report.results) == len(LAWS) - (0 if pair_atoms else 2)
+    assert [r.name for r in report.results if r.status is Status.FAILS] == []
+
+
 def test_union_lemma_names_a_union_missing_from_the_file():
     # {u,v,w,{u,v}} is transitive with transitive members, but its union
     # {u,v,w} is not in the file; the witness names the union over s alone.
