@@ -27,6 +27,10 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_IO = 74
 
+# Most bytes of set literal lines ``peano`` prints; they double with each
+# step of ``--length``.
+MAX_PEANO_BYTES = 16 << 20
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -153,6 +157,13 @@ def _cmd_check(args) -> int:
 def _cmd_peano(args) -> int:
     universe = load_universe(args.universe)
     a1, a2 = _resolve_pair(universe, args.base)
+    # The base {a1,a2} is 3 bytes longer than the two names, and each
+    # successor's literal 1 byte longer than twice its predecessor's, so
+    # n lines, with their newlines, take (base + 1) * (2**n - 1) bytes.
+    base = len(universe.atom_names[a1]) + len(universe.atom_names[a2]) + 3
+    if args.length > 0 and (base + 1) * ((1 << min(args.length, 64)) - 1) > MAX_PEANO_BYTES:
+        raise ValueError(
+            f"--length {args.length} would print over {MAX_PEANO_BYTES} bytes of set literals")
     chain = sequence(universe, a1, a2, args.length)
     report = check_peano(universe, chain)
     if args.format == "json":

@@ -17,8 +17,8 @@ from enum import Enum
 from functools import reduce
 from operator import or_
 
-from .core import SetId, Universe, ids_of
-from .formula import Classification, Formula, classify, compile_criterion
+from .core import SetId, Universe
+from .formula import Formula, compile_criterion
 
 
 def pair(universe: Universe, s: SetId, t: SetId) -> SetId:
@@ -38,7 +38,7 @@ def union_members(universe: Universe, s: SetId) -> int:
 
 def union_all(universe: Universe, s: SetId) -> SetId:
     """The union of the members of ``s``; never empty, since every member has a member."""
-    return universe.intern(ids_of(union_members(universe, s)))
+    return universe.intern_mask(union_members(universe, s))
 
 
 def binary_union(universe: Universe, s: SetId, t: SetId) -> SetId:
@@ -59,12 +59,12 @@ class NoSetReason(Enum):
     CONTRADICTORY_CRITERION = "contradictory-criterion"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Specified:
     set_id: SetId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoSet:
     reason: NoSetReason
 
@@ -87,17 +87,15 @@ def specify(universe: Universe, s: SetId, criterion: Formula, var: str) -> Speci
     and interned only when missing.
     """
     fn = compile_criterion(criterion, var)
-    ids = range(len(universe))
     sets = universe.member_sets
+    ids = range(len(sets))
     chosen = 0
     for m in universe.members(s):
         if fn(sets, ids, m):
             chosen |= 1 << m
-    if chosen == sets[s]:
-        return Specified(s)
     if chosen:
         found = universe.lookup_mask(chosen)
-        return Specified(universe.intern(ids_of(chosen)) if found is None else found)
-    if classify(universe, criterion, var) is Classification.CONTRADICTORY:
-        return NoSet(NoSetReason.CONTRADICTORY_CRITERION)
-    return NoSet(NoSetReason.NO_WITNESS)
+        return Specified(universe.intern_mask(chosen) if found is None else found)
+    if any(fn(sets, ids, x) for x in ids):
+        return NoSet(NoSetReason.NO_WITNESS)
+    return NoSet(NoSetReason.CONTRADICTORY_CRITERION)

@@ -20,14 +20,17 @@ index keeps its id, and a new one is appended if the universe is under its
 cap. Three methods feed it: :meth:`Universe.intern` validates any member
 collection, :meth:`Universe.intern_subsets` interns every nonempty subset
 of an id list (the builder's stages and ``powerset``), and
-:meth:`Universe.intern_record` takes a set's member mask (the loader).
+:meth:`Universe.intern_mask` takes a set's member mask (the loader, and
+the constructors that compute one). Each admits only members that already
+exist, so a new set never holds its own id: the atoms are the only
+individuals, and :meth:`Universe.individuals` is their mask, set once.
 Every other method here is a read, and so are the checks in
 :mod:`quineset.verifier` and :mod:`quineset.peano` on a universe made by
 the builder (or loaded from a file it wrote): they may run from any number
-of threads at once while nothing interns. The two columns the checks
-share, :meth:`Universe.transitivity` and :meth:`Universe.individuals`, are
-kept per universe size and each published by one assignment, so a
-concurrent reader sees a whole column or computes its own.
+of threads at once while nothing interns. The transitivity column the
+checks share, :meth:`Universe.transitivity`, is kept per universe size and
+published by one assignment, so a concurrent reader sees a whole column or
+computes its own.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import re
 from functools import reduce
 from operator import or_
-from typing import AbstractSet, Collection, Iterable
+from typing import Collection, Iterable
 
 from .errors import (
     AtomsEqual,
@@ -123,10 +126,10 @@ class Universe:
         # _index; read-only. Atom i's sole member is itself.
         self.member_sets: list[int] = [1 << i for i in range(len(names))]
         self._index: dict[int, SetId] = {ms: i for i, ms in enumerate(self.member_sets)}
-        # Memoised is_transitive column and (size, mask of the self-membered
-        # ids below it); each replaced whole, never mutated.
+        # Memoised is_transitive column, replaced whole, never mutated.
         self._transitive: list[bool] = []
-        self._individuals: tuple[int, int] = (0, 0)
+        # The self-membered ids: no write can add one to the atoms.
+        self._individuals = (1 << len(names)) - 1
         self._atom_ids: dict[str, SetId] = dict(zip(names, range(len(names))))
 
     def _add(self, ms: int) -> SetId:
@@ -225,31 +228,17 @@ class Universe:
             subsets += fresh
         return interned
 
-    def intern_record(self, mask: int) -> SetId:
+    def intern_mask(self, mask: int) -> SetId:
         """Intern the set whose member mask is ``mask``, by the same rule as :meth:`intern`.
 
         The cap applies. Raises, interning nothing, unless ``mask`` is a
-        positive int whose bits are all ids of this universe. A mask keeps
-        neither the order nor the repeats of the ids it was made from, so
-        checking those is the caller's part.
+        positive int whose bits are all ids of this universe.
         """
         if not isinstance(mask, int) or mask < 0 or mask.bit_length() > len(self.member_sets):
             raise UnknownId(f"{mask!r} is not a member mask of this universe")
         if not mask:
             raise EmptySetForbidden("a set needs at least one member")
         return self._add(mask)
-
-    def lookup(self, extension: AbstractSet[SetId]) -> SetId | None:
-        """The id of the set whose members are exactly ``extension``, if interned.
-
-        Never interns. A singleton of an atom finds the atom, as in
-        :meth:`intern`; an empty or unknown extension finds nothing.
-        """
-        ids = frozenset(extension)
-        n = len(self.member_sets)
-        if not all(isinstance(m, int) and 0 <= m < n for m in ids):
-            return None
-        return self._index.get(mask_of(ids))
 
     def lookup_mask(self, mask: int) -> SetId | None:
         """The id of the set whose member mask is ``mask``, if interned; never interns."""
@@ -275,21 +264,12 @@ class Universe:
         return bool(self.member_sets[s] >> s & 1)
 
     def individuals(self) -> int:
-        """The mask of the self-membered ids interned so far.
+        """The mask of the self-membered ids.
 
-        These are the atoms, plus any self-membered composite a test fixture
-        installed past :meth:`intern`, so they are not assumed to be ids
-        ``0..k-1``. Kept per universe size like :meth:`transitivity`: only ids
-        interned since the last call are tested, and the new mask is
-        published with one assignment.
+        No write makes a set that holds its own id, so these are the atoms,
+        ids ``0..k-1``, and the mask is set once, when the universe is made.
         """
-        size, mask = self._individuals
-        sets = self.member_sets
-        n = len(sets)
-        if size < n:
-            mask |= mask_of(i for i in range(size, n) if sets[i] >> i & 1)
-            self._individuals = (n, mask)
-        return mask
+        return self._individuals
 
     def is_subset(self, s: SetId, t: SetId) -> bool:
         self._check_id(s)

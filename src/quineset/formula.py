@@ -34,10 +34,9 @@ quantifiers scan and the free variables' set ids. A quantifier is an
 ``sets[y] >> x & 1``. Every variable in the text is a generated name, so
 nothing a formula names reaches ``exec``, and each quantifier has a name of
 its own, so a variable it shadows lives on outside the generator. The text
-opens one bracket per formula level, so any formula :func:`parse` accepts
-stays inside the nesting Python compiles; one built in code and nested
-some hundreds of levels deep does not. :func:`classify` is two such
-evaluations, of the criterion's ``exists`` and its ``forall``.
+opens one bracket per formula level, which Python compiles within the
+limit :func:`parse` holds text to; a formula built in code past it is
+refused. One cache, keyed on the formula, serves every evaluation.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from functools import lru_cache
 from typing import Callable, Mapping
 
 from .core import MAX_NESTING, NAME_RE, RESERVED_NAMES, SetId, Universe
-from .errors import FormulaSyntaxError, UnboundVariable, WrongArity
+from .errors import FormulaSyntaxError, UnboundVariable, WorkbenchError, WrongArity
 
 
 @dataclass(frozen=True)
@@ -329,20 +328,32 @@ def _emit(f: Formula, scope: dict[str, str], top: int) -> str:
     raise TypeError(f"not a formula node: {f!r}")
 
 
+def _depth(f: Formula) -> int:
+    # Subformulas on the longest path from ``f`` to an atomic one, as parse counts them.
+    if isinstance(f, (Not, Forall, Exists)):
+        return 1 + _depth(f.body)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return 1 + max(_depth(f.lhs), _depth(f.rhs))
+    return 1
+
+
 @lru_cache(maxsize=256)
-def _function(f: Formula, names: tuple[str, ...]) -> Callable[..., object]:
-    """``f`` as the function ``f0(sets, R, *ids)``, the ids bound to ``names``.
+def _function(f: Formula) -> tuple[Callable[..., object], tuple[str, ...]]:
+    """``f`` as the function ``f0(sets, R, *ids)``, and the free variables the ids bind, sorted.
 
     ``sets`` is the universe's list of member masks and ``R`` the range of
     ids the quantifiers scan. The result is a value to test for truth.
     Formulas are immutable and the function keeps no state, so it is made
-    once per ``(f, names)``.
+    once per formula, which must nest at most :data:`~quineset.core.MAX_NESTING` levels.
     """
+    names = tuple(sorted(free_vars(f)))
+    if _depth(f) > MAX_NESTING:
+        raise WorkbenchError(f"formula nests deeper than {MAX_NESTING} levels")
     params = [f"v{i}" for i in range(len(names))]
     body = _emit(f, dict(zip(names, params)), len(names))
     namespace = {"__builtins__": {"all": all, "any": any}}
     exec(f"def f0(sets, R, {', '.join(params)}):\n    return {body}\n", namespace)
-    return namespace["f0"]
+    return namespace["f0"], names
 
 
 def evaluate(
@@ -360,18 +371,16 @@ def evaluate(
     while other code grows the universe.
     """
     bindings = env or {}
-    names = sorted(free_vars(f))
+    fn, names = _function(f)
     missing = [name for name in names if name not in bindings]
     if missing:
         raise UnboundVariable(missing[0])
     for sid in bindings.values():
         universe.members(sid)
     n = len(universe) if domain_size is None else domain_size
-    fn = _function(f, tuple(names))
     return bool(fn(universe.member_sets, range(n), *[bindings[name] for name in names]))
 
 
-@lru_cache(maxsize=256)
 def compile_criterion(f: Formula, var: str) -> Callable[..., object]:
     """Check that ``var`` is the only free variable of ``f`` and compile it.
 
@@ -379,13 +388,12 @@ def compile_criterion(f: Formula, var: str) -> Callable[..., object]:
     member masks, the ids its quantifiers scan and the set id bound to
     ``var``. It returns a value to test for truth (a membership bit may come
     back as 0 or 1). One compiled criterion serves any number of sets and
-    threads, where :func:`evaluate` re-checks its bindings on every call;
-    like the function it returns, it is memoised on ``(f, var)``.
+    threads, where :func:`evaluate` re-checks its bindings on every call.
     """
-    fv = free_vars(f)
-    if fv != {var}:
-        raise WrongArity(f"criterion must have exactly the free variable {var!r}, got {sorted(fv)}")
-    return _function(f, (var,))
+    fn, names = _function(f)
+    if names != (var,):
+        raise WrongArity(f"criterion must have exactly the free variable {var!r}, got {[*names]}")
+    return fn
 
 
 class Classification(Enum):
@@ -401,9 +409,10 @@ def classify(universe: Universe, f: Formula, var: str) -> Classification:
     every set, ``CONTINGENT`` anything in between. The criterion's free
     variables must be exactly ``{var}``.
     """
-    compile_criterion(f, var)  # raises WrongArity unless var is f's only free variable
-    if not evaluate(universe, Exists(var, f)):
+    fn = compile_criterion(f, var)
+    sets, ids = universe.member_sets, universe.ids()
+    if not any(fn(sets, ids, x) for x in ids):
         return Classification.CONTRADICTORY
-    if evaluate(universe, Forall(var, f)):
+    if all(fn(sets, ids, x) for x in ids):
         return Classification.TAUTOLOGICAL
     return Classification.CONTINGENT

@@ -27,7 +27,8 @@ def successor(universe: Universe, s: SetId) -> SetId:
 
     Interns the successor only, not the singleton {s}.
     """
-    return universe.intern((*universe.members(s), s))
+    universe.members(s)  # raises UnknownId unless s is a set id
+    return universe.intern_mask(universe.member_sets[s] | 1 << s)
 
 
 def sequence(universe: Universe, a1: SetId, a2: SetId, n: int) -> NumberSequence:

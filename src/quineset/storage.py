@@ -29,7 +29,7 @@ dumper writes it and the loader holds each record to it. Once a record's
 ids have passed the spelling rules and the unknown-id check, the record
 equals the spelling of its mask (the OR of its ids' bits) exactly when
 its ids are strictly increasing. Each record is interned by one call to
-:meth:`Universe.intern_record` with that mask, before the order is judged,
+:meth:`Universe.intern_mask` with that mask, before the order is judged,
 so a record past the cap reports the cap. The unknown-id check compares
 spellings with the universe's size as text, so an id too long for
 ``int()`` is reported like any other.
@@ -144,7 +144,7 @@ def loads_universe(text: str) -> Universe:
             mask = reduce(or_, bits)
         expected = len(universe)
         try:
-            sid = universe.intern_record(mask)
+            sid = universe.intern_mask(mask)
         except WorkbenchError as exc:
             raise UniverseFormatError(f"line {lineno + 1}: {exc}") from exc
         if _record_line(mask) != line:

@@ -11,9 +11,9 @@ for one counterexample yields the bindings of each and lets
 
 Scans are reads with one signature, ``_check_*(universe)``,
 ``check_*(universe)`` or ``check_*(universe, a1, a2)``. Each decides its
-law over the ids below ``len(universe)`` by mask algebra on ``member_sets``
-and the columns the universe keeps (``individuals()``, ``transitivity()``),
-looking up rather than interning any set it must name. A subset test is
+law over the ids below ``len(universe)`` by mask algebra on ``member_sets``,
+the self-membered ids' mask ``individuals()`` and the kept
+``transitivity()`` column, looking up rather than interning any set it must name. A subset test is
 written ``a & b == a`` and a difference ``a ^ (a & b)``, so that no
 negative operand spans the universe. A set missing from the universe is
 named by a witness written over member sets instead, or, for a subset that

@@ -185,12 +185,14 @@ def inject_self_membered(universe, extra_member):
 
     Writes the universe's tables directly, the way ``Universe`` appends a
     set's member mask, since interning rightly refuses a set that contains
-    itself.
+    itself; and adds the new id to the individuals' mask, which the universe
+    sets to the atoms when it is made.
     """
     new_id = len(universe)
     mask = 1 << extra_member | 1 << new_id
     universe.member_sets.append(mask)
     universe._index[mask] = new_id
+    universe._individuals |= 1 << new_id
     return new_id
 
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,7 +16,8 @@ from quineset import (
     loads_universe,
     parse_set_literal,
 )
-from quineset.cli import build_arg_parser, main
+from quineset import cli
+from quineset.cli import MAX_PEANO_BYTES, build_arg_parser, main
 from quineset.core import MAX_NESTING
 from quineset.errors import LiteralSyntaxError, UniverseFormatError
 from quineset.verifier import SUITES
@@ -326,6 +328,33 @@ def test_peano_length_ten_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["sequence"]) == 10
     assert all(r["status"] == "holds" for r in payload["results"])
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_peano_refuses_output_past_its_limit(universe_file, capsys, fmt):
+    # Length 40 would print some 6.6 TB of literals; nothing is printed.
+    code = main(["peano", str(universe_file), "--base", "u,v", "--length", "40", *fmt])
+    assert code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"over {MAX_PEANO_BYTES} bytes" in err
+
+
+def test_peano_limit_counts_the_literal_lines(universe_file, capsys, monkeypatch):
+    # Length 3 prints exactly 42 bytes of literal lines, so a limit of 42
+    # passes it and refuses length 4.
+    assert main(["peano", str(universe_file), "--base", "u,v", "--length", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)[:3]
+    assert sum(map(len, lines)) == 42
+    monkeypatch.setattr(cli, "MAX_PEANO_BYTES", 42)
+    assert main(["peano", str(universe_file), "--base", "u,v", "--length", "3"]) == 0
+    assert main(["peano", str(universe_file), "--base", "u,v", "--length", "4"]) == 64
+
+
+def test_peano_length_twelve_output_is_unchanged(universe_file, capsys):
+    assert main(["peano", str(universe_file), "--base", "u,v", "--length", "12"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest().startswith("6110ee79")
 
 
 # --- files and literals -----------------------------------------------------------

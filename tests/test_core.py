@@ -6,12 +6,21 @@ from quineset import (
     Universe,
     build,
     dumps_universe,
+    format_set_literal,
     ids_of,
     loads_universe,
+    pair,
+    parse,
+    parse_set_literal,
+    powerset,
+    singleton,
+    specify,
     successor,
     union_all,
 )
+from quineset.core import mask_of
 from quineset.errors import (
+    CapExceeded,
     DuplicateAtomName,
     EmptyAtomName,
     EmptySetForbidden,
@@ -100,11 +109,9 @@ def test_intern_is_canonical():
 def test_lookup_finds_interned_sets_and_never_interns():
     u = Universe(["u", "v"])
     p = u.intern([0, 1])
-    assert u.lookup(frozenset((1, 0))) == p
-    assert u.lookup(frozenset((0,))) == 0
-    assert u.lookup(frozenset((0, p))) is None
-    assert u.lookup(frozenset()) is None
-    assert u.lookup(frozenset((0, 99))) is None
+    assert u.lookup_mask(0b11) == p
+    assert u.lookup_mask(0b1) == 0
+    assert u.lookup_mask(1 | 1 << p) is None
     assert len(u) == 3
 
 
@@ -258,7 +265,7 @@ def test_one_member_store(universe):
     # Each id's frozenset finds the id again, the sorted view is that
     # frozenset in order, and atoms are exactly the ids below the atom count.
     for i in universe.ids():
-        assert universe.lookup(universe.member_set(i)) == i
+        assert universe.lookup_mask(mask_of(universe.member_set(i))) == i
         assert universe.members(i) == tuple(sorted(universe.member_set(i)))
         assert universe.is_atom(i) == (i < len(universe.atoms))
     _assert_round_trip(universe)
@@ -291,18 +298,18 @@ def test_ids_of_lists_the_set_bits_in_order(mask):
     assert ids_of(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def test_intern_record_takes_a_member_mask():
+def test_intern_mask_takes_a_member_mask():
     u = Universe(["u", "v"])
-    pair = u.intern_record(0b11)
+    pair = u.intern_mask(0b11)
     assert (pair, u.member_set(pair)) == (2, {0, 1})
-    assert u.intern_record(0b11) == pair
-    assert u.member_set(u.intern_record(1 << pair)) == {pair}
+    assert u.intern_mask(0b11) == pair
+    assert u.member_set(u.intern_mask(1 << pair)) == {pair}
     size = len(u)
     # No bits, a negative int, a list of ids and the bit of an id not yet
     # interned are not member masks of this universe.
     for mask in [0, -3, [0, 1], 1 << size]:
         with pytest.raises(WorkbenchError):
-            u.intern_record(mask)
+            u.intern_mask(mask)
     assert len(u) == size
 
 
@@ -318,7 +325,7 @@ def test_a_long_nested_singleton_file_keeps_masks_as_wide_as_their_ids():
     # Bit lengths 1 and 2 for the atoms and 2 for {u, v}, then 3, 4, ..., n - 1.
     assert sum(ms.bit_length() for ms in u.member_sets) == n * (n - 1) // 2 + 2
     assert u.members(n - 1) == (n - 2,)
-    assert u.lookup({n - 2}) == n - 1
+    assert u.lookup_mask(1 << n - 2) == n - 1
     assert not u.is_transitive(n - 1)
     assert dumps_universe(u) == text
 
@@ -349,7 +356,7 @@ def test_masks_past_16_bits_read_and_round_trip(data):
         by_bit = frozenset(x for x in universe.ids() if universe.is_member(x, i))
         assert universe.member_set(i) == frozenset(universe.members(i)) == by_bit
         assert universe.members(i) == tuple(sorted(by_bit))
-        assert universe.lookup(by_bit) == i
+        assert universe.lookup_mask(mask_of(by_bit)) == i
     _assert_round_trip(universe)
     # Swapping two ids of a wide record, or repeating one, is reported as out
     # of order on that record's line. Records load up to the first
@@ -440,6 +447,66 @@ def test_individuals_are_the_self_membered_ids(u, data):
     injected = inject_self_membered(u, data.draw(st.integers(0, len(u) - 1)))
     assert injected in ids_of(u.individuals())
     _assert_individuals_match(u)
+
+
+_WRITES = ["intern", "intern_subsets", "intern_mask", "pair", "singleton", "union_all",
+           "powerset", "specify", "successor", "literal", "round_trip"]
+_CRITERIA = [parse(text) for text in (
+    "x in x", "x notin x", "exists y. (x in y)", "forall y. (y notin x)", "x in x & x notin x",
+)]
+
+
+def _write(universe, kind, data):
+    """Apply one production write of ``kind``; ids are drawn up to ``len(universe)``,
+    one past the last, so that a write missing its id check would make a set
+    that holds its own id. Returns the universe, which a round trip replaces."""
+    n = len(universe)
+    sid = data.draw(st.integers(0, n - 1))
+    ids = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=4))
+    if kind == "intern":
+        universe.intern(ids)
+    elif kind == "intern_subsets":
+        universe.intern_subsets(ids[:3])
+    elif kind == "intern_mask":
+        universe.intern_mask(mask_of(ids))
+    elif kind == "pair":
+        pair(universe, ids[0], ids[-1])
+    elif kind == "singleton":
+        singleton(universe, ids[0])
+    elif kind == "union_all":
+        union_all(universe, sid)
+    elif kind == "powerset":
+        powerset(universe, sid)
+    elif kind == "specify":
+        specify(universe, sid, data.draw(st.sampled_from(_CRITERIA)), "x")
+    elif kind == "successor":
+        successor(universe, ids[0])
+    elif kind == "literal":
+        known = [i for i in ids if i < n] or [sid]
+        literal = ",".join(format_set_literal(universe, i) for i in known)
+        parse_set_literal(universe, "{" + literal + "}")
+    else:
+        universe = loads_universe(dumps_universe(universe))
+    return universe
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_no_write_makes_a_self_membered_composite(data):
+    # Random production writes to a small built universe under a small cap:
+    # each may intern, or refuse with CapExceeded or UnknownId, but no
+    # composite ever holds its own id, so the individuals stay the atoms.
+    atoms = ("a", "b", "c")[: data.draw(st.integers(1, 3))]
+    depth = data.draw(st.integers(0, 2 if len(atoms) <= 2 else 1))
+    universe, _ = build(BuildConfig(atoms, depth, data.draw(st.integers(7, 40))))
+    atom_mask = (1 << len(atoms)) - 1
+    for kind in data.draw(st.lists(st.sampled_from(_WRITES), max_size=12)):
+        try:
+            universe = _write(universe, kind, data)
+        except (CapExceeded, UnknownId):
+            pass
+        assert universe.individuals() == atom_mask
+        assert not any(ms >> i & 1 for i, ms in enumerate(universe.member_sets) if i >= len(atoms))
 
 
 def test_is_transitive_unknown_id():

@@ -22,7 +22,8 @@ from quineset import (
     parse,
 )
 from quineset.core import MAX_NESTING
-from quineset.errors import FormulaSyntaxError, UnboundVariable, WrongArity
+from quineset.errors import FormulaSyntaxError, UnboundVariable, WorkbenchError, WrongArity
+from quineset.formula import compile_criterion
 
 from support import reference_eval, small_universes
 
@@ -181,6 +182,44 @@ def test_nesting_at_the_limit_parses_and_prints_back(text):
 def test_nesting_past_the_limit_is_a_syntax_error(text):
     with pytest.raises(FormulaSyntaxError, match="nests deeper"):
         parse(text)
+
+
+_BUILT_SHAPES = {
+    "not": lambda f: Not(f),
+    "forall": lambda f: Forall("v", f),
+    "and-chain": lambda f: And(f, Member("u", "u")),
+}
+
+
+def _built(shape, depth):
+    # A formula built in code, ``depth`` levels deep, over ``u in u``.
+    f = Member("u", "u")
+    for _ in range(depth - 1):
+        f = _BUILT_SHAPES[shape](f)
+    return f
+
+
+@pytest.mark.parametrize("shape", _BUILT_SHAPES)
+def test_formulas_built_at_the_limit_evaluate(shape):
+    u = Universe(["a"])
+    f = _built(shape, LIMIT)
+    expected = reference_eval(u, f, {"u": 0})
+    assert evaluate(u, f, {"u": 0}) is expected
+    assert bool(compile_criterion(f, "u")(u.member_sets, u.ids(), 0)) is expected
+
+
+@pytest.mark.parametrize("depth", [LIMIT + 1, 250])
+@pytest.mark.parametrize("shape", _BUILT_SHAPES)
+def test_formulas_built_past_the_limit_are_refused(shape, depth):
+    # Python cannot compile the emitted text of some 200 levels; such a
+    # formula is refused with the limit parse holds its text to.
+    u = Universe(["a"])
+    f = _built(shape, depth)
+    message = f"^formula nests deeper than {LIMIT} levels$"
+    with pytest.raises(WorkbenchError, match=message):
+        evaluate(u, f, {"u": 0})
+    with pytest.raises(WorkbenchError, match=message):
+        compile_criterion(f, "u")
 
 
 # --- printing --------------------------------------------------------------
