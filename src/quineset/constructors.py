@@ -6,8 +6,9 @@ grow it. On a universe closed under the construction (any universe made by
 the builder, for the sets a check asks for) nothing is interned and the call
 is a read.
 
-None of them keeps state between calls: :func:`specify` evaluates its
-criterion afresh at each member of the set it selects from.
+None of them keeps state between calls: :func:`specify` selects afresh
+from the member mask of the set it is given, by its criterion's compiled
+selector.
 """
 
 from __future__ import annotations
@@ -82,20 +83,19 @@ def specify(universe: Universe, s: SetId, criterion: Formula, var: str) -> Speci
     specify no set), and ``NO_WITNESS`` when it merely misses every member
     of ``s``.
 
-    The criterion is evaluated once at each member of ``s``, and over the
-    whole universe only when no member qualifies. The selection is looked up
-    and interned only when missing.
+    The criterion's selector (see :func:`~quineset.formula.compile_criterion`)
+    is called once on the member mask of ``s``, and once more on every id
+    only when no member qualifies. The selection is looked up and interned
+    only when missing.
     """
-    fn = compile_criterion(criterion, var)
+    select = compile_criterion(criterion, var)
     sets = universe.member_sets
-    ids = range(len(sets))
-    chosen = 0
-    for m in universe.members(s):
-        if fn(sets, ids, m):
-            chosen |= 1 << m
+    n = len(sets)
+    individuals = universe.individuals()
+    chosen = select(sets, n, individuals, universe.member_mask(s))
     if chosen:
         found = universe.lookup_mask(chosen)
         return Specified(universe.intern_mask(chosen) if found is None else found)
-    if any(fn(sets, ids, x) for x in ids):
+    if select(sets, n, individuals, (1 << n) - 1):
         return NoSet(NoSetReason.NO_WITNESS)
     return NoSet(NoSetReason.CONTRADICTORY_CRITERION)

@@ -244,6 +244,11 @@ class Universe:
         """The id of the set whose member mask is ``mask``, if interned; never interns."""
         return self._index.get(mask)
 
+    def member_mask(self, sid: SetId) -> int:
+        """The member mask of ``sid``: bit ``i`` is set when id ``i`` is a member."""
+        self._check_id(sid)
+        return self.member_sets[sid]
+
     def members(self, sid: SetId) -> tuple[SetId, ...]:
         """Sorted member ids; an atom's members are itself."""
         self._check_id(sid)

@@ -36,7 +36,16 @@ nothing a formula names reaches ``exec``, and each quantifier has a name of
 its own, so a variable it shadows lives on outside the generator. The text
 opens one bracket per formula level, which Python compiles within the
 limit :func:`parse` holds text to; a formula built in code past it is
-refused. One cache, keyed on the formula, serves every evaluation.
+refused, its depth measured before anything recurses through it. One
+cache, keyed on the formula, serves every evaluation.
+
+A one-variable criterion compiles instead to a selector, which takes a
+mask of ids and returns the mask of those at which the criterion holds
+(:func:`compile_criterion`). Without quantifiers that is mask algebra
+alone; with them, one comprehension over the ids whose test is the
+expression above. ``specify`` and :func:`classify` each decide a whole set
+by one call. Selectors have a cache of their own, keyed on the criterion
+and its variable.
 """
 
 from __future__ import annotations
@@ -47,8 +56,11 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Mapping
 
-from .core import MAX_NESTING, NAME_RE, RESERVED_NAMES, SetId, Universe
+from .core import MAX_NESTING, NAME_RE, RESERVED_NAMES, SetId, Universe, ids_of, mask_of
 from .errors import FormulaSyntaxError, UnboundVariable, WorkbenchError, WrongArity
+
+# A compiled criterion: (member_sets, n, individuals, M) to the selected mask.
+Selector = Callable[[list[int], int, int, int], int]
 
 
 @dataclass(frozen=True)
@@ -328,13 +340,22 @@ def _emit(f: Formula, scope: dict[str, str], top: int) -> str:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _depth(f: Formula) -> int:
-    # Subformulas on the longest path from ``f`` to an atomic one, as parse counts them.
-    if isinstance(f, (Not, Forall, Exists)):
-        return 1 + _depth(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return 1 + max(_depth(f.lhs), _depth(f.rhs))
-    return 1
+def _check_depth(f: Formula) -> None:
+    # Refuses ``f`` when it nests deeper than parse allows. The walk keeps
+    # its own stack of (node, level) pairs instead of recursing, so it runs
+    # before anything hashes ``f`` or recurses through it.
+    stack = [(f, 1)]
+    while stack:
+        g, level = stack.pop()
+        kind = type(g)
+        if kind is Not or kind is Forall or kind is Exists:
+            stack.append((g.body, level + 1))
+        elif kind is And or kind is Or or kind is Implies or kind is Iff:
+            stack += (g.lhs, level + 1), (g.rhs, level + 1)
+        else:
+            continue
+        if level == MAX_NESTING:
+            raise WorkbenchError(f"formula nests deeper than {MAX_NESTING} levels")
 
 
 @lru_cache(maxsize=256)
@@ -344,11 +365,9 @@ def _function(f: Formula) -> tuple[Callable[..., object], tuple[str, ...]]:
     ``sets`` is the universe's list of member masks and ``R`` the range of
     ids the quantifiers scan. The result is a value to test for truth.
     Formulas are immutable and the function keeps no state, so it is made
-    once per formula, which must nest at most :data:`~quineset.core.MAX_NESTING` levels.
+    once per formula, which :func:`_check_depth` must have passed.
     """
     names = tuple(sorted(free_vars(f)))
-    if _depth(f) > MAX_NESTING:
-        raise WorkbenchError(f"formula nests deeper than {MAX_NESTING} levels")
     params = [f"v{i}" for i in range(len(names))]
     body = _emit(f, dict(zip(names, params)), len(names))
     namespace = {"__builtins__": {"all": all, "any": any}}
@@ -371,6 +390,7 @@ def evaluate(
     while other code grows the universe.
     """
     bindings = env or {}
+    _check_depth(f)
     fn, names = _function(f)
     missing = [name for name in names if name not in bindings]
     if missing:
@@ -381,19 +401,68 @@ def evaluate(
     return bool(fn(universe.member_sets, range(n), *[bindings[name] for name in names]))
 
 
-def compile_criterion(f: Formula, var: str) -> Callable[..., object]:
-    """Check that ``var`` is the only free variable of ``f`` and compile it.
+def _emit_mask(f: Formula) -> str | None:
+    # The mask of the ids in ``M`` at which a quantifier-free criterion
+    # holds, or None when ``f`` has a quantifier. One variable is free, so
+    # the atoms are ``x in x``, the self-membered ids ``I``, and ``x = x``.
+    # Every operand lies within ``M``, so ``^ M`` is its complement there.
+    # Each node opens one bracket, as in :func:`_emit`.
+    kind = type(f)
+    if kind is Member:
+        return "(M & I)"
+    if kind is Equal:
+        return "M"
+    if kind is Forall or kind is Exists:
+        return None
+    if kind is Not:
+        a = _emit_mask(f.body)
+        return None if a is None else f"({a} ^ M)"
+    a, b = _emit_mask(f.lhs), _emit_mask(f.rhs)
+    if a is None or b is None:
+        return None
+    if kind is And:
+        return f"({a} & {b})"
+    if kind is Or:
+        return f"({a} | {b})"
+    if kind is Implies:
+        return f"({a} ^ M | {b})"
+    if kind is Iff:
+        return f"({a} ^ {b} ^ M)"
+    raise TypeError(f"not a formula node: {f!r}")
 
-    Returns the predicate ``(member_sets, id_range, sid)``: the universe's
-    member masks, the ids its quantifiers scan and the set id bound to
-    ``var``. It returns a value to test for truth (a membership bit may come
-    back as 0 or 1). One compiled criterion serves any number of sets and
+
+@lru_cache(maxsize=256)
+def _selector(f: Formula, var: str) -> Selector:
+    names = sorted(free_vars(f))
+    if names != [var]:
+        raise WrongArity(f"criterion must have exactly the free variable {var!r}, got {names}")
+    body = _emit_mask(f)
+    if body is None:
+        body = f"mask_of([v0 for v0 in ids_of(M) if {_emit(f, {var: 'v0'}, 1)}])"
+        header = "R = range(n)\n    "
+    else:
+        header = ""
+    namespace = {"__builtins__": {"all": all, "any": any, "range": range},
+                 "ids_of": ids_of, "mask_of": mask_of}
+    exec(f"def f0(sets, n, I, M):\n    {header}return {body}\n", namespace)
+    return namespace["f0"]
+
+
+def compile_criterion(f: Formula, var: str) -> Selector:
+    """Check that ``var`` is the only free variable of ``f`` and compile it to a selector.
+
+    The selector ``(member_sets, n, individuals, M)`` takes the universe's
+    member masks, its size, the mask of its self-membered ids and a mask
+    ``M`` of ids below ``n``, and returns the mask of the ids in ``M`` at
+    which ``f`` holds, its quantifiers ranging over the ids below ``n``.
+    A quantifier-free criterion is mask algebra alone: ``x in x`` selects
+    ``M & individuals`` and ``x = x`` selects ``M``. Any other is one
+    comprehension over the ids in ``M``. Selectors are cached on the
+    criterion and the variable, and one serves any number of sets and
     threads, where :func:`evaluate` re-checks its bindings on every call.
     """
-    fn, names = _function(f)
-    if names != (var,):
-        raise WrongArity(f"criterion must have exactly the free variable {var!r}, got {[*names]}")
-    return fn
+    _check_depth(f)
+    return _selector(f, var)
 
 
 class Classification(Enum):
@@ -407,12 +476,15 @@ def classify(universe: Universe, f: Formula, var: str) -> Classification:
 
     ``CONTRADICTORY`` means false of every set, ``TAUTOLOGICAL`` true of
     every set, ``CONTINGENT`` anything in between. The criterion's free
-    variables must be exactly ``{var}``.
+    variables must be exactly ``{var}``. Its selector is called once, on
+    the mask of every id, and the selected mask decides.
     """
-    fn = compile_criterion(f, var)
-    sets, ids = universe.member_sets, universe.ids()
-    if not any(fn(sets, ids, x) for x in ids):
+    select = compile_criterion(f, var)
+    n = len(universe)
+    every = (1 << n) - 1
+    chosen = select(universe.member_sets, n, universe.individuals(), every)
+    if not chosen:
         return Classification.CONTRADICTORY
-    if all(fn(sets, ids, x) for x in ids):
+    if chosen == every:
         return Classification.TAUTOLOGICAL
     return Classification.CONTINGENT

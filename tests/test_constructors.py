@@ -31,7 +31,7 @@ from quineset import (
     union_all,
 )
 from quineset import constructors
-from quineset.errors import CapExceeded, WrongArity
+from quineset.errors import CapExceeded, UnknownId, WrongArity
 from quineset.formula import compile_criterion
 
 from support import (
@@ -277,6 +277,16 @@ def test_specify_wrong_arity(default_universe):
         specify(default_universe, 0, parse("x in y"), "x")
 
 
+def test_specify_refuses_an_id_the_universe_lacks():
+    # -1 would index the member masks from the end.
+    u = Universe(["u", "v"])
+    pair(u, 0, 1)
+    for bad in (-1, 3, "x"):
+        with pytest.raises(UnknownId, match="is not a set id of this universe"):
+            specify(u, bad, parse("x notin x"), "x")
+    assert len(u) == 3
+
+
 def test_specify_soundness_exhaustive(shallow_universe):
     u = shallow_universe
     crit = parse("x notin x")
@@ -322,6 +332,21 @@ def one_variable_criteria(draw):
     return joined
 
 
+# Criteria built only from ``x in x`` and ``x = x``: these compile to mask
+# algebra alone, so ``x in x`` is read from the self-membered ids' mask.
+quantifier_free_criteria = st.recursive(
+    st.just(Member("x", "x")) | st.just(Equal("x", "x")),
+    lambda kids: st.one_of(
+        st.builds(Not, kids),
+        st.builds(And, kids, kids),
+        st.builds(Or, kids, kids),
+        st.builds(Implies, kids, kids),
+        st.builds(Iff, kids, kids),
+    ),
+    max_leaves=6,
+)
+
+
 def _mixed_universe():
     # Atoms, non-individuals, and sets holding both, so every specify
     # outcome can occur; the last set is the only one holding {a,{a,b}},
@@ -336,7 +361,7 @@ def _mixed_universe():
 
 
 @settings(max_examples=80, deadline=None)
-@given(one_variable_criteria())
+@given(one_variable_criteria() | quantifier_free_criteria)
 def test_specify_and_classify_match_per_member_references(crit):
     u = _mixed_universe()
     n = len(u)
@@ -382,7 +407,7 @@ def _reference_specify(universe, s, crit):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_universes(), one_variable_criteria())
+@given(small_universes(), one_variable_criteria() | quantifier_free_criteria)
 def test_specify_in_sequence_matches_the_reference_as_the_universe_grows(universe, crit):
     # One universe for every call, so a call sees every set that the calls
     # before it interned, and quantifiers range over the grown universe.
@@ -403,9 +428,9 @@ def test_specify_re_evaluates_a_quantified_criterion_once_the_universe_grows():
 
 
 def test_specify_takes_no_verdict_another_thread_has_not_stored(monkeypatch):
-    # One thread stops inside its evaluation at a, the first member; a
-    # second selection from the same set, meanwhile, must reach its verdicts
-    # by itself, taking nothing from the call that is still running.
+    # One thread stops inside its selector call on s; a second selection
+    # from the same set, meanwhile, must reach its verdict by itself, taking
+    # nothing from the call that is still running.
     u = Universe(["a", "b"])
     p = pair(u, 0, 1)
     s = u.intern([0, p])
@@ -414,13 +439,13 @@ def test_specify_takes_no_verdict_another_thread_has_not_stored(monkeypatch):
     plain = compile_criterion(crit, "x")
     inside, resume = threading.Event(), threading.Event()
 
-    def paused(sets, ids, x):
-        # Should the two calls share any state, the second would leave p's
-        # verdict behind, and the first would judge p for a.
-        if x == 0 and threading.current_thread() is first:
+    def paused(sets, n, individuals, mask):
+        # Should the two calls share any state, the second's selection
+        # could stand in for the first's, which is still running.
+        if threading.current_thread() is first:
             inside.set()
             resume.wait(timeout=60)
-        return plain(sets, ids, x)
+        return plain(sets, n, individuals, mask)
 
     monkeypatch.setattr(constructors, "compile_criterion", lambda f, var: paused)
     results = {}

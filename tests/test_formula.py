@@ -201,11 +201,13 @@ def _built(shape, depth):
 
 @pytest.mark.parametrize("shape", _BUILT_SHAPES)
 def test_formulas_built_at_the_limit_evaluate(shape):
+    # "not" and "and-chain" compile to mask algebra, "forall" to a comprehension.
     u = Universe(["a"])
     f = _built(shape, LIMIT)
     expected = reference_eval(u, f, {"u": 0})
     assert evaluate(u, f, {"u": 0}) is expected
-    assert bool(compile_criterion(f, "u")(u.member_sets, u.ids(), 0)) is expected
+    select = compile_criterion(f, "u")
+    assert select(u.member_sets, len(u), u.individuals(), 1) == int(expected)
 
 
 @pytest.mark.parametrize("depth", [LIMIT + 1, 250])
@@ -213,6 +215,21 @@ def test_formulas_built_at_the_limit_evaluate(shape):
 def test_formulas_built_past_the_limit_are_refused(shape, depth):
     # Python cannot compile the emitted text of some 200 levels; such a
     # formula is refused with the limit parse holds its text to.
+    u = Universe(["a"])
+    f = _built(shape, depth)
+    message = f"^formula nests deeper than {LIMIT} levels$"
+    with pytest.raises(WorkbenchError, match=message):
+        evaluate(u, f, {"u": 0})
+    with pytest.raises(WorkbenchError, match=message):
+        compile_criterion(f, "u")
+
+
+@pytest.mark.parametrize("depth", [499, 5000])
+@pytest.mark.parametrize("shape", _BUILT_SHAPES)
+def test_formulas_built_far_past_the_limit_are_refused_before_hashing(shape, depth):
+    # Hashing a formula for the compile cache recurses once per level, so
+    # the depth is measured first, and such a formula is refused like any
+    # other, where its hash would overflow the interpreter's stack.
     u = Universe(["a"])
     f = _built(shape, depth)
     message = f"^formula nests deeper than {LIMIT} levels$"

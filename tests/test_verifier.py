@@ -332,9 +332,20 @@ def test_scans_agree_with_the_model(universe):
             assert witness_reproduces(universe, result.witness)
 
 
+def _injected_mixed_set():
+    # uv at depth 2 and a self-membered composite c = {{u,v}, c}, with {c}:
+    # c mixes a non-individual and an individual, itself, and both parts
+    # are sets, so subset-derivations selects from c by ``specify``, whose
+    # ``x in x`` selector must read c's own bit from the individuals.
+    universe, _ = build(BuildConfig(("u", "v"), 2))
+    universe.intern([inject_self_membered(universe, 2)])
+    return universe
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_universes())
 @example(loads_universe(UNION_MISSING))
+@example(_injected_mixed_set())
 def test_dual_paths_agree_on_random_universes(universe):
     # Every emitted oracle against its scan, self-membered composites included.
     pair_atoms = (0, 1) if len(universe.atoms) >= 2 else ()
