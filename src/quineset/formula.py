@@ -25,7 +25,9 @@ A quantifier binds exactly the unary that follows the dot, so in
 
 Semantics are classical and two-valued. Quantifiers range over every set id
 of a universe (or over an explicitly pinned domain size). Formulas and
-environments are immutable values; evaluation is pure.
+environments are immutable values; evaluation is pure. Each node stores
+its depth and its hash when it is made, computed from its children's, so
+measuring or hashing a formula never walks it.
 
 The evaluator writes each formula once as the source of one Python
 function, whose parameters are the member masks, the range of ids the
@@ -36,8 +38,9 @@ nothing a formula names reaches ``exec``, and each quantifier has a name of
 its own, so a variable it shadows lives on outside the generator. The text
 opens one bracket per formula level, which Python compiles within the
 limit :func:`parse` holds text to; a formula built in code past it is
-refused, its depth measured before anything recurses through it. One
-cache, keyed on the formula, serves every evaluation.
+refused when it is compiled, before anything recurses through it. One
+cache, keyed on the formula, serves every evaluation, and a cache hit
+costs one stored hash whatever the formula's size.
 
 A one-variable criterion compiles instead to a selector, which takes a
 mask of ids and returns the mask of those at which the criterion holds
@@ -45,7 +48,7 @@ mask of ids and returns the mask of those at which the criterion holds
 alone; with them, one comprehension over the ids whose test is the
 expression above. ``specify`` and :func:`classify` each decide a whole set
 by one call. Selectors have a cache of their own, keyed on the criterion
-and its variable.
+and its variable, so a repeated call is one cache hit.
 """
 
 from __future__ import annotations
@@ -63,60 +66,120 @@ from .errors import FormulaSyntaxError, UnboundVariable, WorkbenchError, WrongAr
 Selector = Callable[[list[int], int, int, int], int]
 
 
-@dataclass(frozen=True)
 class Formula:
-    pass
+    """A formula node: an immutable value, equal to a node of the same kind with equal parts.
+
+    Each node works out two values once, when it is made, from the values
+    its children stored: ``depth``, the most subformulas on one path from it
+    down to an atomic formula, both ends included, and its hash. Neither
+    ever recurses, so a formula of any depth is made, hashed and measured
+    in constant time. A child that is not a formula node raises
+    ``TypeError``. The stored hash is not pickled, since ``str`` hashes
+    differ between processes: a node unpickles by being made again.
+    """
+
+    depth: int
+    _hash: int
+
+    def _store(self, depth: int, *key: object) -> None:
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "_hash", hash((type(self), *key)))
+
+    def _parts(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._parts() == other._parts()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._parts()
 
 
-@dataclass(frozen=True)
-class Member(Formula):
+def _node(child: object) -> Formula:
+    if not isinstance(child, Formula):
+        raise TypeError(f"not a formula node: {child!r}")
+    return child
+
+
+class _Atomic(Formula):
+    def __post_init__(self) -> None:
+        self._store(1, self.lhs, self.rhs)
+
+
+class _Connective(Formula):
+    def __post_init__(self) -> None:
+        lhs, rhs = _node(self.lhs), _node(self.rhs)
+        self._store(1 + max(lhs.depth, rhs.depth), lhs._hash, rhs._hash)
+
+
+class _Quantifier(Formula):
+    def __post_init__(self) -> None:
+        body = _node(self.body)
+        self._store(1 + body.depth, self.var, body._hash)
+
+
+# Equality and hashing are Formula's, which compare the stored hashes first.
+_node_class = dataclass(frozen=True, eq=False)
+
+
+@_node_class
+class Member(_Atomic):
     lhs: str
     rhs: str
 
 
-@dataclass(frozen=True)
-class Equal(Formula):
+@_node_class
+class Equal(_Atomic):
     lhs: str
     rhs: str
 
 
-@dataclass(frozen=True)
+@_node_class
 class Not(Formula):
     body: Formula
 
+    def __post_init__(self) -> None:
+        body = _node(self.body)
+        self._store(1 + body.depth, body._hash)
 
-@dataclass(frozen=True)
-class And(Formula):
+
+@_node_class
+class And(_Connective):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
-class Or(Formula):
+@_node_class
+class Or(_Connective):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
+@_node_class
+class Implies(_Connective):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
+@_node_class
+class Iff(_Connective):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
-class Forall(Formula):
+@_node_class
+class Forall(_Quantifier):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
+@_node_class
+class Exists(_Quantifier):
     var: str
     body: Formula
 
@@ -146,12 +209,11 @@ _BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
 
 
 class _Parser:
-    # Precedence climbing: each production returns its formula with its
-    # depth, the most subformulas on one path from its root. A left-grouping
-    # chain adds depth without recursing, so depth is checked as nodes are
-    # made. Recursion is bounded before it happens: ``parens`` counts the
-    # open parentheses, and ``above`` the enclosing "!", quantifier and "->"
-    # operators, each of which puts one more level over what it encloses.
+    # Precedence climbing. Each node knows its depth, so a left-grouping
+    # chain, which adds depth without recursing, is checked as its nodes
+    # are made. Recursion is bounded before it happens: ``parens`` counts
+    # the open parentheses, and ``above`` the enclosing "!", quantifier and
+    # "->" operators, each of which puts one more level over what it encloses.
 
     def __init__(self, text: str):
         self.text = text
@@ -192,24 +254,23 @@ class _Parser:
         if level > MAX_NESTING:
             raise FormulaSyntaxError(f"formula nests deeper than {MAX_NESTING} levels", pos)
 
-    def formula(self, min_prec: int = 1) -> tuple[Formula, int]:
-        left, depth = self._unary()
+    def formula(self, min_prec: int = 1) -> Formula:
+        left = self._unary()
         while self._peek() in _BINARY and _BINARY[self._peek()][0] >= min_prec:
             pos = self._here()
             prec, kind = _BINARY[self._advance()]
             if kind is Implies:
                 self.above += 1
                 self._limit(self.above + 1, pos)
-                right, right_depth = self.formula(prec)
+                right = self.formula(prec)
                 self.above -= 1
             else:
-                right, right_depth = self.formula(prec + 1)
-            depth = 1 + max(depth, right_depth)
-            self._limit(depth, pos)
+                right = self.formula(prec + 1)
             left = kind(left, right)
-        return left, depth
+            self._limit(left.depth, pos)
+        return left
 
-    def _unary(self) -> tuple[Formula, int]:
+    def _unary(self) -> Formula:
         tok = self._peek()
         if tok not in ("!", "forall", "exists"):
             return self._atom()
@@ -218,18 +279,16 @@ class _Parser:
         self.above += 1
         self._limit(self.above + 1, pos)
         if tok == "!":
-            body, depth = self._unary()
-            node = Not(body)
+            node = Not(self._unary())
         else:
             var = self._ident("a variable")
             self._expect(".")
-            body, depth = self._unary()
-            node = Forall(var, body) if tok == "forall" else Exists(var, body)
+            node = (Forall if tok == "forall" else Exists)(var, self._unary())
         self.above -= 1
-        self._limit(depth + 1, pos)
-        return node, depth + 1
+        self._limit(node.depth, pos)
+        return node
 
-    def _atom(self) -> tuple[Formula, int]:
+    def _atom(self) -> Formula:
         if self._peek() == "(":
             self.parens += 1
             self._limit(self.parens, self._here())
@@ -247,18 +306,18 @@ class _Parser:
         self._advance()
         rhs = self._ident("a variable")
         if op == "in":
-            return Member(lhs, rhs), 1
+            return Member(lhs, rhs)
         if op == "notin":
-            return Not(Member(lhs, rhs)), 2
+            return Not(Member(lhs, rhs))
         if op == "=":
-            return Equal(lhs, rhs), 1
-        return Not(Equal(lhs, rhs)), 2
+            return Equal(lhs, rhs)
+        return Not(Equal(lhs, rhs))
 
 
 def parse(text: str) -> Formula:
     """Parse surface syntax into a formula AST."""
     parser = _Parser(text)
-    result, _depth = parser.formula()
+    result = parser.formula()
     if parser.pos < len(parser.tokens):
         raise FormulaSyntaxError(
             f"unexpected trailing input {parser._peek()!r}", parser._here()
@@ -341,21 +400,14 @@ def _emit(f: Formula, scope: dict[str, str], top: int) -> str:
 
 
 def _check_depth(f: Formula) -> None:
-    # Refuses ``f`` when it nests deeper than parse allows. The walk keeps
-    # its own stack of (node, level) pairs instead of recursing, so it runs
-    # before anything hashes ``f`` or recurses through it.
-    stack = [(f, 1)]
-    while stack:
-        g, level = stack.pop()
-        kind = type(g)
-        if kind is Not or kind is Forall or kind is Exists:
-            stack.append((g.body, level + 1))
-        elif kind is And or kind is Or or kind is Implies or kind is Iff:
-            stack += (g.lhs, level + 1), (g.rhs, level + 1)
-        else:
-            continue
-        if level == MAX_NESTING:
-            raise WorkbenchError(f"formula nests deeper than {MAX_NESTING} levels")
+    # Refuses ``f`` when it nests deeper than parse allows: Python could
+    # not compile its emitted text.
+    try:
+        depth = f.depth
+    except AttributeError:
+        raise TypeError(f"not a formula node: {f!r}") from None
+    if depth > MAX_NESTING:
+        raise WorkbenchError(f"formula nests deeper than {MAX_NESTING} levels")
 
 
 @lru_cache(maxsize=256)
@@ -365,8 +417,9 @@ def _function(f: Formula) -> tuple[Callable[..., object], tuple[str, ...]]:
     ``sets`` is the universe's list of member masks and ``R`` the range of
     ids the quantifiers scan. The result is a value to test for truth.
     Formulas are immutable and the function keeps no state, so it is made
-    once per formula, which :func:`_check_depth` must have passed.
+    once per formula; a formula too deep to compile is refused here.
     """
+    _check_depth(f)
     names = tuple(sorted(free_vars(f)))
     params = [f"v{i}" for i in range(len(names))]
     body = _emit(f, dict(zip(names, params)), len(names))
@@ -390,7 +443,6 @@ def evaluate(
     while other code grows the universe.
     """
     bindings = env or {}
-    _check_depth(f)
     fn, names = _function(f)
     missing = [name for name in names if name not in bindings]
     if missing:
@@ -432,22 +484,6 @@ def _emit_mask(f: Formula) -> str | None:
 
 
 @lru_cache(maxsize=256)
-def _selector(f: Formula, var: str) -> Selector:
-    names = sorted(free_vars(f))
-    if names != [var]:
-        raise WrongArity(f"criterion must have exactly the free variable {var!r}, got {names}")
-    body = _emit_mask(f)
-    if body is None:
-        body = f"mask_of([v0 for v0 in ids_of(M) if {_emit(f, {var: 'v0'}, 1)}])"
-        header = "R = range(n)\n    "
-    else:
-        header = ""
-    namespace = {"__builtins__": {"all": all, "any": any, "range": range},
-                 "ids_of": ids_of, "mask_of": mask_of}
-    exec(f"def f0(sets, n, I, M):\n    {header}return {body}\n", namespace)
-    return namespace["f0"]
-
-
 def compile_criterion(f: Formula, var: str) -> Selector:
     """Check that ``var`` is the only free variable of ``f`` and compile it to a selector.
 
@@ -462,7 +498,19 @@ def compile_criterion(f: Formula, var: str) -> Selector:
     threads, where :func:`evaluate` re-checks its bindings on every call.
     """
     _check_depth(f)
-    return _selector(f, var)
+    names = sorted(free_vars(f))
+    if names != [var]:
+        raise WrongArity(f"criterion must have exactly the free variable {var!r}, got {names}")
+    body = _emit_mask(f)
+    if body is None:
+        body = f"mask_of([v0 for v0 in ids_of(M) if {_emit(f, {var: 'v0'}, 1)}])"
+        header = "R = range(n)\n    "
+    else:
+        header = ""
+    namespace = {"__builtins__": {"all": all, "any": any, "range": range},
+                 "ids_of": ids_of, "mask_of": mask_of}
+    exec(f"def f0(sets, n, I, M):\n    {header}return {body}\n", namespace)
+    return namespace["f0"]
 
 
 class Classification(Enum):

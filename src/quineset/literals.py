@@ -80,8 +80,23 @@ def parse_set_literal(universe: Universe, text: str) -> SetId:
 
 
 def format_set_literal(universe: Universe, sid: SetId) -> str:
-    """Render a set id as a literal, atoms by name, members in id order."""
+    """Render a set id as a literal, atoms by name, members in id order.
+
+    Members precede their sets, so each composite below ``sid`` is written
+    once, in increasing id order, from its members' texts: a set that nests
+    however deep is rendered without recursion.
+    """
+    names = universe.atom_names
     if universe.is_atom(sid):
-        return universe.atom_names[sid]
-    inner = ",".join(format_set_literal(universe, m) for m in universe.members(sid))
-    return "{" + inner + "}"
+        return names[sid]
+    composites = {sid}
+    todo = [sid]
+    while todo:
+        for m in universe.members(todo.pop()):
+            if m >= len(names) and m not in composites:
+                composites.add(m)
+                todo.append(m)
+    text = dict(enumerate(names))
+    for s in sorted(composites):
+        text[s] = "{" + ",".join(map(text.__getitem__, universe.members(s))) + "}"
+    return text[sid]

@@ -113,48 +113,50 @@ def loads_universe(text: str) -> Universe:
     except (WorkbenchError, ValueError) as exc:
         raise UniverseFormatError(f"line 2: bad atom list: {exc}") from exc
     universe.build_depth = depth
+    # Each record must intern to a fresh set, so the universe holds ``sid``
+    # sets when the record that should make set ``sid`` is read, and
+    # ``sid + skew`` is its line number.
+    skew = row + 1 - len(names)
+    intern_mask = universe.intern_mask
     # The member bit, 1 << id, of each spelling of an existing id met in a
     # record that passed the spelling rules. A record made only of these
     # passes them too, so it skips them.
     spelled: dict[str, int] = {}
-    for lineno in range(row, len(lines)):
-        line = lines[lineno]
+    bit_of = spelled.__getitem__
+    for sid, line in enumerate(lines[row:], len(names)):
         parts = line.split(",")
         try:
-            mask = reduce(or_, map(spelled.__getitem__, parts))
+            mask = reduce(or_, map(bit_of, parts))
         except KeyError:
             # int() also takes signs, spaces, underscores and leading zeros,
             # none of which dumps back the same; the text is ASCII, so
             # isdigit means 0-9.
             if not all(part.isdigit() and (part[0] != "0" or part == "0") for part in parts):
-                raise UniverseFormatError(f"line {lineno + 1}: not a member-id list: {line!r}")
+                raise UniverseFormatError(f"line {sid + skew}: not a member-id list: {line!r}")
             # A plain decimal names an existing id exactly when it sorts,
             # by length and then by text, below the universe's size, so an
             # unknown id is named, the least first as intern would, without
             # an int() of a spelling that may pass int()'s 4300-digit limit.
-            size = str(len(universe))
+            size = str(sid)
             unknown = [part for part in parts if (len(part), part) >= (len(size), size)]
             if unknown:
                 least = min(unknown, key=lambda part: (len(part), part))
                 raise UniverseFormatError(
-                    f"line {lineno + 1}: {least} is not a set id of this universe"
+                    f"line {sid + skew}: {least} is not a set id of this universe"
                 )
             bits = [1 << int(part) for part in parts]
             spelled.update(zip(parts, bits))
             mask = reduce(or_, bits)
-        expected = len(universe)
         try:
-            sid = universe.intern_mask(mask)
+            found = intern_mask(mask)
         except WorkbenchError as exc:
-            raise UniverseFormatError(f"line {lineno + 1}: {exc}") from exc
+            raise UniverseFormatError(f"line {sid + skew}: {exc}") from exc
         if _record_line(mask) != line:
             raise UniverseFormatError(
-                f"line {lineno + 1}: member ids are not strictly increasing: {line!r}"
+                f"line {sid + skew}: member ids are not strictly increasing: {line!r}"
             )
-        if sid != expected:
-            raise UniverseFormatError(
-                f"line {lineno + 1}: record does not intern to a fresh set"
-            )
+        if found != sid:
+            raise UniverseFormatError(f"line {sid + skew}: record does not intern to a fresh set")
     return universe
 
 

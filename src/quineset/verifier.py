@@ -13,13 +13,20 @@ Scans are reads with one signature, ``_check_*(universe)``,
 ``check_*(universe)`` or ``check_*(universe, a1, a2)``. Each decides its
 law over the ids below ``len(universe)`` by mask algebra on ``member_sets``,
 the self-membered ids' mask ``individuals()`` and the kept
-``transitivity()`` column, looking up rather than interning any set it must name. A subset test is
-written ``a & b == a`` and a difference ``a ^ (a & b)``, so that no
-negative operand spans the universe. A set missing from the universe is
-named by a witness written over member sets instead, or, for a subset that
-separation must select, is itself the failure.
-subset-derivations calls ``specify`` only for a selection it has found
-among the scanned sets, so that call interns nothing either.
+``transitivity()`` column, looking up rather than interning any set it
+must name. A subset test is written ``a & b == a`` and a difference
+``a ^ (a & b)``, so that no negative operand spans the universe; the one
+negation, ``rest & -rest``, keeps only the lowest bit of ``rest``. A set
+missing from the universe is named by a witness written over member sets
+instead, or, for a subset that separation must select, is itself the
+failure. subset-derivations calls ``specify`` only for a selection it has
+found among the scanned sets, so that call interns nothing either.
+
+Members precede their sets, so the least non-individual member of a set
+shares no non-individual with it: it is minimal for regularity and, in a
+transitive set, a set of individuals for theorem1. Both scans test it
+first, one mask test per set, and look at the other members only when it
+fails, as it can in a universe whose members come after their sets.
 """
 
 from __future__ import annotations
@@ -282,19 +289,18 @@ def _check_regularity(universe: Universe) -> CheckResult:
     sets = universe.member_sets
     individuals = universe.individuals()
 
-    def has_no_minimal_member(ms: int) -> bool:
-        # A member v is minimal when it shares no non-individual with s.
-        non_individuals = ms ^ (ms & individuals)
-        return bool(non_individuals) and all(
-            sets[v] & non_individuals for v in ids_of(non_individuals)
-        )
-
+    # ``rest`` is the non-individual members of s, and a member is minimal
+    # when it shares none of them. Members precede their sets, so the least
+    # of them is minimal, and one test decides s unless members come late.
     return CheckResult.first(
         "regularity", n, n,
         "(exists u. ((u in s) & (u notin u))) -> "
         "(exists v. ((v in s) & ((v notin v) & "
         "(forall u. (((u in v) & (u in s)) -> (u in u))))))",
-        ({"s": s} for s in range(n) if has_no_minimal_member(sets[s])),
+        ({"s": s} for s in range(n)
+         if (rest := (ms := sets[s]) ^ (ms & individuals))
+         and sets[(rest & -rest).bit_length() - 1] & rest
+         and all(sets[v] & rest for v in ids_of(rest))),
     )
 
 
@@ -328,6 +334,11 @@ def check_russell_equivalence(universe: Universe) -> CheckResult:
     return CheckResult("russell-equivalence", Status.HOLDS, n)
 
 
+# The two criteria subset-derivations selects by.
+_NOT_SELF = Not(Member("x", "x"))
+_IN_SELF = Member("x", "x")
+
+
 def check_subset_derivations(universe: Universe) -> CheckResult:
     """Selected-subset facts: the non-individual part of any set is a subset
     but never a member; the individual part is an individual member or not an
@@ -346,25 +357,20 @@ def check_subset_derivations(universe: Universe) -> CheckResult:
     every = (1 << n) - 1
     individuals = universe.individuals()
     has_non_individual = individuals != every
-    not_self = Not(Member("x", "x"))
-    in_self = Member("x", "x")
-
-    def scanned(part: int) -> bool:
-        found = universe.lookup_mask(part)
-        return found is not None and found < n
-
+    lookup = universe.lookup_mask
     for s in range(n):
         mem = sets[s]
         own = mem & individuals
         rest = mem ^ own
         if rest and own:
-            if not scanned(rest):
+            found = lookup(rest)
+            if found is None or found >= n:
                 return CheckResult.failure(
                     name, n, n,
                     "exists v. (forall u. ((u in v) <-> ((u in s) & (u notin u))))",
                     s=s,
                 )
-            v = specify(universe, s, not_self, "x").set_id
+            v = specify(universe, s, _NOT_SELF, "x").set_id
             if sets[v] & mem != sets[v]:
                 return CheckResult.failure(
                     name, n, n, "forall u. ((u in v) -> (u in s))", v=v, s=s
@@ -373,13 +379,14 @@ def check_subset_derivations(universe: Universe) -> CheckResult:
                 return CheckResult.failure(name, n, n, "v notin v", v=v)
             if mem >> v & 1:
                 return CheckResult.failure(name, n, n, "v notin s", v=v, s=s)
-            if not scanned(own):
+            found = lookup(own)
+            if found is None or found >= n:
                 return CheckResult.failure(
                     name, n, n,
                     "exists v. (forall u. ((u in v) <-> ((u in s) & (u in u))))",
                     s=s,
                 )
-            w = specify(universe, s, in_self, "x").set_id
+            w = specify(universe, s, _IN_SELF, "x").set_id
             if sets[w] >> w & 1 and not mem >> w & 1:
                 return CheckResult.failure(
                     name, n, n,
@@ -404,6 +411,11 @@ def check_theorem1(universe: Universe) -> CheckResult:
         if not rest:
             continue
         qualifying += 1
+        # The least non-individual member witnesses: its members precede it
+        # and, s being transitive, lie in s, so they are individuals.
+        least = sets[(rest & -rest).bit_length() - 1]
+        if least & individuals == least:
+            continue
         if not any(sets[v] & individuals == sets[v] for v in ids_of(rest)):
             return CheckResult.failure(
                 "theorem1", qualifying, n,

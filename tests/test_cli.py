@@ -285,6 +285,25 @@ def test_check_names_a_selection_missing_from_the_file(tmp_path, capsys, cap):
     assert "  witness: s={u,v,w,{u,v}}" in out
 
 
+def test_check_prints_a_witness_that_nests_2000_deep(tmp_path, capsys):
+    # s = {u, {{...{u,v}...}}}: its non-individual part, the singleton of
+    # its deepest member, is not in the file, so subset-derivations fails at
+    # s and prints it as a literal 1999 braces deep, without a traceback.
+    path = tmp_path / "deep.hfu"
+    records = "".join(f"{i}\n" for i in range(2, 2000))
+    path.write_text(f"quineset-universe 1\natoms u,v\n0,1\n{records}0,2000\n")
+    assert main(["check", str(path), "derivations"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    literal = "{u," + "{" * 1998 + "{u,v}" + "}" * 1998 + "}"
+    assert captured.out == (
+        "universe: atoms=u,v size=2002\n"
+        "subset-derivations: fails (scanned 2002)\n"
+        f"  witness: s={literal}\n"
+        "  formula: exists v. (forall u. ((u in v) <-> ((u in s) & (u notin u))))\n"
+    )
+
+
 # --- peano ---------------------------------------------------------------------
 
 def test_peano_text_output(tmp_path, capsys):
@@ -443,6 +462,26 @@ LOADER_ERRORS = {
     "repeated-id": (
         "atoms u,v\n0,0,1\n",
         "line 3: member ids are not strictly increasing: '0,0,1'"),
+    # Each rule again past header lines and earlier records, which set the
+    # line number and the size an id is held to.
+    "spelling-after-records": (
+        "atoms u,v\ndepth 2\n0,1\n0,01\n",
+        "line 5: not a member-id list: '0,01'"),
+    "unknown-id-at-the-size-after-records": (
+        "atoms u,v\ndepth 2\nmax-sets 9\n0,1\n0,3\n",
+        "line 6: 3 is not a set id of this universe"),
+    "unknown-id-at-a-two-digit-size": (
+        "atoms a,b,c,d,e,f,g,h,i\n0,1\n0,9,10\n",
+        "line 4: 10 is not a set id of this universe"),
+    "fresh-past-cap-after-records": (
+        "atoms u,v\ndepth 2\nmax-sets 3\n0,1\n0,2\n",
+        "line 6: interning needs 4 sets, exceeding the cap of 3"),
+    "out-of-order-after-records": (
+        "atoms u,v\ndepth 2\n0,1\n2,0\n",
+        "line 5: member ids are not strictly increasing: '2,0'"),
+    "duplicate-after-records": (
+        "atoms u,v\ndepth 2\nmax-sets 9\n0,1\n0,2\n0,1\n",
+        "line 7: record does not intern to a fresh set"),
 }
 
 
@@ -523,6 +562,17 @@ def test_set_literal_round_trip_all_ids(default_universe):
     for sid in default_universe.ids():
         text = format_set_literal(default_universe, sid)
         assert parse_set_literal(default_universe, text) == sid
+
+
+def _recursive_literal(universe, sid):
+    if universe.is_atom(sid):
+        return universe.atom_names[sid]
+    return "{" + ",".join(_recursive_literal(universe, m) for m in universe.members(sid)) + "}"
+
+
+def test_set_literal_matches_the_recursive_spelling(default_universe):
+    for sid in default_universe.ids():
+        assert format_set_literal(default_universe, sid) == _recursive_literal(default_universe, sid)
 
 
 def test_set_literal_nesting_limit(default_universe):

@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -25,7 +30,10 @@ from quineset.core import MAX_NESTING
 from quineset.errors import FormulaSyntaxError, UnboundVariable, WorkbenchError, WrongArity
 from quineset.formula import compile_criterion
 
-from support import reference_eval, small_universes
+from support import random_formula, reference_eval, small_universes
+
+# The directory the quineset package under test is imported from.
+SRC = str(Path(sys.modules["quineset"].__file__).resolve().parent.parent)
 
 names = st.sampled_from(["s", "t", "u", "v", "w"])
 leaves = st.builds(Member, names, names) | st.builds(Equal, names, names)
@@ -237,6 +245,65 @@ def test_formulas_built_far_past_the_limit_are_refused_before_hashing(shape, dep
         evaluate(u, f, {"u": 0})
     with pytest.raises(WorkbenchError, match=message):
         compile_criterion(f, "u")
+
+
+# --- nodes -----------------------------------------------------------------
+
+def _reference_depth(f):
+    if isinstance(f, (Member, Equal)):
+        return 1
+    if isinstance(f, (Not, Forall, Exists)):
+        return 1 + _reference_depth(f.body)
+    return 1 + max(_reference_depth(f.lhs), _reference_depth(f.rhs))
+
+
+@given(st.randoms(use_true_random=False), st.integers(0, 8))
+def test_nodes_store_their_depth_and_a_structural_hash(rng, depth):
+    f = random_formula(rng, depth)
+    assert f.depth == _reference_depth(f)
+    again = parse(format_formula(f))
+    assert again == f and again is not f
+    assert hash(again) == hash(f)
+
+
+def test_a_not_chain_5000_deep_is_made_and_hashed_then_refused():
+    u = Universe(["a"])
+    f, g = _built("not", 5000), _built("not", 5000)
+    assert f.depth == 5000
+    assert hash(f) == hash(g)
+    message = f"^formula nests deeper than {LIMIT} levels$"
+    with pytest.raises(WorkbenchError, match=message):
+        evaluate(u, f, {"u": 0})
+    with pytest.raises(WorkbenchError, match=message):
+        compile_criterion(f, "u")
+
+
+@pytest.mark.parametrize("make", [
+    lambda bad: Not(bad),
+    lambda bad: And(Member("u", "u"), bad),
+    lambda bad: Forall("u", bad),
+], ids=["not", "and", "forall"])
+def test_a_child_that_is_not_a_formula_node_is_refused(make):
+    with pytest.raises(TypeError, match=r"^not a formula node: 'u in u'$"):
+        make("u in u")
+
+
+def test_a_pickled_formula_hashes_as_one_made_in_this_process():
+    # A stored hash would carry the pickling process's str hashes along;
+    # the node is made again when it is unpickled.
+    text = "forall s. ((s in t) <-> !(exists u. (u = s)))"
+    script = (
+        "import pickle, sys; from quineset import parse; "
+        f"sys.stdout.buffer.write(pickle.dumps(parse({text!r})))"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    data = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True).stdout
+    f, here = pickle.loads(data), parse(text)
+    assert f == here and hash(f) == hash(here)
+    assert f.depth == here.depth == 5
+    assert pickle.loads(pickle.dumps(here)) == here
 
 
 # --- printing --------------------------------------------------------------

@@ -342,6 +342,43 @@ def _injected_mixed_set():
     return universe
 
 
+def _written(atoms, masks):
+    # A universe holding ``masks`` after its atoms, written to its tables
+    # directly: interning refuses a member that is not there yet.
+    universe = Universe(atoms)
+    for mask in masks:
+        universe._index[mask] = len(universe)
+        universe.member_sets.append(mask)
+    return universe
+
+
+# With members after their sets, the least non-individual member of
+# s = {u, v, c, d} (ids 2 and 3 below) need not be minimal or a set of
+# individuals, so regularity and theorem1 look past it.
+LATE_MEMBERS = {
+    # c = {u, d}, d = {u, v}: d is minimal and a set of individuals.
+    "holds": _written(["u", "v"], [0b1001, 0b0011, 0b1111]),
+    # c = {u, d}, d = {u, c}: each holds the other.
+    "fails": _written(["u", "v"], [0b1001, 0b0101, 0b1111]),
+}
+
+
+@pytest.mark.parametrize("case", LATE_MEMBERS)
+def test_regularity_and_theorem1_look_past_the_least_member(case):
+    universe = LATE_MEMBERS[case]
+    expected = model_verdicts(universe)
+    report = run_suite(universe, "all")
+    results = {r.name: r for r in report.results}
+    for name in ("regularity", "theorem1"):
+        assert (results[name].status.value, results[name].scanned) == expected[name]
+        assert results[name].status.value == case
+        if case == "fails":
+            assert results[name].witness.bindings == (("s", 4),)
+            assert witness_reproduces(universe, results[name].witness)
+    dual = {r.name: r.status for r in check_dual_paths(universe).results}
+    assert dual["dualpath-regularity"] is dual["dualpath-theorem1"] is Status.HOLDS
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_universes())
 @example(loads_universe(UNION_MISSING))
