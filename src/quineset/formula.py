@@ -54,7 +54,7 @@ and its variable, so a repeated call is one cache hit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -66,6 +66,12 @@ from .errors import FormulaSyntaxError, UnboundVariable, WorkbenchError, WrongAr
 Selector = Callable[[list[int], int, int, int], int]
 
 
+# Every node class: frozen, slotted, and equal and hashed by Formula's
+# methods, which compare the stored hashes first.
+_node_class = dataclass(frozen=True, eq=False, slots=True)
+
+
+@_node_class
 class Formula:
     """A formula node: an immutable value, equal to a node of the same kind with equal parts.
 
@@ -78,8 +84,8 @@ class Formula:
     differ between processes: a node unpickles by being made again.
     """
 
-    depth: int
-    _hash: int
+    depth: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def _store(self, depth: int, *key: object) -> None:
         object.__setattr__(self, "depth", depth)
@@ -107,24 +113,26 @@ def _node(child: object) -> Formula:
 
 
 class _Atomic(Formula):
+    __slots__ = ()
+
     def __post_init__(self) -> None:
         self._store(1, self.lhs, self.rhs)
 
 
 class _Connective(Formula):
+    __slots__ = ()
+
     def __post_init__(self) -> None:
         lhs, rhs = _node(self.lhs), _node(self.rhs)
         self._store(1 + max(lhs.depth, rhs.depth), lhs._hash, rhs._hash)
 
 
 class _Quantifier(Formula):
+    __slots__ = ()
+
     def __post_init__(self) -> None:
         body = _node(self.body)
         self._store(1 + body.depth, self.var, body._hash)
-
-
-# Equality and hashing are Formula's, which compare the stored hashes first.
-_node_class = dataclass(frozen=True, eq=False)
 
 
 @_node_class

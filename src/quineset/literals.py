@@ -5,7 +5,9 @@ literals. Parsing interns missing composites on the fly; a singleton of an
 atom collapses onto the atom, and empty braces are an error because there is
 no empty set. Braces nest at most :data:`~quineset.core.MAX_NESTING` deep,
 which keeps the recursive parser inside the interpreter's stack; deeper
-input is a syntax error. Printing any id and re-parsing it yields the same id.
+input is a syntax error. Printing any id and re-parsing it yields the same
+id, for a set that nests no deeper than that; a deeper set prints, but its
+literal does not parse.
 """
 
 from __future__ import annotations
