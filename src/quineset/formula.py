@@ -66,12 +66,7 @@ from .errors import FormulaSyntaxError, UnboundVariable, WorkbenchError, WrongAr
 Selector = Callable[[list[int], int, int, int], int]
 
 
-# Every node class: frozen, slotted, and equal and hashed by Formula's
-# methods, which compare the stored hashes first.
-_node_class = dataclass(frozen=True, eq=False, slots=True)
-
-
-@_node_class
+@dataclass(frozen=True, eq=False, slots=True)
 class Formula:
     """A formula node: an immutable value, equal to a node of the same kind with equal parts.
 
@@ -91,19 +86,11 @@ class Formula:
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "_hash", hash((type(self), *key)))
 
-    def _parts(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._hash == other._hash and self._parts() == other._parts()
-
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self) -> tuple:
-        return type(self), self._parts()
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 def _node(child: object) -> Formula:
@@ -133,6 +120,14 @@ class _Quantifier(Formula):
     def __post_init__(self) -> None:
         body = _node(self.body)
         self._store(1 + body.depth, self.var, body._hash)
+
+
+def _node_class(cls: type) -> type:
+    # Frozen and slotted, equal field by field as a dataclass is, and
+    # hashed by the hash each node stores.
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
 
 
 @_node_class
