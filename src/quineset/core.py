@@ -191,13 +191,13 @@ class Universe:
         return self._add(mask_of(ms))
 
     def _check_ids(self, ms: Collection[SetId]) -> None:
-        # Once every member is an int, the least and greatest bound them all;
-        # the per-member scan below only runs to name the first bad id.
-        if not (
-            all(map(int.__instancecheck__, ms))
-            and min(ms) >= 0
-            and max(ms) < len(self.member_sets)
-        ):
+        # A non-int is named first, the least by its repr, since it need not
+        # compare with ints. Once every member is an int, the least and
+        # greatest bound them all; the per-member scan below only runs to
+        # name the least bad id.
+        if not all(map(int.__instancecheck__, ms)):
+            self._check_id(min((m for m in ms if not isinstance(m, int)), key=repr))
+        if not (min(ms) >= 0 and max(ms) < len(self.member_sets)):
             for m in sorted(ms):
                 self._check_id(m)
 

@@ -29,6 +29,11 @@ environments are immutable values; evaluation is pure. Each node stores
 its depth and its hash when it is made, computed from its children's, so
 measuring or hashing a formula never walks it.
 
+Each kind declares its spelling and its emitted forms once, as constants
+of its class. The parser's tables are built from them, and the printer,
+:func:`free_vars` and both emitters read them with one case per family of
+kinds: atomic, operator (``!`` and the connectives) and quantifier.
+
 The evaluator writes each formula once as the source of one Python
 function, whose parameters are the member masks, the range of ids the
 quantifiers scan and the free variables' set ids. A quantifier is an
@@ -89,8 +94,13 @@ class Formula:
     def __hash__(self) -> int:
         return self._hash
 
+    def _parts(self) -> tuple:
+        # The node's fields in order, as its constructor takes them. A list,
+        # not a generator, which would be left for the cycle collector.
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
     def __reduce__(self) -> tuple:
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+        return type(self), self._parts()
 
 
 def _node(child: object) -> Formula:
@@ -99,22 +109,33 @@ def _node(child: object) -> Formula:
     return child
 
 
+# Besides its spelling, each kind declares ``_py``, its Python expression
+# for :func:`_emit`, and, unless it is a quantifier, ``_mask``, its mask
+# algebra for :func:`_emit_mask`; both take the emitted operands in field order.
+
 class _Atomic(Formula):
+    # ``lhs _word rhs``, and ``lhs _negated rhs`` for its negation.
     __slots__ = ()
 
     def __post_init__(self) -> None:
         self._store(1, self.lhs, self.rhs)
 
 
-class _Connective(Formula):
+class _Operator(Formula):
+    # ``_symbol`` before its one operand or between its two.
     __slots__ = ()
 
     def __post_init__(self) -> None:
-        lhs, rhs = _node(self.lhs), _node(self.rhs)
-        self._store(1 + max(lhs.depth, rhs.depth), lhs._hash, rhs._hash)
+        depth, key = 0, []
+        for name in self.__match_args__:
+            part = _node(getattr(self, name))
+            depth = max(depth, part.depth)
+            key.append(part._hash)
+        self._store(1 + depth, *key)
 
 
 class _Quantifier(Formula):
+    # ``_keyword var. body``.
     __slots__ = ()
 
     def __post_init__(self) -> None:
@@ -132,57 +153,65 @@ def _node_class(cls: type) -> type:
 
 @_node_class
 class Member(_Atomic):
+    _word, _negated = "in", "notin"
+    _py, _mask = "sets[{1}] >> {0} & 1", "(M & I)"
     lhs: str
     rhs: str
 
 
 @_node_class
 class Equal(_Atomic):
+    _word, _negated = "=", "!="
+    _py, _mask = "({0} == {1})", "M"
     lhs: str
     rhs: str
 
 
 @_node_class
-class Not(Formula):
+class Not(_Operator):
+    _symbol, _py, _mask = "!", "(not {0})", "({0} ^ M)"
     body: Formula
 
-    def __post_init__(self) -> None:
-        body = _node(self.body)
-        self._store(1 + body.depth, body._hash)
-
 
 @_node_class
-class And(_Connective):
+class And(_Operator):
+    _symbol, _py, _mask = "&", "({0} and {1})", "({0} & {1})"
     lhs: Formula
     rhs: Formula
 
 
 @_node_class
-class Or(_Connective):
+class Or(_Operator):
+    _symbol, _py, _mask = "|", "({0} or {1})", "({0} | {1})"
     lhs: Formula
     rhs: Formula
 
 
 @_node_class
-class Implies(_Connective):
+class Implies(_Operator):
+    _symbol, _py, _mask = "->", "(not {0} or {1})", "({0} ^ M | {1})"
     lhs: Formula
     rhs: Formula
 
 
 @_node_class
-class Iff(_Connective):
+class Iff(_Operator):
+    # Operands that are truth values compare equal when they agree.
+    _symbol, _py, _mask = "<->", Equal._py, "({0} ^ {1} ^ M)"
     lhs: Formula
     rhs: Formula
 
 
 @_node_class
 class Forall(_Quantifier):
+    _keyword, _py = "forall", "all({1} for {0} in R)"
     var: str
     body: Formula
 
 
 @_node_class
 class Exists(_Quantifier):
+    _keyword, _py = "exists", "any({1} for {0} in R)"
     var: str
     body: Formula
 
@@ -208,7 +237,13 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 # Binary operators by precedence, loosest first; only "->" groups to the right.
-_BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
+_BINARY = {kind._symbol: (prec, kind) for prec, kind in enumerate((Iff, Implies, Or, And), 1)}
+# Each relation word, with the atom it makes and whether that atom is negated.
+_RELATIONS = {
+    word: (atom, word == atom._negated)
+    for atom in (Member, Equal) for word in (atom._word, atom._negated)
+}
+_QUANTIFIERS = {kind._keyword: kind for kind in (Forall, Exists)}
 
 
 class _Parser:
@@ -275,18 +310,18 @@ class _Parser:
 
     def _unary(self) -> Formula:
         tok = self._peek()
-        if tok not in ("!", "forall", "exists"):
+        if tok != Not._symbol and tok not in _QUANTIFIERS:
             return self._atom()
         pos = self._here()
         self._advance()
         self.above += 1
         self._limit(self.above + 1, pos)
-        if tok == "!":
+        if tok == Not._symbol:
             node = Not(self._unary())
         else:
             var = self._ident("a variable")
             self._expect(".")
-            node = (Forall if tok == "forall" else Exists)(var, self._unary())
+            node = _QUANTIFIERS[tok](var, self._unary())
         self.above -= 1
         self._limit(node.depth, pos)
         return node
@@ -302,19 +337,15 @@ class _Parser:
             return inner
         lhs = self._ident("a variable or '('")
         op = self._peek()
-        if op not in ("in", "notin", "=", "!="):
+        if op not in _RELATIONS:
+            *words, last = map(repr, _RELATIONS)
             raise FormulaSyntaxError(
-                f"expected 'in', 'notin', '=' or '!=' but found {op!r}", self._here()
+                f"expected {', '.join(words)} or {last} but found {op!r}", self._here()
             )
         self._advance()
-        rhs = self._ident("a variable")
-        if op == "in":
-            return Member(lhs, rhs)
-        if op == "notin":
-            return Not(Member(lhs, rhs))
-        if op == "=":
-            return Equal(lhs, rhs)
-        return Not(Equal(lhs, rhs))
+        atom, negated = _RELATIONS[op]
+        node = atom(lhs, self._ident("a variable"))
+        return Not(node) if negated else node
 
 
 def parse(text: str) -> Formula:
@@ -330,41 +361,28 @@ def parse(text: str) -> Formula:
 
 def format_formula(f: Formula) -> str:
     """Canonical fully parenthesized text; ``parse(format_formula(f)) == f``."""
-    if isinstance(f, Member):
-        return f"({f.lhs} in {f.rhs})"
-    if isinstance(f, Equal):
-        return f"({f.lhs} = {f.rhs})"
-    if isinstance(f, Not):
-        body = f.body
-        if isinstance(body, Member):
-            return f"({body.lhs} notin {body.rhs})"
-        if isinstance(body, Equal):
-            return f"({body.lhs} != {body.rhs})"
-        return f"(!{format_formula(body)})"
-    if isinstance(f, And):
-        return f"({format_formula(f.lhs)} & {format_formula(f.rhs)})"
-    if isinstance(f, Or):
-        return f"({format_formula(f.lhs)} | {format_formula(f.rhs)})"
-    if isinstance(f, Implies):
-        return f"({format_formula(f.lhs)} -> {format_formula(f.rhs)})"
-    if isinstance(f, Iff):
-        return f"({format_formula(f.lhs)} <-> {format_formula(f.rhs)})"
-    if isinstance(f, Forall):
-        return f"(forall {f.var}. {format_formula(f.body)})"
-    if isinstance(f, Exists):
-        return f"(exists {f.var}. {format_formula(f.body)})"
+    negated = isinstance(f, Not) and isinstance(f.body, _Atomic)
+    atom = f.body if negated else f
+    if isinstance(atom, _Atomic):
+        return f"({atom.lhs} {atom._negated if negated else atom._word} {atom.rhs})"
+    if isinstance(f, _Operator):
+        # "!" goes before its one operand, a connective between its two.
+        parts = [format_formula(part) for part in f._parts()]
+        if len(parts) == 1:
+            return f"({f._symbol}{parts[0]})"
+        return f"({parts[0]} {f._symbol} {parts[1]})"
+    if isinstance(f, _Quantifier):
+        return f"({f._keyword} {f.var}. {format_formula(f.body)})"
     raise TypeError(f"not a formula node: {f!r}")
 
 
 def free_vars(f: Formula) -> frozenset[str]:
     """Exactly the variables with a free occurrence, under lexical binding."""
-    if isinstance(f, (Member, Equal)):
+    if isinstance(f, _Atomic):
         return frozenset((f.lhs, f.rhs))
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return free_vars(f.lhs) | free_vars(f.rhs)
-    if isinstance(f, (Forall, Exists)):
+    if isinstance(f, _Operator):
+        return frozenset().union(*[free_vars(part) for part in f._parts()])
+    if isinstance(f, _Quantifier):
         return free_vars(f.body) - {f.var}
     raise TypeError(f"not a formula node: {f!r}")
 
@@ -379,37 +397,18 @@ def _emit(f: Formula, scope: dict[str, str], top: int) -> str:
     # member's bit, 0 or 1, and a connective may pass it on; so every result
     # is 0, 1, False or True, and two compare equal exactly when they have
     # the same truth.
-    kind = type(f)
-    if kind is Member:
-        return f"sets[{scope[f.rhs]}] >> {scope[f.lhs]} & 1"
-    if kind is Equal:
-        return f"({scope[f.lhs]} == {scope[f.rhs]})"
-    if kind is Not:
-        return f"(not {_emit(f.body, scope, top)})"
-    if kind is Forall or kind is Exists:
-        var = f"v{top}"
-        body = _emit(f.body, {**scope, f.var: var}, top + 1)
-        return f"{'all' if kind is Forall else 'any'}({body} for {var} in R)"
-    a, b = _emit(f.lhs, scope, top), _emit(f.rhs, scope, top)
-    if kind is And:
-        return f"({a} and {b})"
-    if kind is Or:
-        return f"({a} or {b})"
-    if kind is Implies:
-        return f"(not {a} or {b})"
-    if kind is Iff:
-        return f"({a} == {b})"
-    raise TypeError(f"not a formula node: {f!r}")
+    if isinstance(f, _Atomic):
+        return f._py.format(scope[f.lhs], scope[f.rhs])
+    if isinstance(f, _Operator):
+        return f._py.format(*[_emit(part, scope, top) for part in f._parts()])
+    var = f"v{top}"
+    return f._py.format(var, _emit(f.body, {**scope, f.var: var}, top + 1))
 
 
 def _check_depth(f: Formula) -> None:
     # Refuses ``f`` when it nests deeper than parse allows: Python could
     # not compile its emitted text.
-    try:
-        depth = f.depth
-    except AttributeError:
-        raise TypeError(f"not a formula node: {f!r}") from None
-    if depth > MAX_NESTING:
+    if _node(f).depth > MAX_NESTING:
         raise WorkbenchError(f"formula nests deeper than {MAX_NESTING} levels")
 
 
@@ -462,28 +461,12 @@ def _emit_mask(f: Formula) -> str | None:
     # the atoms are ``x in x``, the self-membered ids ``I``, and ``x = x``.
     # Every operand lies within ``M``, so ``^ M`` is its complement there.
     # Each node opens one bracket, as in :func:`_emit`.
-    kind = type(f)
-    if kind is Member:
-        return "(M & I)"
-    if kind is Equal:
-        return "M"
-    if kind is Forall or kind is Exists:
-        return None
-    if kind is Not:
-        a = _emit_mask(f.body)
-        return None if a is None else f"({a} ^ M)"
-    a, b = _emit_mask(f.lhs), _emit_mask(f.rhs)
-    if a is None or b is None:
-        return None
-    if kind is And:
-        return f"({a} & {b})"
-    if kind is Or:
-        return f"({a} | {b})"
-    if kind is Implies:
-        return f"({a} ^ M | {b})"
-    if kind is Iff:
-        return f"({a} ^ {b} ^ M)"
-    raise TypeError(f"not a formula node: {f!r}")
+    if isinstance(f, _Atomic):
+        return f._mask
+    if isinstance(f, _Operator):
+        parts = [_emit_mask(part) for part in f._parts()]
+        return None if None in parts else f._mask.format(*parts)
+    return None
 
 
 @lru_cache(maxsize=256)

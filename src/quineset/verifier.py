@@ -168,11 +168,17 @@ INDIVIDUALS_FORMULA = "forall s. ((s in s) -> (forall u. ((u in s) -> (u = s))))
 
 NO_EMPTY_FORMULA = "forall s. (exists u. (((u in s) & (u in u)) | ((u in s) & (u notin u))))"
 
-REGULARITY_FORMULA = (
-    "forall s. ((exists u. ((u in s) & (u notin u))) -> "
+# Some member of s is not an individual.
+_HAS_NON_INDIVIDUAL = "(exists u. ((u in s) & (u notin u)))"
+
+# The regularity scan's witness: s has such a member but none is minimal.
+_REGULARITY_AT_S = (
+    f"{_HAS_NON_INDIVIDUAL} -> "
     "(exists v. ((v in s) & ((v notin v) & "
-    "(forall u. (((u in v) & (u in s)) -> (u in u)))))))"
+    "(forall u. (((u in v) & (u in s)) -> (u in u))))))"
 )
+
+REGULARITY_FORMULA = f"forall s. ({_REGULARITY_AT_S})"
 
 RUSSELL_FORMULA = "!(exists s. (forall u. ((u in s) <-> (u notin u))))"
 
@@ -182,7 +188,7 @@ RUSSELL_EQUIVALENCE_FORMULA = (
 )
 
 _DERIVATION_A = (
-    "(forall s. ((exists u. ((u in s) & (u notin u))) -> "
+    f"(forall s. ({_HAS_NON_INDIVIDUAL} -> "
     "(exists v. ((forall u. ((u in v) <-> ((u in s) & (u notin u)))) & "
     "((v notin v) & (v notin s))))))"
 )
@@ -195,10 +201,14 @@ _DERIVATION_C = "((exists w. (w notin w)) -> (!(exists s. (forall u. (u in s))))
 
 DERIVATIONS_FORMULA = f"({_DERIVATION_A} & ({_DERIVATION_B} & {_DERIVATION_C}))"
 
+# A member of s is a non-individual set of individuals.
+_INDIVIDUALS_SET_MEMBER = (
+    "(exists v. ((v in s) & ((v notin v) & (forall u. ((u in v) -> (u in u))))))"
+)
+
 THEOREM1_FORMULA = (
-    "forall s. ((exists u. ((u in s) & (u notin u))) -> "
-    f"({_transitive('s')} -> "
-    "(exists v. ((v in s) & ((v notin v) & (forall u. ((u in v) -> (u in u))))))))"
+    f"forall s. ({_HAS_NON_INDIVIDUAL} -> "
+    f"({_transitive('s')} -> {_INDIVIDUALS_SET_MEMBER}))"
 )
 
 # Free variables A, B name the two distinguished atoms, P their pair.
@@ -293,10 +303,7 @@ def _check_regularity(universe: Universe) -> CheckResult:
     # when it shares none of them. Members precede their sets, so the least
     # of them is minimal, and one test decides s unless members come late.
     return CheckResult.first(
-        "regularity", n, n,
-        "(exists u. ((u in s) & (u notin u))) -> "
-        "(exists v. ((v in s) & ((v notin v) & "
-        "(forall u. (((u in v) & (u in s)) -> (u in u))))))",
+        "regularity", n, n, _REGULARITY_AT_S,
         ({"s": s} for s in range(n)
          if (rest := (ms := sets[s]) ^ (ms & individuals))
          and sets[(rest & -rest).bit_length() - 1] & rest
@@ -419,9 +426,7 @@ def check_theorem1(universe: Universe) -> CheckResult:
         if not any(sets[v] & individuals == sets[v] for v in ids_of(rest)):
             return CheckResult.failure(
                 "theorem1", qualifying, n,
-                "(exists u. ((u in s) & (u notin u))) -> "
-                "(exists v. ((v in s) & ((v notin v) & "
-                "(forall u. ((u in v) -> (u in u))))))",
+                f"{_HAS_NON_INDIVIDUAL} -> {_INDIVIDUALS_SET_MEMBER}",
                 s=s,
             )
     if qualifying == 0:
@@ -560,7 +565,11 @@ class Law:
 
     @cached_property
     def dual_name(self) -> str:
-        """The name of this law's result in :func:`check_dual_paths`."""
+        """The name of this law's result in :func:`check_dual_paths`.
+
+        Cached, so that every report names a law with one shared string:
+        a caller that keeps many reports keeps each name once.
+        """
         return f"dualpath-{self.name}"
 
 

@@ -246,8 +246,14 @@ def test_intern_order_independent(ids, rng):
 
 def test_intern_names_the_first_bad_member():
     u = Universe(["u", "v"])
+    # A non-int is named, never compared with the ints beside it.
+    for members in (["x"], [0, "x"], ("x", 0)):
+        with pytest.raises(UnknownId, match=r"^'x' is not a set id of this universe$"):
+            u.intern(members)
     with pytest.raises(UnknownId, match=r"^'x' is not a set id of this universe$"):
-        u.intern(["x"])
+        u.intern_subsets(["x", 0])
+    with pytest.raises(UnknownId, match=r"^'x' is not a set id of this universe$"):
+        pair(u, 0, "x")
     with pytest.raises(UnknownId, match=r"^1\.5 is not a set id of this universe$"):
         u.intern([0, 1.5])
     with pytest.raises(UnknownId, match=r"^-1 is not a set id of this universe$"):

@@ -195,7 +195,11 @@ def test_nesting_past_the_limit_is_a_syntax_error(text):
 _BUILT_SHAPES = {
     "not": lambda f: Not(f),
     "forall": lambda f: Forall("v", f),
+    "exists": lambda f: Exists("v", f),
     "and-chain": lambda f: And(f, Member("u", "u")),
+    "or-chain": lambda f: Or(f, Member("u", "u")),
+    "implies-chain": lambda f: Implies(f, Member("u", "u")),
+    "iff-chain": lambda f: Iff(f, Member("u", "u")),
 }
 
 
@@ -209,7 +213,7 @@ def _built(shape, depth):
 
 @pytest.mark.parametrize("shape", _BUILT_SHAPES)
 def test_formulas_built_at_the_limit_evaluate(shape):
-    # "not" and "and-chain" compile to mask algebra, "forall" to a comprehension.
+    # The operator shapes compile to mask algebra, the quantifiers to a comprehension.
     u = Universe(["a"])
     f = _built(shape, LIMIT)
     expected = reference_eval(u, f, {"u": 0})
@@ -235,9 +239,9 @@ def test_formulas_built_past_the_limit_are_refused(shape, depth):
 @pytest.mark.parametrize("depth", [499, 5000])
 @pytest.mark.parametrize("shape", _BUILT_SHAPES)
 def test_formulas_built_far_past_the_limit_are_refused_before_hashing(shape, depth):
-    # Hashing a formula for the compile cache recurses once per level, so
-    # the depth is measured first, and such a formula is refused like any
-    # other, where its hash would overflow the interpreter's stack.
+    # Each node stores its depth and hash when it is made, so neither the
+    # depth check nor the compile cache's hash walks the formula, and one
+    # thousands of levels deep is refused like any other.
     u = Universe(["a"])
     f = _built(shape, depth)
     message = f"^formula nests deeper than {LIMIT} levels$"
