@@ -16,7 +16,7 @@ both survive printing. A formula nests at most
 :data:`~quineset.core.MAX_NESTING` levels: no path from its root down to an
 atomic formula passes more subformulas, the atomic one included, and no
 point of its text lies inside more parentheses. Deeper input is a syntax
-error, which keeps the recursive parser, printer and evaluator inside the
+error, which keeps the recursive parser and evaluator inside the
 interpreter's stack. The printer puts one pair of parentheses around each
 subformula, so the printed form of any formula that parses parses again.
 
@@ -80,12 +80,17 @@ class Formula:
     down to an atomic formula, both ends included, and its hash. Neither
     ever recurses, so a formula of any depth is made, hashed and measured
     in constant time. A child that is not a formula node raises
-    ``TypeError``. The stored hash is not pickled, since ``str`` hashes
-    differ between processes: a node unpickles by being made again.
+    ``TypeError``, and so does ``Formula()``: only the kinds below make
+    nodes. The stored hash is not pickled, since ``str`` hashes differ
+    between processes: a node unpickles by being made again.
     """
 
     depth: int = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        kinds = ", ".join(kind.__name__ for kind in _KINDS)
+        raise TypeError(f"Formula is not a node kind; make one of {kinds}")
 
     def _store(self, depth: int, *key: object) -> None:
         object.__setattr__(self, "depth", depth)
@@ -215,6 +220,8 @@ class Exists(_Quantifier):
     var: str
     body: Formula
 
+
+_KINDS = (Member, Equal, Not, And, Or, Implies, Iff, Forall, Exists)
 
 Env = Mapping[str, SetId]
 
@@ -361,30 +368,54 @@ def parse(text: str) -> Formula:
 
 def format_formula(f: Formula) -> str:
     """Canonical fully parenthesized text; ``parse(format_formula(f)) == f``."""
-    negated = isinstance(f, Not) and isinstance(f.body, _Atomic)
-    atom = f.body if negated else f
-    if isinstance(atom, _Atomic):
-        return f"({atom.lhs} {atom._negated if negated else atom._word} {atom.rhs})"
-    if isinstance(f, _Operator):
-        # "!" goes before its one operand, a connective between its two.
-        parts = [format_formula(part) for part in f._parts()]
-        if len(parts) == 1:
-            return f"({f._symbol}{parts[0]})"
-        return f"({parts[0]} {f._symbol} {parts[1]})"
-    if isinstance(f, _Quantifier):
-        return f"({f._keyword} {f.var}. {format_formula(f.body)})"
-    raise TypeError(f"not a formula node: {f!r}")
+    # An explicit stack, so a formula built in code prints at any depth.
+    # It holds the nodes still to print and, between them, the text that
+    # follows each, in reverse order; children were checked when made.
+    out: list[str] = []
+    todo: list[Formula | str] = [_node(f)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        negated = isinstance(node, Not) and isinstance(node.body, _Atomic)
+        atom = node.body if negated else node
+        if isinstance(atom, _Atomic):
+            out.append(f"({atom.lhs} {atom._negated if negated else atom._word} {atom.rhs})")
+        elif isinstance(node, _Operator):
+            # "!" goes before its one operand, a connective between its two.
+            parts = node._parts()
+            if len(parts) == 1:
+                out.append(f"({node._symbol}")
+                todo += [")", parts[0]]
+            else:
+                out.append("(")
+                todo += [")", parts[1], f" {node._symbol} ", parts[0]]
+        elif isinstance(node, _Quantifier):
+            out.append(f"({node._keyword} {node.var}. ")
+            todo += [")", node.body]
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+    return "".join(out)
 
 
 def free_vars(f: Formula) -> frozenset[str]:
     """Exactly the variables with a free occurrence, under lexical binding."""
-    if isinstance(f, _Atomic):
-        return frozenset((f.lhs, f.rhs))
-    if isinstance(f, _Operator):
-        return frozenset().union(*[free_vars(part) for part in f._parts()])
-    if isinstance(f, _Quantifier):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula node: {f!r}")
+    # An explicit stack, so a formula built in code is read at any depth;
+    # each node goes with the variables bound above it.
+    free: set[str] = set()
+    todo: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
+    while todo:
+        node, bound = todo.pop()
+        if isinstance(node, _Atomic):
+            free.update({node.lhs, node.rhs} - bound)
+        elif isinstance(node, _Operator):
+            todo += [(part, bound) for part in node._parts()]
+        elif isinstance(node, _Quantifier):
+            todo.append((node.body, bound | {node.var}))
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+    return frozenset(free)
 
 
 def _emit(f: Formula, scope: dict[str, str], top: int) -> str:

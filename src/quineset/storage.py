@@ -33,6 +33,15 @@ its ids are strictly increasing. Each record is interned by one call to
 so a record past the cap reports the cap. The unknown-id check compares
 spellings with the universe's size as text, so an id too long for
 ``int()`` is reported like any other.
+
+A file that is exactly what :func:`~quineset.builder.build` writes for its
+header is built again instead of read record by record. When the header
+carries both ``depth`` and ``max-sets``, the loader works out the built
+size in closed form (each stage maps n sets to 2**n - 1), and only when
+the atoms and records add up to it does it build that config and compare
+the dump with the text, one string compare. Every other file, and a build
+that fails, goes through the record loop under the rules above, in the
+same order and with the same messages.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from functools import reduce
 from operator import or_
 from pathlib import Path
 
+from .builder import BuildConfig, build
 from .core import Universe, ids_of
 from .errors import UniverseFormatError, WorkbenchError
 
@@ -69,6 +79,32 @@ def dumps_universe(universe: Universe) -> str:
         lines.append(f"max-sets {universe.max_sets}")
     lines += map(_record_line, universe.member_sets[len(universe.atom_names):])
     return "\n".join(lines) + "\n"
+
+
+def _rebuilt(names: list[str], depth: int, max_sets: int, sets: int, text: str) -> Universe | None:
+    """The universe ``build`` makes for this header, when it dumps exactly as ``text``.
+
+    ``sets`` is the number of sets the file holds, its atoms and records.
+    """
+    # Each stage closes a domain of n sets to 2**n - 1, so the built size
+    # follows from the atom count alone. It stops at a fixed point (one
+    # atom), and a stage past the cap or the file's sets rules the build
+    # out, so a header of any depth costs a few steps.
+    size = len(names)
+    for _ in range(depth):
+        grown = 2**size - 1
+        if grown == size:
+            break
+        if grown > min(max_sets, sets):
+            return None
+        size = grown
+    if size != sets:
+        return None
+    try:
+        universe, _ = build(BuildConfig(names, depth, max_sets))
+    except WorkbenchError:
+        return None
+    return universe if dumps_universe(universe) == text else None
 
 
 def loads_universe(text: str) -> Universe:
@@ -113,6 +149,10 @@ def loads_universe(text: str) -> Universe:
     except (WorkbenchError, ValueError) as exc:
         raise UniverseFormatError(f"line 2: bad atom list: {exc}") from exc
     universe.build_depth = depth
+    if depth is not None and max_sets is not None:
+        built = _rebuilt(names, depth, max_sets, len(names) + len(lines) - row, text)
+        if built is not None:
+            return built
     # Each record must intern to a fresh set, so the universe holds ``sid``
     # sets when the record that should make set ``sid`` is read, and
     # ``sid + skew`` is its line number.

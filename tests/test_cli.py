@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quineset import (
+    DEFAULT_MAX_SETS,
     BuildConfig,
     build,
     dumps_universe,
@@ -16,7 +17,7 @@ from quineset import (
     loads_universe,
     parse_set_literal,
 )
-from quineset import cli
+from quineset import cli, storage
 from quineset.cli import MAX_PEANO_BYTES, build_arg_parser, main
 from quineset.core import MAX_NESTING
 from quineset.errors import LiteralSyntaxError, UniverseFormatError
@@ -499,6 +500,171 @@ def test_loader_applies_build_config_rules_to_the_header():
         loads_universe("quineset-universe 1\natoms u,v\nmax-sets 1\n")
     edge = loads_universe("quineset-universe 1\natoms u,v\ndepth 0\nmax-sets 2\n")
     assert (len(edge), edge.build_depth, edge.max_sets) == (2, 0, 2)
+
+
+# --- built files, rebuilt --------------------------------------------------
+
+def _built_size(atoms, depth):
+    # The number of sets build makes: each stage closes n sets to 2**n - 1.
+    size = atoms
+    for _ in range(depth):
+        if size > DEFAULT_MAX_SETS:
+            break
+        size = 2**size - 1
+    return size
+
+
+def _without_depth(text):
+    # The same file without its depth line, which the rebuild needs, so it
+    # loads through the record loop.
+    lines = text.split("\n")
+    return "\n".join(line for line in lines if not line.startswith("depth "))
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    calls = []
+    real_build = storage.build
+
+    def counted(config):
+        calls.append(config)
+        return real_build(config)
+
+    monkeypatch.setattr(storage, "build", counted)
+    return calls
+
+
+BUILT_CONFIGS = [(atoms, depth) for atoms in range(1, 5) for depth in range(4)
+                 if _built_size(atoms, depth) <= DEFAULT_MAX_SETS]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(BUILT_CONFIGS).flatmap(lambda config: st.tuples(
+    st.just(config), st.integers(_built_size(*config), DEFAULT_MAX_SETS))))
+def test_a_built_file_loads_the_same_rebuilt_as_record_by_record(config_and_cap):
+    (atoms, depth), cap = config_and_cap
+    text = dumps_universe(build(BuildConfig("abcd"[:atoms], depth, cap))[0])
+    rebuilt, read = loads_universe(text), loads_universe(_without_depth(text))
+    assert rebuilt.member_sets == read.member_sets
+    assert rebuilt._index == read._index
+    assert rebuilt.atom_names == read.atom_names == tuple("abcd"[:atoms])
+    assert (rebuilt.build_depth, read.build_depth) == (depth, None)
+    assert rebuilt.max_sets == read.max_sets == cap
+    assert dumps_universe(rebuilt) == text
+    assert dumps_universe(read) == _without_depth(text)
+
+
+def test_only_a_header_with_depth_and_cap_and_the_built_size_is_rebuilt(build_calls):
+    text = dumps_universe(build(BuildConfig(("u", "v"), 3))[0])
+    loads_universe(text)
+    assert build_calls == [BuildConfig(("u", "v"), 3, DEFAULT_MAX_SETS)]
+    loads_universe(_without_depth(text))
+    loads_universe(text.replace(f"max-sets {DEFAULT_MAX_SETS}\n", ""))
+    loads_universe(text.replace("depth 3", "depth 2"))
+    loads_universe(text[:text.rindex("\n", 0, -1) + 1])
+    assert len(build_calls) == 1
+
+
+def _behind_a_build_header(body, message):
+    # The case with depth and max-sets lines that make its record count the
+    # size build makes, keeping any cap it has, its message with the line
+    # moved past the added lines, and whether that size is within the cap;
+    # None when no depth gives that size.
+    atoms, *rest = body.split("\n")[:-1]
+    header = [line for line in rest if line.startswith(("depth ", "max-sets "))]
+    records = rest[len(header):]
+    count = len(atoms.split(","))
+    depth = next((depth for depth in range(5)
+                  if _built_size(count, depth) == count + len(records)), None)
+    if depth is None:
+        return None
+    cap = next((int(line.split()[1]) for line in header if line.startswith("max-sets ")),
+               DEFAULT_MAX_SETS)
+    line, rest_of_message = message[len("line "):].split(":", 1)
+    moved = f"line {int(line) + 2 - len(header)}:{rest_of_message}"
+    text = "\n".join([atoms, f"depth {depth}", f"max-sets {cap}", *records, ""])
+    return text, moved, count + len(records) <= cap
+
+
+LOADER_ERRORS_BEHIND_A_BUILD_HEADER = {
+    name: case for name, case in (
+        (name, _behind_a_build_header(*case)) for name, case in LOADER_ERRORS.items())
+    if case is not None
+}
+
+
+@pytest.mark.parametrize("body,message,within_cap", LOADER_ERRORS_BEHIND_A_BUILD_HEADER.values(),
+                         ids=LOADER_ERRORS_BEHIND_A_BUILD_HEADER)
+def test_loader_error_precedence_behind_a_build_header(build_calls, body, message, within_cap):
+    # Each case has the record count a build would make, so unless that
+    # passes its cap the loader builds again, finds the text differs and
+    # reads the records as before.
+    with pytest.raises(UniverseFormatError) as err:
+        loads_universe("quineset-universe 1\n" + body)
+    assert str(err.value) == message
+    assert len(build_calls) == within_cap
+
+
+def test_every_record_count_case_is_rerun_behind_a_build_header():
+    assert sorted(LOADER_ERRORS_BEHIND_A_BUILD_HEADER) == [
+        "atom-singleton", "fresh-past-cap-out-of-order", "out-of-order", "repeated-id",
+        "unknown-id-and-out-of-order", "unknown-id-first-record",
+        "unknown-id-of-4300-digits", "unknown-id-past-int-limit", "unknown-ids-least-first",
+    ]
+
+
+def _uv3_edited(edits):
+    # A built uv3 file with the given lines, numbered from 1, replaced.
+    lines = dumps_universe(build(BuildConfig(("u", "v"), 3))[0]).split("\n")
+    for number, line in edits.items():
+        lines[number - 1] = line
+    return "\n".join(lines)
+
+
+# Edits of a built uv3 file that keep the built record count, and the
+# record loop's message for each. Lines 5 and 6 hold 0,1 and 2, line 9
+# holds 0,1,2 and lines 10 and 11 hold 3 and 0,3.
+TAMPERED_UV3 = {
+    "records-swapped": ({5: "2", 6: "0,1"},
+                        "line 5: 2 is not a set id of this universe"),
+    "record-respelled": ({5: "0,01"},
+                         "line 5: not a member-id list: '0,01'"),
+    "record-duplicated": ({10: "0,1,2"},
+                          "line 10: record does not intern to a fresh set"),
+    "record-past-a-lowered-cap": ({4: "max-sets 126"},
+                                  "line 129: interning needs 127 sets, exceeding the cap of 126"),
+}
+
+
+@pytest.mark.parametrize("edits,message", TAMPERED_UV3.values(), ids=TAMPERED_UV3)
+def test_a_tampered_built_file_meets_the_record_loop(edits, message):
+    text = _uv3_edited(edits)
+    with pytest.raises(UniverseFormatError) as err:
+        loads_universe(text)
+    assert str(err.value) == message
+    # Without the depth line every line moves up one, and the message is the same.
+    line, rest_of_message = message[len("line "):].split(":", 1)
+    with pytest.raises(UniverseFormatError) as err:
+        loads_universe(_without_depth(text))
+    assert str(err.value) == f"line {int(line) - 1}:{rest_of_message}"
+
+
+def test_records_swapped_within_a_stage_load_in_the_file_order():
+    built = build(BuildConfig(("u", "v"), 3))[0]
+    text = _uv3_edited({10: "0,3", 11: "3"})
+    loaded = loads_universe(text)
+    assert dumps_universe(loaded) == text
+    assert loaded.member_sets != built.member_sets
+    assert sorted(loaded.member_sets) == sorted(built.member_sets)
+
+
+@pytest.mark.parametrize("atoms,records", [("u", ""), ("u,v", "0,1\n")])
+def test_a_depth_far_past_any_stage_loads_at_once(atoms, records):
+    depth = 10**30
+    text = f"quineset-universe 1\natoms {atoms}\ndepth {depth}\nmax-sets 100\n{records}"
+    universe = loads_universe(text)
+    assert (universe.build_depth, universe.max_sets) == (depth, 100)
+    assert dumps_universe(universe) == text
 
 
 HEAD = "quineset-universe 1\natoms u,v\n"

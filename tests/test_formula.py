@@ -14,6 +14,7 @@ from quineset import (
     Equal,
     Exists,
     Forall,
+    Formula,
     Iff,
     Implies,
     Member,
@@ -280,6 +281,26 @@ def test_a_not_chain_5000_deep_is_made_and_hashed_then_refused():
         evaluate(u, f, {"u": 0})
     with pytest.raises(WorkbenchError, match=message):
         compile_criterion(f, "u")
+
+
+@pytest.mark.parametrize("shape,text", [
+    ("not", "(!" * 4998 + "(u notin u)" + ")" * 4998),
+    ("and-chain", "(" * 4999 + "(u in u)" + " & (u in u))" * 4999),
+    ("forall", "(forall v. " * 4999 + "(u in u)" + ")" * 4999),
+], ids=["not", "and-chain", "forall"])
+def test_a_chain_5000_deep_prints_and_lists_its_free_variables(shape, text):
+    # The printer and free_vars walk an explicit stack; == and repr of such
+    # a formula still recurse once per level.
+    f = _built(shape, 5000)
+    assert format_formula(f) == text
+    assert free_vars(f) == {"u"}
+    assert free_vars(Forall("u", f)) == frozenset()
+
+
+def test_the_formula_base_class_makes_no_node():
+    kinds = "Member, Equal, Not, And, Or, Implies, Iff, Forall, Exists"
+    with pytest.raises(TypeError, match=f"^Formula is not a node kind; make one of {kinds}$"):
+        Formula()
 
 
 @pytest.mark.parametrize("make", [
