@@ -15,11 +15,12 @@ itself, and the singleton of an atom, having the same mask, is the atom.
 There is no empty set.
 
 Interning is the only write, and it needs a single writer. After the
-atoms, every write goes through one append rule: a set already in the
-index keeps its id, and a new one is appended if the universe is under its
+atoms, every write goes through one append rule, which takes a list of
+masks: a set already in the index keeps its id, and the new ones are
+appended in order, by one ``extend`` and one index ``update``, up to the
 cap. Three methods feed it: :meth:`Universe.intern` validates any member
 collection, :meth:`Universe.intern_subsets` interns every nonempty subset
-of an id list (the builder's stages and ``powerset``), and
+of an id list (the builder's stages and ``powerset``) as one list, and
 :meth:`Universe.intern_mask` takes a set's member mask (the loader, and
 the constructors that compute one). Each admits only members that already
 exist, so a new set never holds its own id: the atoms are the only
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import re
 from functools import reduce
+from itertools import filterfalse
 from operator import or_
 from typing import Collection, Iterable
 
@@ -132,21 +134,37 @@ class Universe:
         self._individuals = (1 << len(names)) - 1
         self._atom_ids: dict[str, SetId] = dict(zip(names, range(len(names))))
 
-    def _add(self, ms: int) -> SetId:
-        """The one append rule: the id of mask ``ms`` if interned, else a fresh id under the cap.
+    def _append(self, masks: list[int]) -> list[SetId]:
+        """The one append rule: the ids of ``masks``, each new mask appended under the cap.
 
-        ``ms`` must already be a valid member mask of existing ids. Every
-        write after the atoms goes through here.
+        A mask already in the index keeps its id. The others are appended
+        once each, in order, by one ``extend`` of the table and one
+        ``update`` of the index. When they would pass the cap, those that
+        fit are appended and :class:`CapExceeded` names one set past it.
+        The masks must already be valid member masks of existing ids.
+        Every write after the atoms goes through here.
         """
-        found = self._index.get(ms)
-        if found is not None:
-            return found
-        sid = len(self.member_sets)
-        if self.max_sets is not None and sid >= self.max_sets:
-            raise CapExceeded(required=sid + 1, max_sets=self.max_sets)
-        self.member_sets.append(ms)
-        self._index[ms] = sid
-        return sid
+        index = self._index
+        fresh = list(filterfalse(index.__contains__, masks))
+        if len(fresh) > 1:
+            # A mask may repeat; it is appended once, at its first place.
+            fresh = list(dict.fromkeys(fresh))
+        if fresh:
+            sets = self.member_sets
+            sid = len(sets)
+            room = len(fresh) if self.max_sets is None else max(self.max_sets - sid, 0)
+            full = len(fresh) > room
+            if full:
+                del fresh[room:]
+            sets += fresh
+            index.update(zip(fresh, range(sid, len(sets))))
+            if full:
+                raise CapExceeded(required=len(sets) + 1, max_sets=self.max_sets)
+        return list(map(index.__getitem__, masks))
+
+    def _add(self, ms: int) -> SetId:
+        """The append rule for one mask: its id, appended under the cap if new."""
+        return self._append([ms])[0]
 
     def __len__(self) -> int:
         return len(self.member_sets)
@@ -220,13 +238,11 @@ class Universe:
         # whose top bit is bit k are the masks below 2**k plus that bit, in
         # order, so each subset is one earlier subset with ids[k] added.
         subsets = [0]
-        interned: list[SetId] = []
         for m in ids:
             bit = 1 << m
-            fresh = [ms | bit for ms in subsets]
-            interned += map(self._add, fresh)
-            subsets += fresh
-        return interned
+            subsets += [ms | bit for ms in subsets]
+        del subsets[0]
+        return self._append(subsets)
 
     def intern_mask(self, mask: int) -> SetId:
         """Intern the set whose member mask is ``mask``, by the same rule as :meth:`intern`.

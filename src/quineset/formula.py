@@ -71,7 +71,7 @@ from .errors import FormulaSyntaxError, UnboundVariable, WorkbenchError, WrongAr
 Selector = Callable[[list[int], int, int, int], int]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Formula:
     """A formula node: an immutable value, equal to a node of the same kind with equal parts.
 
@@ -79,7 +79,9 @@ class Formula:
     its children stored: ``depth``, the most subformulas on one path from it
     down to an atomic formula, both ends included, and its hash. Neither
     ever recurses, so a formula of any depth is made, hashed and measured
-    in constant time. A child that is not a formula node raises
+    in constant time. ``==`` and ``repr`` walk an explicit stack, so they
+    too take a formula of any depth; ``repr`` is the dataclass form, each
+    field by name. A child that is not a formula node raises
     ``TypeError``, and so does ``Formula()``: only the kinds below make
     nodes. The stored hash is not pickled, since ``str`` hashes differ
     between processes: a node unpickles by being made again.
@@ -98,6 +100,56 @@ class Formula:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        # Pairs of nodes still to compare; equal nodes store equal hashes,
+        # so a differing hash rejects a pair without reading its parts.
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or type(a) is not type(b):
+                return False
+            if isinstance(a, _Atomic):
+                if a.lhs != b.lhs or a.rhs != b.rhs:
+                    return False
+            elif isinstance(a, _Operator):
+                for name in a.__match_args__:
+                    todo.append((getattr(a, name), getattr(b, name)))
+            else:
+                if a.var != b.var:
+                    return False
+                todo.append((a.body, b.body))
+        return True
+
+    def __repr__(self) -> str:
+        # As in format_formula: the nodes still to print and, between them,
+        # the text that follows each, in reverse order.
+        out: list[str] = []
+        todo: list[Formula | str] = [self]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, str):
+                out.append(node)
+                continue
+            kind = type(node).__qualname__
+            if isinstance(node, _Atomic):
+                out.append(f"{kind}(lhs={node.lhs!r}, rhs={node.rhs!r})")
+            elif isinstance(node, _Operator):
+                parts = node._parts()
+                if len(parts) == 1:
+                    out.append(f"{kind}(body=")
+                    todo += [")", parts[0]]
+                else:
+                    out.append(f"{kind}(lhs=")
+                    todo += [")", parts[1], ", rhs=", parts[0]]
+            else:
+                out.append(f"{kind}(var={node.var!r}, body=")
+                todo += [")", node.body]
+        return "".join(out)
 
     def _parts(self) -> tuple:
         # The node's fields in order, as its constructor takes them. A list,
@@ -149,11 +201,9 @@ class _Quantifier(Formula):
 
 
 def _node_class(cls: type) -> type:
-    # Frozen and slotted, equal field by field as a dataclass is, and
-    # hashed by the hash each node stores.
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__hash__ = Formula.__hash__
-    return cls
+    # Frozen and slotted; equality, repr and the hash each node stores come
+    # from Formula.
+    return dataclass(frozen=True, eq=False, repr=False, slots=True)(cls)
 
 
 @_node_class

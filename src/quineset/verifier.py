@@ -20,7 +20,9 @@ negation, ``rest & -rest``, keeps only the lowest bit of ``rest``. A set
 missing from the universe is named by a witness written over member sets
 instead, or, for a subset that separation must select, is itself the
 failure. subset-derivations calls ``specify`` only for a selection it has
-found among the scanned sets, so that call interns nothing either.
+found among the scanned sets, so that call interns nothing either, and
+only once per distinct selection. The lookup alone would decide; the call
+stays while the benchmark's trace tallies it (ROADMAP item 1).
 
 Members precede their sets, so the least non-individual member of a set
 shares no non-individual with it: it is minimal for regularity and, in a
@@ -265,12 +267,14 @@ def _check_equality_substitution(universe: Universe) -> CheckResult:
     n = len(universe)
     # Canonical interning makes equal ids interchangeable by construction;
     # the scan verifies the model side: no two ids share an extension.
-    # ``seen`` maps each extension to the first id that has it.
+    # Distinct masks decide it at once; only a repeated one is looked for,
+    # ``seen`` mapping each extension to the first id that has it.
     sets = universe.member_sets
     seen: dict[int, SetId] = {}
     return CheckResult.first(
         "equality-substitution", n, n,
         "(forall u. ((u in s) <-> (u in t))) -> (s = t)",
+        () if len(set(sets)) == n else
         ({"s": seen[sets[t]], "t": t} for t in range(n) if seen.setdefault(sets[t], t) != t),
     )
 
@@ -290,7 +294,8 @@ def _check_no_empty(universe: Universe) -> CheckResult:
     n = len(universe)
     sets = universe.member_sets
     return CheckResult.first(
-        "no-empty-set", n, n, "exists u. (u in s)", ({"s": s} for s in range(n) if not sets[s])
+        "no-empty-set", n, n, "exists u. (u in s)",
+        ({"s": s} for s in range(n) if not sets[s]) if 0 in sets else (),
     )
 
 
@@ -322,7 +327,8 @@ def check_russell(universe: Universe) -> CheckResult:
     return CheckResult.first(
         "russell", n, n,
         "!(forall u. ((u in s) <-> (u notin u)))",
-        ({"s": s} for s in range(n) if sets[s] == non_individuals),
+        ({"s": s} for s in range(n) if sets[s] == non_individuals)
+        if non_individuals in sets else (),
     )
 
 
@@ -356,7 +362,10 @@ def check_subset_derivations(universe: Universe) -> CheckResult:
     individual member of itself. Only a mixed set needs ``specify``, and only
     once its selection is known to be among the scanned sets, so that
     ``specify`` finds it and interns nothing. A selection missing from them
-    is a failure at ``s``.
+    is a failure at ``s``. Each distinct selection is specified once, by
+    the first set that has it, and later sets reuse the id; every clause is
+    still tested per set. The looked-up id already decides, and the call
+    stays only because the benchmark's trace tallies it (ROADMAP item 1).
     """
     name = "subset-derivations"
     n = len(universe)
@@ -365,6 +374,10 @@ def check_subset_derivations(universe: Universe) -> CheckResult:
     individuals = universe.individuals()
     has_non_individual = individuals != every
     lookup = universe.lookup_mask
+    # The id ``specify`` returned for each selection id met so far, one
+    # dict per criterion, so it is called once per distinct selection.
+    non_individual_parts: dict[SetId, SetId] = {}
+    individual_parts: dict[SetId, SetId] = {}
     for s in range(n):
         mem = sets[s]
         own = mem & individuals
@@ -377,7 +390,9 @@ def check_subset_derivations(universe: Universe) -> CheckResult:
                     "exists v. (forall u. ((u in v) <-> ((u in s) & (u notin u))))",
                     s=s,
                 )
-            v = specify(universe, s, _NOT_SELF, "x").set_id
+            v = non_individual_parts.get(found)
+            if v is None:
+                v = non_individual_parts[found] = specify(universe, s, _NOT_SELF, "x").set_id
             if sets[v] & mem != sets[v]:
                 return CheckResult.failure(
                     name, n, n, "forall u. ((u in v) -> (u in s))", v=v, s=s
@@ -393,7 +408,9 @@ def check_subset_derivations(universe: Universe) -> CheckResult:
                     "exists v. (forall u. ((u in v) <-> ((u in s) & (u in u))))",
                     s=s,
                 )
-            w = specify(universe, s, _IN_SELF, "x").set_id
+            w = individual_parts.get(found)
+            if w is None:
+                w = individual_parts[found] = specify(universe, s, _IN_SELF, "x").set_id
             if sets[w] >> w & 1 and not mem >> w & 1:
                 return CheckResult.failure(
                     name, n, n,

@@ -96,6 +96,11 @@ def _intern_masks(universe, base):
     ]
 
 
+def enumerated_index(member_sets):
+    """The index a universe with ``member_sets`` must hold: each mask to its id."""
+    return {ms: i for i, ms in enumerate(member_sets)}
+
+
 def reference_build(config):
     """``(universe, counts, fixed_point_stage)`` built one subset mask at a time."""
     universe = Universe(config.atom_names, max_sets=config.max_sets)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from quineset import DEFAULT_MAX_SETS, BuildConfig, build
 from quineset.errors import CapExceeded, DuplicateAtomName
 
-from support import model_counts, reference_build
+from support import enumerated_index, model_counts, reference_build
 
 
 def test_depth_zero_is_atoms_only():
@@ -126,6 +126,7 @@ def _outcome(builder, config):
         universe, counts, fixed_point = builder(config)
     except CapExceeded as exc:
         return ("cap", exc.stage, exc.required, exc.max_sets)
+    assert universe._index == enumerated_index(universe.member_sets)
     return (universe.member_sets, list(counts), fixed_point)
 
 

@@ -35,6 +35,7 @@ from quineset.errors import CapExceeded, UnknownId, WrongArity
 from quineset.formula import compile_criterion
 
 from support import (
+    enumerated_index,
     model_powerset,
     model_union,
     reference_eval,
@@ -193,6 +194,7 @@ def _powerset_outcome(construct, universe, s):
         result = construct(universe, s)
     except CapExceeded as exc:
         result = ("cap", exc.required, exc.max_sets)
+    assert universe._index == enumerated_index(universe.member_sets)
     return result, universe.member_sets
 
 

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,7 +33,14 @@ from quineset.errors import (
     WorkbenchError,
 )
 
-from support import inject_self_membered, model_members, rep_of, small_universes
+from support import (
+    _intern_masks,
+    enumerated_index,
+    inject_self_membered,
+    model_members,
+    rep_of,
+    small_universes,
+)
 
 
 def test_new_universe_atoms():
@@ -453,6 +462,47 @@ def test_individuals_are_the_self_membered_ids(u, data):
     injected = inject_self_membered(u, data.draw(st.integers(0, len(u) - 1)))
     assert injected in ids_of(u.individuals())
     _assert_individuals_match(u)
+
+
+def _reference_subsets(universe, ids):
+    """``intern_subsets`` by one ``intern`` per subset mask, after the same up-front cap test."""
+    count = (1 << len(ids)) - 1
+    if count > universe.max_sets:
+        raise CapExceeded(required=count, max_sets=universe.max_sets)
+    return _intern_masks(universe, ids)
+
+
+def _subsets_outcome(intern_subsets, universe, ids):
+    """The ids ``intern_subsets`` returns, or its cap error, and the tables it leaves."""
+    size = len(universe)
+    try:
+        result = intern_subsets(universe, ids)
+    except CapExceeded as exc:
+        result = ("cap", exc.required, exc.max_sets, exc.stage)
+    assert len(universe) <= max(size, universe.max_sets)
+    assert universe._index == enumerated_index(universe.member_sets)
+    return result, universe.member_sets, universe._index
+
+
+# The conftest universes: uv3, oae2 and uv2.
+_FIXTURE_CONFIGS = [BuildConfig(("u", "v"), 3), BuildConfig(("o", "a", "e"), 2),
+                    BuildConfig(("u", "v"), 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_universes(), st.sampled_from(_FIXTURE_CONFIGS).map(lambda c: build(c)[0])),
+       st.data())
+def test_intern_subsets_matches_one_intern_per_mask(universe, data):
+    # One bulk append per call against one append per subset. Ids may
+    # repeat, so masks may too; the cap stops the call up front, part way
+    # through its new sets or not at all.
+    ids = data.draw(st.lists(st.integers(0, len(universe) - 1), max_size=4))
+    whole = len(universe) + (1 << len(ids)) - 1
+    universe.max_sets = data.draw(st.one_of(
+        st.integers(1, 1 << len(ids)), st.integers(max(1, len(universe) - 1), whole + 1)))
+    twin = copy.deepcopy(universe)
+    assert _subsets_outcome(Universe.intern_subsets, universe, ids) == _subsets_outcome(
+        _reference_subsets, twin, ids)
 
 
 _WRITES = ["intern", "intern_subsets", "intern_mask", "pair", "singleton", "union_all",

@@ -283,18 +283,26 @@ def test_a_not_chain_5000_deep_is_made_and_hashed_then_refused():
         compile_criterion(f, "u")
 
 
-@pytest.mark.parametrize("shape,text", [
-    ("not", "(!" * 4998 + "(u notin u)" + ")" * 4998),
-    ("and-chain", "(" * 4999 + "(u in u)" + " & (u in u))" * 4999),
-    ("forall", "(forall v. " * 4999 + "(u in u)" + ")" * 4999),
+_LEAF = "Member(lhs='u', rhs='u')"
+
+
+@pytest.mark.parametrize("shape,text,shown", [
+    ("not", "(!" * 4998 + "(u notin u)" + ")" * 4998,
+     "Not(body=" * 4999 + _LEAF + ")" * 4999),
+    ("and-chain", "(" * 4999 + "(u in u)" + " & (u in u))" * 4999,
+     "And(lhs=" * 4999 + _LEAF + f", rhs={_LEAF})" * 4999),
+    ("forall", "(forall v. " * 4999 + "(u in u)" + ")" * 4999,
+     "Forall(var='v', body=" * 4999 + _LEAF + ")" * 4999),
 ], ids=["not", "and-chain", "forall"])
-def test_a_chain_5000_deep_prints_and_lists_its_free_variables(shape, text):
-    # The printer and free_vars walk an explicit stack; == and repr of such
-    # a formula still recurse once per level.
-    f = _built(shape, 5000)
+def test_a_chain_5000_deep_prints_and_lists_its_free_variables(shape, text, shown):
+    # The printer, free_vars, == and repr all walk an explicit stack.
+    f, g = _built(shape, 5000), _built(shape, 5000)
     assert format_formula(f) == text
     assert free_vars(f) == {"u"}
     assert free_vars(Forall("u", f)) == frozenset()
+    assert f == g and not f != g
+    assert f != _built(shape, 4999)
+    assert repr(f) == shown
 
 
 def test_the_formula_base_class_makes_no_node():

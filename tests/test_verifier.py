@@ -31,6 +31,7 @@ from quineset import (
     union_all,
     witness_reproduces,
 )
+from quineset import verifier
 from quineset.errors import AtomsEqual, NotAtom
 from quineset.formula import free_vars
 from quineset.verifier import LAWS, PAIR_SUITES, SUITES
@@ -416,6 +417,54 @@ def test_subset_derivations_name_a_selection_missing_from_the_file():
     by_name = {r.name: r.status for r in check_dual_paths(universe).results}
     assert by_name["dualpath-subset-derivations"] is Status.HOLDS
     assert len(universe) == 5
+
+
+def _count_specify(monkeypatch):
+    """Count the calls subset-derivations makes to ``specify``, reached through the verifier."""
+    calls = []
+    real = verifier.specify
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verifier, "specify", counted)
+    return calls
+
+
+def _distinct_parts(universe):
+    """How many distinct non-individual parts and individual parts the mixed sets have."""
+    individuals = universe.individuals()
+    mixed = [ms for ms in universe.member_sets if ms & individuals and ms ^ (ms & individuals)]
+    return len({ms ^ (ms & individuals) for ms in mixed}) + len({ms & individuals for ms in mixed})
+
+
+@pytest.mark.parametrize("config", [BuildConfig(("o", "a", "e"), 2),
+                                    BuildConfig(("a", "b", "c", "d"), 2)], ids=["oae2", "abcd2"])
+def test_subset_derivations_calls_specify_once_per_distinct_selection(monkeypatch, config):
+    universe, _ = build(config)
+    calls = _count_specify(monkeypatch)
+    result = check_subset_derivations(universe)
+    assert (result.status, result.scanned) == (Status.HOLDS, len(universe))
+    assert 0 < len(calls) == _distinct_parts(universe)
+
+
+@pytest.mark.parametrize("universe,calls,expected", [
+    (_injected_mixed_set(), 5, ("holds", 9, None)),
+    *[(LATE_MEMBERS[case], 0,
+       ("fails", 5, ((("s", 2),),
+                     "exists v. (forall u. ((u in v) <-> ((u in s) & (u notin u))))", 5)))
+      for case in LATE_MEMBERS],
+], ids=["injected", *(f"late-{case}" for case in LATE_MEMBERS)])
+def test_subset_derivations_verdicts_on_the_written_fixtures(monkeypatch, universe, calls, expected):
+    # The verdict, count and witness each fixture had when specify was
+    # called twice per mixed set. The late-member files fail before any call.
+    made = _count_specify(monkeypatch)
+    result = check_subset_derivations(universe)
+    witness = result.witness and (result.witness.bindings, result.witness.formula,
+                                  result.witness.domain)
+    assert (result.status.value, result.scanned, witness) == expected
+    assert len(made) == calls
 
 
 # --- lifetime and threads -----------------------------------------------------------
