@@ -42,12 +42,12 @@ def build(config: BuildConfig) -> tuple[Universe, StageReport]:
     Stage 0 is the atoms; stage k+1 interns every nonempty subset of the
     stage-k domain (singletons of atoms collapse back onto the atoms, so a
     domain of n sets closes to exactly 2**n - 1). Each stage is one call to
-    :meth:`Universe.intern_subsets`, which forms every subset as one union
-    of a smaller subset and a singleton, in mask order, so ids are
-    deterministic for a given config. A stage whose closure would outgrow
-    ``max_sets`` raises before anything is interned; a partially enumerated
-    stage would silently break every "for all subsets" check downstream, so
-    the cap aborts rather than truncates. A stage that adds nothing is a
+    :meth:`Universe.intern_stage`, which appends the subsets not yet
+    interned in mask order, so ids are deterministic for a given config. A
+    stage whose closure would outgrow ``max_sets`` raises before anything
+    is interned; a partially enumerated stage would silently break every
+    "for all subsets" check downstream, so the cap aborts rather than
+    truncates. A stage that adds nothing is a
     fixed point: the build stops there, and the universe still records the
     configured depth.
     """
@@ -57,7 +57,7 @@ def build(config: BuildConfig) -> tuple[Universe, StageReport]:
     for stage in range(1, config.depth + 1):
         n = len(universe)
         try:
-            universe.intern_subsets(range(n))
+            universe.intern_stage()
         except CapExceeded as exc:
             raise CapExceeded(exc.required, exc.max_sets, stage=stage) from None
         counts.append(len(universe))

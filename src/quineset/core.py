@@ -16,30 +16,38 @@ There is no empty set.
 
 Interning is the only write, and it needs a single writer. After the
 atoms, every write goes through one append rule, which takes a list of
-masks: a set already in the index keeps its id, and the new ones are
-appended in order, by one ``extend`` and one index ``update``, up to the
-cap. Three methods feed it: :meth:`Universe.intern` validates any member
-collection, :meth:`Universe.intern_subsets` interns every nonempty subset
-of an id list (the builder's stages and ``powerset``) as one list, and
-:meth:`Universe.intern_mask` takes a set's member mask (the loader, and
-the constructors that compute one). Each admits only members that already
-exist, so a new set never holds its own id: the atoms are the only
-individuals, and :meth:`Universe.individuals` is their mask, set once.
+new, distinct masks and appends them in order, by one ``extend`` and one
+index ``update``, up to the cap. Five methods feed it, and each leaves
+out a set already in the index, which keeps its id.
+:meth:`Universe.intern` validates any member collection,
+:meth:`Universe.intern_subsets` interns every nonempty subset of an id
+list as one list and returns their ids (``powerset``), and
+:meth:`Universe.intern_mask` takes a set's member mask (the constructors
+that compute one). :meth:`Universe.intern_stage` is the builder's stage:
+the subsets of all ids so far are distinct masks, so it appends those not
+yet interned with no pass for repeats and returns no ids.
+:meth:`Universe.intern_fresh` takes a list of masks that should all be
+new (the loader's records) and stops at the first that is not. Each admits
+only members that already exist, so a new set never holds its own id: the
+atoms are the only individuals, and :meth:`Universe.individuals` is their
+mask, set once.
+
 Every other method here is a read, and so are the checks in
 :mod:`quineset.verifier` and :mod:`quineset.peano` on a universe made by
 the builder (or loaded from a file it wrote): they may run from any number
-of threads at once while nothing interns. The transitivity column the
-checks share, :meth:`Universe.transitivity`, is kept per universe size and
-published by one assignment, so a concurrent reader sees a whole column or
-computes its own.
+of threads at once while nothing interns. The checks share the
+transitivity column, :meth:`Universe.transitivity`, and the same facts as
+one mask of the transitive ids, :meth:`Universe.transitive_ids`. Both are
+kept per universe size and published together by one assignment, so a
+concurrent reader sees a whole column and its mask or computes its own.
 """
 
 from __future__ import annotations
 
 import re
 from functools import reduce
-from itertools import filterfalse
-from operator import or_
+from itertools import count, filterfalse
+from operator import gt, or_
 from typing import Collection, Iterable
 
 from .errors import (
@@ -128,43 +136,50 @@ class Universe:
         # _index; read-only. Atom i's sole member is itself.
         self.member_sets: list[int] = [1 << i for i in range(len(names))]
         self._index: dict[int, SetId] = {ms: i for i, ms in enumerate(self.member_sets)}
-        # Memoised is_transitive column, replaced whole, never mutated.
-        self._transitive: list[bool] = []
+        # Memoised is_transitive column and the mask of its transitive ids,
+        # replaced whole as one pair, never mutated.
+        self._transitive: tuple[list[bool], int] = ([], 0)
         # The self-membered ids: no write can add one to the atoms.
         self._individuals = (1 << len(names)) - 1
         self._atom_ids: dict[str, SetId] = dict(zip(names, range(len(names))))
 
-    def _append(self, masks: list[int]) -> list[SetId]:
-        """The one append rule: the ids of ``masks``, each new mask appended under the cap.
+    def _append(self, fresh: list[int]) -> None:
+        """The one append rule: append ``fresh``, in order, up to the cap.
 
-        A mask already in the index keeps its id. The others are appended
-        once each, in order, by one ``extend`` of the table and one
-        ``update`` of the index. When they would pass the cap, those that
-        fit are appended and :class:`CapExceeded` names one set past it.
-        The masks must already be valid member masks of existing ids.
-        Every write after the atoms goes through here.
+        The masks must be new and distinct member masks, each of ids that
+        exist before its own place. They are appended by one ``extend`` of
+        the table and one ``update`` of the index. When they would pass the
+        cap, those that fit are appended and :class:`CapExceeded` names one
+        set past it. Every write after the atoms goes through here.
         """
+        sets = self.member_sets
+        sid = len(sets)
+        room = len(fresh) if self.max_sets is None else max(self.max_sets - sid, 0)
+        full = len(fresh) > room
+        if full:
+            fresh = fresh[:room]
+        sets += fresh
+        self._index.update(zip(fresh, range(sid, len(sets))))
+        if full:
+            raise CapExceeded(required=len(sets) + 1, max_sets=self.max_sets)
+
+    def _intern_masks(self, masks: list[int]) -> list[SetId]:
+        """The ids of ``masks``: each mask not in the index is appended once, at its first place."""
         index = self._index
         fresh = list(filterfalse(index.__contains__, masks))
         if len(fresh) > 1:
             # A mask may repeat; it is appended once, at its first place.
             fresh = list(dict.fromkeys(fresh))
-        if fresh:
-            sets = self.member_sets
-            sid = len(sets)
-            room = len(fresh) if self.max_sets is None else max(self.max_sets - sid, 0)
-            full = len(fresh) > room
-            if full:
-                del fresh[room:]
-            sets += fresh
-            index.update(zip(fresh, range(sid, len(sets))))
-            if full:
-                raise CapExceeded(required=len(sets) + 1, max_sets=self.max_sets)
+        self._append(fresh)
         return list(map(index.__getitem__, masks))
 
     def _add(self, ms: int) -> SetId:
-        """The append rule for one mask: its id, appended under the cap if new."""
-        return self._append([ms])[0]
+        """The id of one mask, appended under the cap if new."""
+        sid = self._index.get(ms)
+        if sid is None:
+            sid = len(self.member_sets)
+            self._append([ms])
+        return sid
 
     def __len__(self) -> int:
         return len(self.member_sets)
@@ -231,9 +246,9 @@ class Universe:
         ids = list(ids)
         if ids:
             self._check_ids(ids)
-        count = (1 << len(ids)) - 1
-        if self.max_sets is not None and count > self.max_sets:
-            raise CapExceeded(required=count, max_sets=self.max_sets)
+        total = (1 << len(ids)) - 1
+        if self.max_sets is not None and total > self.max_sets:
+            raise CapExceeded(required=total, max_sets=self.max_sets)
         # subsets[mask] is the member mask of subset ``mask``. The masks
         # whose top bit is bit k are the masks below 2**k plus that bit, in
         # order, so each subset is one earlier subset with ids[k] added.
@@ -242,7 +257,51 @@ class Universe:
             bit = 1 << m
             subsets += [ms | bit for ms in subsets]
         del subsets[0]
-        return self._append(subsets)
+        return self._intern_masks(subsets)
+
+    def intern_stage(self) -> None:
+        """One build stage: intern every nonempty subset of the ids so far, in mask order.
+
+        Over the ids ``0..n-1`` the subset holding id ``i`` exactly when bit
+        ``i`` of ``mask`` is set has member mask ``mask``, so the subsets are
+        the masks ``1..2**n - 1``. Subsets of distinct ids are distinct, so
+        only the masks already interned are left out, with no pass for
+        repeats, and no ids are returned. When the ``2**n - 1`` subsets
+        exceed the cap, nothing is interned.
+        """
+        total = (1 << len(self.member_sets)) - 1
+        if self.max_sets is not None and total > self.max_sets:
+            raise CapExceeded(required=total, max_sets=self.max_sets)
+        self._append(list(filterfalse(self._index.__contains__, range(1, total + 1))))
+
+    def intern_fresh(self, masks: list[int]) -> int:
+        """Intern ``masks`` in order, each as a new set, up to the first that is not; how many were.
+
+        A mask already interned, or one that repeats an earlier mask, stops
+        the call before it. The cap applies as in :meth:`intern_mask`: the
+        masks that fit are interned and :class:`CapExceeded` names one set
+        past it. Raises, interning nothing, unless every mask is a positive
+        int whose bits are ids below its own place, counting from
+        ``len(self)``.
+        """
+        n = len(self.member_sets)
+        if not (all(map(int.__instancecheck__, masks)) and min(masks, default=1) > 0
+                and not any(map(gt, map(int.bit_length, masks), count(n)))):
+            for place, mask in enumerate(masks, n):
+                if not isinstance(mask, int) or mask < 0 or mask.bit_length() > place:
+                    raise UnknownId(f"{mask!r} is not a member mask of this universe")
+                if not mask:
+                    raise EmptySetForbidden("a set needs at least one member")
+        index = self._index
+        if len(set(masks)) < len(masks) or not index.keys().isdisjoint(masks):
+            seen: set[int] = set()
+            for i, mask in enumerate(masks):
+                if mask in index or mask in seen:
+                    masks = masks[:i]
+                    break
+                seen.add(mask)
+        self._append(masks)
+        return len(masks)
 
     def intern_mask(self, mask: int) -> SetId:
         """Intern the set whose member mask is ``mask``, by the same rule as :meth:`intern`.
@@ -298,28 +357,42 @@ class Universe:
         ms = self.member_sets[s]
         return ms & self.member_sets[t] == ms
 
+    def _kept_transitivity(self) -> tuple[list[bool], int]:
+        """The kept transitivity column and transitive-id mask, extended to every id."""
+        column, transitive = self._transitive
+        sets = self.member_sets
+        if len(column) < len(sets):
+            low, high = _byte_unions(sets, 0), _byte_unions(sets, 8)
+            # Starting the union at the set's own mask, it stays that mask
+            # exactly when every member's mask lies within it.
+            fresh = [
+                low[ms & 0xFF] | high[ms >> 8] | ms == ms if ms < 0x10000
+                else reduce(or_, map(sets.__getitem__, ids_of(ms)), ms) == ms
+                for ms in sets[len(column):]
+            ]
+            # One binary digit per new id, the highest id first.
+            transitive |= int("".join(map("01".__getitem__, reversed(fresh))), 2) << len(column)
+            column = column + fresh
+            self._transitive = column, transitive
+        return column, transitive
+
     def transitivity(self) -> list[bool]:
         """Column of :meth:`is_transitive` over every id interned so far; read-only.
 
         A set is transitive when the union of its members' masks lies
         within its own. Sets never change once interned, so entries are
         computed once. The column is extended by building a longer list and
-        publishing it with one assignment, so a reader never sees a partly
-        built column.
+        publishing it, with :meth:`transitive_ids`, by one assignment, so a
+        reader never sees a partly built column.
         """
-        column = self._transitive
-        sets = self.member_sets
-        if len(column) < len(sets):
-            low, high = _byte_unions(sets, 0), _byte_unions(sets, 8)
-            # Starting the union at the set's own mask, it stays that mask
-            # exactly when every member's mask lies within it.
-            column = column + [
-                low[ms & 0xFF] | high[ms >> 8] | ms == ms if ms < 0x10000
-                else reduce(or_, map(sets.__getitem__, ids_of(ms)), ms) == ms
-                for ms in sets[len(column):]
-            ]
-            self._transitive = column
-        return column
+        return self._kept_transitivity()[0]
+
+    def transitive_ids(self) -> int:
+        """The mask of the transitive ids among every id interned so far.
+
+        It is kept beside :meth:`transitivity`, and extended with it.
+        """
+        return self._kept_transitivity()[1]
 
     def is_transitive(self, s: SetId) -> bool:
         """True when every member of ``s`` is also a subset of ``s``."""

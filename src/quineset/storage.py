@@ -28,20 +28,26 @@ One function, :func:`_record_line`, spells the record of a member mask; the
 dumper writes it and the loader holds each record to it. Once a record's
 ids have passed the spelling rules and the unknown-id check, the record
 equals the spelling of its mask (the OR of its ids' bits) exactly when
-its ids are strictly increasing. Each record is interned by one call to
-:meth:`Universe.intern_mask` with that mask, before the order is judged,
-so a record past the cap reports the cap. The unknown-id check compares
-spellings with the universe's size as text, so an id too long for
-``int()`` is reported like any other.
+its ids are strictly increasing. The unknown-id check compares spellings
+with the universe's size as text, so an id too long for ``int()`` is
+reported like any other. The record loop reads records until one breaks
+a rule, then interns the masks read, that record's included when only its
+order is wrong, by one call to :meth:`Universe.intern_fresh`. That call
+stops at the first record that is not a fresh set and reports the cap at
+the first fresh one past it. So each fault is named as a loop that
+interned one record at a time, before judging its order, would name it:
+a record past the cap reports the cap, and the first faulty record wins.
 
 A file that is exactly what :func:`~quineset.builder.build` writes for its
 header is built again instead of read record by record. When the header
 carries both ``depth`` and ``max-sets``, the loader works out the built
-size in closed form (each stage maps n sets to 2**n - 1), and only when
-the atoms and records add up to it does it build that config and compare
-the dump with the text, one string compare. Every other file, and a build
-that fails, goes through the record loop under the rules above, in the
-same order and with the same messages.
+size in closed form (each stage maps n sets to 2**n - 1) and counts the
+record lines, without splitting the file. Only when the atoms and records
+add up to that size does it write the records a build would write,
+straight from the atom count and the stages (:func:`_built_records`), and
+compare them with the text, one string compare. It builds only when they
+match. Every other file goes through the record loop under the rules
+above, in the same order and with the same messages, and no build.
 """
 
 from __future__ import annotations
@@ -81,40 +87,61 @@ def dumps_universe(universe: Universe) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rebuilt(names: list[str], depth: int, max_sets: int, sets: int, text: str) -> Universe | None:
-    """The universe ``build`` makes for this header, when it dumps exactly as ``text``.
+def _built_records(atoms: int, domain: int) -> str:
+    """The records ``build`` writes for ``atoms`` atoms, up to its stage over ``domain`` sets.
 
-    ``sets`` is the number of sets the file holds, its atoms and records.
+    After a stage over the ids ``0..n-1`` the universe holds exactly the
+    masks ``1..2**n - 1`` (see :meth:`Universe.intern_stage`), so the next
+    stage appends those whose greatest id is ``n`` or more. Over all stages
+    the records are thus the subsets of the ids below ``domain``, grouped by
+    greatest id ``m`` and in mask order within a group, except that the
+    first stage's singletons are the atoms. The subsets whose greatest id is
+    ``m`` are ``m`` alone, then each smaller subset followed by ``,m``.
     """
+    lower = ""  # every nonempty subset of the ids below m, one line each
+    blocks: list[str] = []
+    for m in range(domain):
+        raised = lower.replace("\n", f",{m}\n")
+        block = f"{m}\n" + raised
+        # In the first stage m alone is an atom, not a record.
+        blocks.append(raised if m < atoms else block)
+        if m + 1 < domain:
+            lower += block
+    return "".join(blocks)
+
+
+def _rebuilt(names: list[str], depth: int, max_sets: int, text: str, start: int) -> Universe | None:
+    """The universe ``build`` makes for this header, when it writes ``text`` from ``start`` on."""
+    sets = len(names) + text.count("\n", start)
     # Each stage closes a domain of n sets to 2**n - 1, so the built size
     # follows from the atom count alone. It stops at a fixed point (one
     # atom), and a stage past the cap or the file's sets rules the build
     # out, so a header of any depth costs a few steps.
-    size = len(names)
+    size, domain = len(names), 0
     for _ in range(depth):
         grown = 2**size - 1
         if grown == size:
             break
         if grown > min(max_sets, sets):
             return None
-        size = grown
-    if size != sets:
+        size, domain = grown, size
+    if size != sets or text[start:] != _built_records(len(names), domain):
         return None
-    try:
-        universe, _ = build(BuildConfig(names, depth, max_sets))
-    except WorkbenchError:
-        return None
-    return universe if dumps_universe(universe) == text else None
+    return build(BuildConfig(names, depth, max_sets))[0]
 
 
 def loads_universe(text: str) -> Universe:
-    lines = text.split("\n")
     if not text.isascii() or "\r" in text:
-        lineno = next(i for i, line in enumerate(lines, 1) if not line.isascii() or "\r" in line)
+        lineno = next(i for i, line in enumerate(text.split("\n"), 1)
+                      if not line.isascii() or "\r" in line)
         raise UniverseFormatError(f"line {lineno}: not ASCII text with \\n line ends")
-    # Every line ends in "\n", so the split leaves one empty string last.
-    if lines.pop():
-        raise UniverseFormatError(f"line {len(lines) + 1}: no newline at end of file")
+    if not text.endswith("\n") and text:
+        lineno = text.count("\n") + 1
+        raise UniverseFormatError(f"line {lineno}: no newline at end of file")
+    # The header is at most four lines. The records are split only when
+    # they are read one by one.
+    lines = text.split("\n", 4)
+    lines.pop()
     if not lines or lines[0] != MAGIC:
         raise UniverseFormatError(f"line 1: missing header line {MAGIC!r}")
     if len(lines) < 2 or not lines[1].startswith("atoms "):
@@ -149,21 +176,28 @@ def loads_universe(text: str) -> Universe:
     except (WorkbenchError, ValueError) as exc:
         raise UniverseFormatError(f"line 2: bad atom list: {exc}") from exc
     universe.build_depth = depth
+    start = sum(map(len, lines[:row])) + row
     if depth is not None and max_sets is not None:
-        built = _rebuilt(names, depth, max_sets, len(names) + len(lines) - row, text)
+        built = _rebuilt(names, depth, max_sets, text, start)
         if built is not None:
             return built
+    records = text[start:].split("\n")
+    records.pop()
     # Each record must intern to a fresh set, so the universe holds ``sid``
     # sets when the record that should make set ``sid`` is read, and
     # ``sid + skew`` is its line number.
     skew = row + 1 - len(names)
-    intern_mask = universe.intern_mask
+    # The records read are interned by one call at the end. The first
+    # record found at fault stops the reading; its fault is reported unless
+    # an earlier record passes the cap or does not intern to a fresh set.
+    masks: list[int] = []
+    fault: tuple[int, str] | None = None
     # The member bit, 1 << id, of each spelling of an existing id met in a
     # record that passed the spelling rules. A record made only of these
     # passes them too, so it skips them.
     spelled: dict[str, int] = {}
     bit_of = spelled.__getitem__
-    for sid, line in enumerate(lines[row:], len(names)):
+    for sid, line in enumerate(records, len(names)):
         parts = line.split(",")
         try:
             mask = reduce(or_, map(bit_of, parts))
@@ -172,7 +206,8 @@ def loads_universe(text: str) -> Universe:
             # none of which dumps back the same; the text is ASCII, so
             # isdigit means 0-9.
             if not all(part.isdigit() and (part[0] != "0" or part == "0") for part in parts):
-                raise UniverseFormatError(f"line {sid + skew}: not a member-id list: {line!r}")
+                fault = sid + skew, f"not a member-id list: {line!r}"
+                break
             # A plain decimal names an existing id exactly when it sorts,
             # by length and then by text, below the universe's size, so an
             # unknown id is named, the least first as intern would, without
@@ -181,22 +216,28 @@ def loads_universe(text: str) -> Universe:
             unknown = [part for part in parts if (len(part), part) >= (len(size), size)]
             if unknown:
                 least = min(unknown, key=lambda part: (len(part), part))
-                raise UniverseFormatError(
-                    f"line {sid + skew}: {least} is not a set id of this universe"
-                )
+                fault = sid + skew, f"{least} is not a set id of this universe"
+                break
             bits = [1 << int(part) for part in parts]
             spelled.update(zip(parts, bits))
             mask = reduce(or_, bits)
-        try:
-            found = intern_mask(mask)
-        except WorkbenchError as exc:
-            raise UniverseFormatError(f"line {sid + skew}: {exc}") from exc
+        # A record is interned before its order is judged, so a fresh record
+        # past the cap reports the cap.
+        masks.append(mask)
         if _record_line(mask) != line:
-            raise UniverseFormatError(
-                f"line {sid + skew}: member ids are not strictly increasing: {line!r}"
-            )
-        if found != sid:
-            raise UniverseFormatError(f"line {sid + skew}: record does not intern to a fresh set")
+            fault = sid + skew, f"member ids are not strictly increasing: {line!r}"
+            break
+    try:
+        fresh = universe.intern_fresh(masks)
+    except WorkbenchError as exc:
+        raise UniverseFormatError(f"line {len(universe) + skew}: {exc}") from exc
+    # The line of the first record that did not intern to a fresh set, or
+    # the line after the last that did; a fault up to there stands.
+    stop = len(universe) + skew
+    if fault is not None and fault[0] <= stop:
+        raise UniverseFormatError("line %d: %s" % fault)
+    if fresh < len(masks):
+        raise UniverseFormatError(f"line {stop}: record does not intern to a fresh set")
     return universe
 
 

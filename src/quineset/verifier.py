@@ -12,17 +12,20 @@ for one counterexample yields the bindings of each and lets
 Scans are reads with one signature, ``_check_*(universe)``,
 ``check_*(universe)`` or ``check_*(universe, a1, a2)``. Each decides its
 law over the ids below ``len(universe)`` by mask algebra on ``member_sets``,
-the self-membered ids' mask ``individuals()`` and the kept
-``transitivity()`` column, looking up rather than interning any set it
-must name. A subset test is written ``a & b == a`` and a difference
-``a ^ (a & b)``, so that no negative operand spans the universe; the one
-negation, ``rest & -rest``, keeps only the lowest bit of ``rest``. A set
-missing from the universe is named by a witness written over member sets
-instead, or, for a subset that separation must select, is itself the
-failure. subset-derivations calls ``specify`` only for a selection it has
-found among the scanned sets, so that call interns nothing either, and
-only once per distinct selection. The lookup alone would decide; the call
-stays while the benchmark's trace tallies it (ROADMAP item 1).
+the self-membered ids' mask ``individuals()``, and the kept
+``transitivity()`` column and ``transitive_ids()`` mask, looking up rather
+than interning any set it must name. A scan that asks whether all members
+of a set are transitive tests its mask against ``transitive_ids()``, which
+the universe keeps, so no scan builds that mask again. A subset test is
+written ``a & b == a`` and a difference ``a ^ (a & b)``, so that no
+negative operand spans the universe; the one negation, ``rest & -rest``,
+keeps only the lowest bit of ``rest``. A set missing from the universe is
+named by a witness written over member sets instead, or, for a subset
+that separation must select, is itself the failure. subset-derivations
+calls ``specify`` only for a selection it has found among the scanned
+sets, so that call interns nothing either, and only once per distinct
+selection. The lookup alone would decide; the call stays while the
+benchmark's trace tallies it (ROADMAP item 1).
 
 Members precede their sets, so the least non-individual member of a set
 shares no non-individual with it: it is minimal for regularity and, in a
@@ -141,13 +144,6 @@ def witness_reproduces(universe: Universe, witness: Witness) -> bool:
         domain_size=witness.domain,
     )
     return value is False
-
-
-def _transitive_mask(universe: Universe, n: int) -> int:
-    """The mask of the transitive ids below ``n``."""
-    column = universe.transitivity()[:n]
-    # One binary digit per id, the highest id first.
-    return int("0" + "".join(map("01".__getitem__, reversed(column))), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +492,7 @@ def check_trichotomy(universe: Universe, a1: SetId, a2: SetId) -> CheckResult:
     sets = universe.member_sets
     atoms = 1 << a1 | 1 << a2
     individuals = universe.individuals()
-    transitive = _transitive_mask(universe, n)
+    transitive = universe.transitive_ids()
     qualifying = [
         i
         for i in compress(range(n), universe.transitivity())
@@ -525,7 +521,7 @@ def check_union_lemma(universe: Universe) -> CheckResult:
     set, and the set is either its own union or the union's successor."""
     n = len(universe)
     sets = universe.member_sets
-    transitive = _transitive_mask(universe, n)
+    transitive = universe.transitive_ids()
     individuals = universe.individuals()
     qualifying = 0
     for s in compress(range(n), universe.transitivity()):

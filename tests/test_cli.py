@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from quineset import (
     DEFAULT_MAX_SETS,
     BuildConfig,
+    Universe,
     build,
     dumps_universe,
     format_set_literal,
@@ -20,7 +22,7 @@ from quineset import (
 from quineset import cli, storage
 from quineset.cli import MAX_PEANO_BYTES, build_arg_parser, main
 from quineset.core import MAX_NESTING
-from quineset.errors import LiteralSyntaxError, UniverseFormatError
+from quineset.errors import CapExceeded, LiteralSyntaxError, UniverseFormatError
 from quineset.verifier import SUITES
 
 from support import small_universes
@@ -483,6 +485,20 @@ LOADER_ERRORS = {
     "duplicate-after-records": (
         "atoms u,v\ndepth 2\nmax-sets 9\n0,1\n0,2\n0,1\n",
         "line 7: record does not intern to a fresh set"),
+    # A record that does not intern to a fresh set wins over any fault of a
+    # later record.
+    "duplicate-before-a-misspelled-record": (
+        "atoms u,v\n0,1\n0,1\n0,01\n",
+        "line 4: record does not intern to a fresh set"),
+    "duplicate-before-an-unknown-id": (
+        "atoms u,v\n0,1\n0,1\n0,9\n",
+        "line 4: record does not intern to a fresh set"),
+    "duplicate-before-an-out-of-order-record": (
+        "atoms u,v\n0,1\n0,1\n1,0\n",
+        "line 4: record does not intern to a fresh set"),
+    "duplicate-before-a-fresh-record-past-the-cap": (
+        "atoms u,v,w\nmax-sets 5\n0,1\n0,1\n0,2\n0,1,2\n1,2\n",
+        "line 5: record does not intern to a fresh set"),
 }
 
 
@@ -567,9 +583,8 @@ def test_only_a_header_with_depth_and_cap_and_the_built_size_is_rebuilt(build_ca
 
 def _behind_a_build_header(body, message):
     # The case with depth and max-sets lines that make its record count the
-    # size build makes, keeping any cap it has, its message with the line
-    # moved past the added lines, and whether that size is within the cap;
-    # None when no depth gives that size.
+    # size build makes, keeping any cap it has, and its message with the
+    # line moved past the added lines; None when no depth gives that size.
     atoms, *rest = body.split("\n")[:-1]
     header = [line for line in rest if line.startswith(("depth ", "max-sets "))]
     records = rest[len(header):]
@@ -583,7 +598,7 @@ def _behind_a_build_header(body, message):
     line, rest_of_message = message[len("line "):].split(":", 1)
     moved = f"line {int(line) + 2 - len(header)}:{rest_of_message}"
     text = "\n".join([atoms, f"depth {depth}", f"max-sets {cap}", *records, ""])
-    return text, moved, count + len(records) <= cap
+    return text, moved
 
 
 LOADER_ERRORS_BEHIND_A_BUILD_HEADER = {
@@ -593,16 +608,16 @@ LOADER_ERRORS_BEHIND_A_BUILD_HEADER = {
 }
 
 
-@pytest.mark.parametrize("body,message,within_cap", LOADER_ERRORS_BEHIND_A_BUILD_HEADER.values(),
+@pytest.mark.parametrize("body,message", LOADER_ERRORS_BEHIND_A_BUILD_HEADER.values(),
                          ids=LOADER_ERRORS_BEHIND_A_BUILD_HEADER)
-def test_loader_error_precedence_behind_a_build_header(build_calls, body, message, within_cap):
-    # Each case has the record count a build would make, so unless that
-    # passes its cap the loader builds again, finds the text differs and
-    # reads the records as before.
+def test_loader_error_precedence_behind_a_build_header(build_calls, body, message):
+    # Each case has the record count a build would make, but its records
+    # differ from the ones a build writes, so the loader reads them as
+    # before, without a build.
     with pytest.raises(UniverseFormatError) as err:
         loads_universe("quineset-universe 1\n" + body)
     assert str(err.value) == message
-    assert len(build_calls) == within_cap
+    assert build_calls == []
 
 
 def test_every_record_count_case_is_rerun_behind_a_build_header():
@@ -665,6 +680,117 @@ def test_a_depth_far_past_any_stage_loads_at_once(atoms, records):
     universe = loads_universe(text)
     assert (universe.build_depth, universe.max_sets) == (depth, 100)
     assert dumps_universe(universe) == text
+
+
+# Every config build makes within the default cap: 1-16 atoms, depth 0-4.
+NAMES16 = tuple("abcdefghijklmnop")
+CONFIGS_IN_THE_DEFAULT_CAP = [(atoms, depth) for atoms in range(1, 17) for depth in range(5)
+                              if _built_size(atoms, depth) <= DEFAULT_MAX_SETS]
+
+
+def _records_of(text):
+    # The text after the header of a file build wrote: magic, atoms, depth, max-sets.
+    return text.split("\n", 4)[4]
+
+
+@pytest.mark.parametrize("atoms,depth", CONFIGS_IN_THE_DEFAULT_CAP + [(1, 10**6)])
+def test_the_built_records_are_generated_without_a_universe(build_calls, atoms, depth):
+    names = NAMES16[:atoms]
+    universe, report = build(BuildConfig(names, depth))
+    # The last stage forms the subsets of the sets there were before it.
+    domain = report.counts[-2] if depth else 0
+    assert storage._built_records(atoms, domain) == _records_of(dumps_universe(universe))
+    # At a cap of exactly the built size the file is still built again, once.
+    config = BuildConfig(names, depth, len(universe))
+    text = dumps_universe(build(config)[0])
+    loaded = loads_universe(text)
+    assert build_calls == [config]
+    assert dumps_universe(loaded) == text
+    assert loaded.member_sets == universe.member_sets
+
+
+def _one_record_at_a_time(text):
+    """The member masks the loader's rules make of ``text``, or their message.
+
+    Each record is interned by its own ``intern`` call, and each rule is
+    applied as it is documented, in the documented order. The header must
+    be one that ``dumps_universe`` writes.
+    """
+    lines = text.split("\n")[:-1]
+    names, cap, row = lines[1][len("atoms "):].split(","), None, 2
+    if row < len(lines) and lines[row].startswith("depth "):
+        row += 1
+    if row < len(lines) and lines[row].startswith("max-sets "):
+        cap, row = int(lines[row][len("max-sets "):]), row + 1
+    universe = Universe(names, max_sets=cap)
+    for number, line in enumerate(lines[row:], row + 1):
+        parts = line.split(",")
+        if not all(part.isdigit() and str(int(part)) == part for part in parts):
+            return f"line {number}: not a member-id list: {line!r}"
+        ids = [int(part) for part in parts]
+        size = len(universe)
+        if max(ids) >= size:
+            return f"line {number}: {min(i for i in ids if i >= size)} is not a set id of this universe"
+        try:
+            sid = universe.intern(ids)
+        except CapExceeded as exc:
+            return f"line {number}: {exc}"
+        if ",".join(map(str, sorted(set(ids)))) != line:
+            return f"line {number}: member ids are not strictly increasing: {line!r}"
+        if sid != size:
+            return f"line {number}: record does not intern to a fresh set"
+    return universe.member_sets
+
+
+def _loaded(text, skew=0):
+    # The member masks loads_universe makes of text, or its message with
+    # the line number moved by skew.
+    try:
+        return loads_universe(text).member_sets
+    except UniverseFormatError as exc:
+        line, rest_of_message = str(exc)[len("line "):].split(":", 1)
+        return f"line {int(line) + skew}:{rest_of_message}"
+
+
+# Built files of at most 127 sets with at least one record.
+SMALL_BUILT_CONFIGS = [(atoms, depth) for atoms, depth in BUILT_CONFIGS
+                       if atoms < _built_size(atoms, depth) <= 127]
+
+
+@st.composite
+def edited_built_files(draw):
+    """A file build wrote with one record dropped, duplicated, swapped or with one id edited."""
+    atoms, depth = draw(st.sampled_from(SMALL_BUILT_CONFIGS))
+    text = dumps_universe(build(BuildConfig("abcd"[:atoms], depth))[0])
+    lines = text.split("\n")[:-1]
+    records = lines[4:]
+    i, j = (draw(st.integers(0, len(records) - 1)) for _ in range(2))
+    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "edit"]))
+    if kind == "drop":
+        del records[i]
+    elif kind == "duplicate":
+        records.insert(j, records[i])
+    elif kind == "swap":
+        records[i], records[j] = records[j], records[i]
+    else:
+        ids = records[i].split(",")
+        ids[draw(st.integers(0, len(ids) - 1))] = str(draw(st.integers(0, atoms + len(records))))
+        records[i] = ",".join(ids)
+    edited = "\n".join(lines[:4] + records) + "\n"
+    assume(edited != text)
+    return edited
+
+
+@settings(max_examples=200, deadline=None)
+@given(edited_built_files())
+def test_an_edited_built_file_loads_as_the_record_loop_loads_it(edited):
+    with mock.patch.object(storage, "build", wraps=storage.build) as counted:
+        loaded = _loaded(edited)
+    assert counted.call_count == 0
+    # Without the depth line the file goes through the record loop, every
+    # record one line up.
+    assert loaded == _loaded(_without_depth(edited), skew=1)
+    assert loaded == _one_record_at_a_time(edited)
 
 
 HEAD = "quineset-universe 1\natoms u,v\n"

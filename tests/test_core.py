@@ -1,7 +1,8 @@
 import copy
+from itertools import compress
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quineset import (
     BuildConfig,
@@ -505,6 +506,77 @@ def test_intern_subsets_matches_one_intern_per_mask(universe, data):
         _reference_subsets, twin, ids)
 
 
+def _stage_outcome(stage, universe):
+    """The cap error a stage raises, if any, and the tables it leaves."""
+    try:
+        stage(universe)
+        result = None
+    except CapExceeded as exc:
+        result = ("cap", exc.required, exc.max_sets, exc.stage)
+    assert universe._index == enumerated_index(universe.member_sets)
+    return result, universe.member_sets, universe._index
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_universes(), st.sampled_from(_FIXTURE_CONFIGS).map(lambda c: build(c)[0])),
+       st.data())
+def test_intern_stage_matches_intern_subsets_of_every_id(universe, data):
+    assume(len(universe) <= 10)
+    whole = (1 << len(universe)) - 1
+    universe.max_sets = data.draw(st.integers(max(1, whole - 2), whole + 1))
+    twin = copy.deepcopy(universe)
+    assert _stage_outcome(Universe.intern_stage, universe) == _stage_outcome(
+        lambda u: u.intern_subsets(u.ids()), twin)
+
+
+def _fresh_one_at_a_time(universe, masks):
+    """``intern_fresh`` by one ``intern_mask`` per mask, while each makes a new set."""
+    for interned, mask in enumerate(masks):
+        if universe.lookup_mask(mask) is not None:
+            return interned
+        universe.intern_mask(mask)
+    return len(masks)
+
+
+def _fresh_outcome(intern_fresh, universe, masks):
+    try:
+        result = intern_fresh(universe, masks)
+    except CapExceeded as exc:
+        result = ("cap", exc.required, exc.max_sets)
+    assert universe._index == enumerated_index(universe.member_sets)
+    return result, universe.member_sets, universe._index
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_universes(), st.data())
+def test_intern_fresh_matches_one_intern_mask_per_new_set(universe, data):
+    # Each mask holds only ids below its own place; some are sets already
+    # interned and some repeat an earlier mask, and the cap may stop the
+    # call part way.
+    n = len(universe)
+    masks = []
+    for place in range(n, n + data.draw(st.integers(0, 6))):
+        masks.append(data.draw(st.one_of(
+            st.integers(1, (1 << place) - 1),
+            st.sampled_from(universe.member_sets + masks))))
+    universe.max_sets = data.draw(st.integers(max(1, n - 1), n + len(masks) + 1))
+    twin = copy.deepcopy(universe)
+    assert _fresh_outcome(Universe.intern_fresh, universe, list(masks)) == _fresh_outcome(
+        _fresh_one_at_a_time, twin, masks)
+
+
+@pytest.mark.parametrize("bad,error", [(1 << 3, UnknownId), (0, EmptySetForbidden),
+                                       (-1, UnknownId), ("3", UnknownId)])
+def test_intern_fresh_refuses_a_bad_mask_and_interns_nothing(bad, error):
+    # The second mask's place is id 3, so its bits must lie below bit 3.
+    u = Universe(["u", "v"])
+    with pytest.raises(error):
+        u.intern_fresh([0b11, bad])
+    assert u.member_sets == [1, 2]
+    assert u.intern_fresh([0b11, 0b101, 0b11, 0b110]) == 2
+    assert u.member_sets == [1, 2, 0b11, 0b101]
+
+
 _WRITES = ["intern", "intern_subsets", "intern_mask", "pair", "singleton", "union_all",
            "powerset", "specify", "successor", "literal", "round_trip"]
 _CRITERIA = [parse(text) for text in (
@@ -563,6 +635,26 @@ def test_no_write_makes_a_self_membered_composite(data):
             pass
         assert universe.individuals() == atom_mask
         assert not any(ms >> i & 1 for i, ms in enumerate(universe.member_sets) if i >= len(atoms))
+
+
+def _assert_transitive_ids_match(u):
+    assert ids_of(u.transitive_ids()) == tuple(compress(u.ids(), u.transitivity()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_universes(), st.data())
+def test_transitive_ids_are_the_transitivity_column(u, data):
+    # The mask is asked for first, so it extends the column too.
+    _assert_transitive_ids_match(u)
+    _assert_transitivity_matches(u)
+    n = len(u)
+    for members in data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
+                                      max_size=4)):
+        u.intern(members)
+    if data.draw(st.booleans()):
+        inject_self_membered(u, data.draw(st.integers(0, len(u) - 1)))
+    _assert_transitive_ids_match(u)
+    _assert_transitivity_matches(u)
 
 
 def test_is_transitive_unknown_id():
