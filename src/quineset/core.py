@@ -163,24 +163,6 @@ class Universe:
         if full:
             raise CapExceeded(required=len(sets) + 1, max_sets=self.max_sets)
 
-    def _intern_masks(self, masks: list[int]) -> list[SetId]:
-        """The ids of ``masks``: each mask not in the index is appended once, at its first place."""
-        index = self._index
-        fresh = list(filterfalse(index.__contains__, masks))
-        if len(fresh) > 1:
-            # A mask may repeat; it is appended once, at its first place.
-            fresh = list(dict.fromkeys(fresh))
-        self._append(fresh)
-        return list(map(index.__getitem__, masks))
-
-    def _add(self, ms: int) -> SetId:
-        """The id of one mask, appended under the cap if new."""
-        sid = self._index.get(ms)
-        if sid is None:
-            sid = len(self.member_sets)
-            self._append([ms])
-        return sid
-
     def __len__(self) -> int:
         return len(self.member_sets)
 
@@ -221,7 +203,7 @@ class Universe:
         if not ms:
             raise EmptySetForbidden("a set needs at least one member")
         self._check_ids(ms)
-        return self._add(mask_of(ms))
+        return self.intern_mask(mask_of(ms))
 
     def _check_ids(self, ms: Collection[SetId]) -> None:
         # A non-int is named first, the least by its repr, since it need not
@@ -257,7 +239,13 @@ class Universe:
             bit = 1 << m
             subsets += [ms | bit for ms in subsets]
         del subsets[0]
-        return self._intern_masks(subsets)
+        index = self._index
+        fresh = list(filterfalse(index.__contains__, subsets))
+        if len(fresh) > 1:
+            # A mask may repeat; it is appended once, at its first place.
+            fresh = list(dict.fromkeys(fresh))
+        self._append(fresh)
+        return list(map(index.__getitem__, subsets))
 
     def intern_stage(self) -> None:
         """One build stage: intern every nonempty subset of the ids so far, in mask order.
@@ -313,7 +301,11 @@ class Universe:
             raise UnknownId(f"{mask!r} is not a member mask of this universe")
         if not mask:
             raise EmptySetForbidden("a set needs at least one member")
-        return self._add(mask)
+        sid = self._index.get(mask)
+        if sid is None:
+            sid = len(self.member_sets)
+            self._append([mask])
+        return sid
 
     def lookup_mask(self, mask: int) -> SetId | None:
         """The id of the set whose member mask is ``mask``, if interned; never interns."""

@@ -16,9 +16,12 @@ both survive printing. A formula nests at most
 :data:`~quineset.core.MAX_NESTING` levels: no path from its root down to an
 atomic formula passes more subformulas, the atomic one included, and no
 point of its text lies inside more parentheses. Deeper input is a syntax
-error, which keeps the recursive parser and evaluator inside the
-interpreter's stack. The printer puts one pair of parentheses around each
-subformula, so the printed form of any formula that parses parses again.
+error, and a node made in code that would nest deeper raises
+:class:`~quineset.errors.WorkbenchError` as it is made, so no formula is
+ever deeper. That keeps the parser, the printer, the evaluator and every
+other walker, each of which recurses, inside the interpreter's stack. The
+printer puts one pair of parentheses around each subformula, so the printed
+form of any formula parses again, to an equal formula.
 
 A quantifier binds exactly the unary that follows the dot, so in
 ``forall u. (u in u) & (u in s)`` the second ``u`` is free.
@@ -42,10 +45,9 @@ quantifiers scan and the free variables' set ids. A quantifier is an
 nothing a formula names reaches ``exec``, and each quantifier has a name of
 its own, so a variable it shadows lives on outside the generator. The text
 opens one bracket per formula level, which Python compiles within the
-limit :func:`parse` holds text to; a formula built in code past it is
-refused when it is compiled, before anything recurses through it. One
-cache, keyed on the formula, serves every evaluation, and a cache hit
-costs one stored hash whatever the formula's size.
+limit every formula is held to. One cache, keyed on the formula, serves
+every evaluation, and a cache hit costs one stored hash whatever the
+formula's size.
 
 A one-variable criterion compiles instead to a selector, which takes a
 mask of ids and returns the mask of those at which the criterion holds
@@ -77,14 +79,14 @@ class Formula:
 
     Each node works out two values once, when it is made, from the values
     its children stored: ``depth``, the most subformulas on one path from it
-    down to an atomic formula, both ends included, and its hash. Neither
-    ever recurses, so a formula of any depth is made, hashed and measured
-    in constant time. ``==`` and ``repr`` walk an explicit stack, so they
-    too take a formula of any depth; ``repr`` is the dataclass form, each
-    field by name. A child that is not a formula node raises
-    ``TypeError``, and so does ``Formula()``: only the kinds below make
-    nodes. The stored hash is not pickled, since ``str`` hashes differ
-    between processes: a node unpickles by being made again.
+    down to an atomic formula, both ends included, and its hash. So making,
+    hashing and measuring a node never walk the formula. A node deeper than
+    :data:`~quineset.core.MAX_NESTING` raises :class:`WorkbenchError` when it
+    is made, so every walker of a formula may recurse. ``==`` and ``repr``
+    are the dataclass forms, each field by name. A child that is not a
+    formula node raises ``TypeError``, and so does ``Formula()``: only the
+    kinds below make nodes. The stored hash is not pickled, since ``str``
+    hashes differ between processes: a node unpickles by being made again.
     """
 
     depth: int = field(init=False, repr=False, compare=False)
@@ -95,61 +97,13 @@ class Formula:
         raise TypeError(f"Formula is not a node kind; make one of {kinds}")
 
     def _store(self, depth: int, *key: object) -> None:
+        if depth > MAX_NESTING:
+            raise WorkbenchError(f"formula nests deeper than {MAX_NESTING} levels")
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "_hash", hash((type(self), *key)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        # Pairs of nodes still to compare; equal nodes store equal hashes,
-        # so a differing hash rejects a pair without reading its parts.
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if a._hash != b._hash or type(a) is not type(b):
-                return False
-            if isinstance(a, _Atomic):
-                if a.lhs != b.lhs or a.rhs != b.rhs:
-                    return False
-            elif isinstance(a, _Operator):
-                for name in a.__match_args__:
-                    todo.append((getattr(a, name), getattr(b, name)))
-            else:
-                if a.var != b.var:
-                    return False
-                todo.append((a.body, b.body))
-        return True
-
-    def __repr__(self) -> str:
-        # As in format_formula: the nodes still to print and, between them,
-        # the text that follows each, in reverse order.
-        out: list[str] = []
-        todo: list[Formula | str] = [self]
-        while todo:
-            node = todo.pop()
-            if isinstance(node, str):
-                out.append(node)
-                continue
-            kind = type(node).__qualname__
-            if isinstance(node, _Atomic):
-                out.append(f"{kind}(lhs={node.lhs!r}, rhs={node.rhs!r})")
-            elif isinstance(node, _Operator):
-                parts = node._parts()
-                if len(parts) == 1:
-                    out.append(f"{kind}(body=")
-                    todo += [")", parts[0]]
-                else:
-                    out.append(f"{kind}(lhs=")
-                    todo += [")", parts[1], ", rhs=", parts[0]]
-            else:
-                out.append(f"{kind}(var={node.var!r}, body=")
-                todo += [")", node.body]
-        return "".join(out)
 
     def _parts(self) -> tuple:
         # The node's fields in order, as its constructor takes them. A list,
@@ -201,9 +155,12 @@ class _Quantifier(Formula):
 
 
 def _node_class(cls: type) -> type:
-    # Frozen and slotted; equality, repr and the hash each node stores come
-    # from Formula.
-    return dataclass(frozen=True, eq=False, repr=False, slots=True)(cls)
+    # Frozen and slotted, with the dataclass ``==`` and ``repr``. The
+    # dataclass would hash every field, walking the formula; each kind
+    # keeps the hash its nodes store instead.
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
 
 
 @_node_class
@@ -305,10 +262,12 @@ _QUANTIFIERS = {kind._keyword: kind for kind in (Forall, Exists)}
 
 class _Parser:
     # Precedence climbing. Each node knows its depth, so a left-grouping
-    # chain, which adds depth without recursing, is checked as its nodes
-    # are made. Recursion is bounded before it happens: ``parens`` counts
-    # the open parentheses, and ``above`` the enclosing "!", quantifier and
-    # "->" operators, each of which puts one more level over what it encloses.
+    # chain, which adds depth without recursing, is checked before each of
+    # its nodes is made, and so is every other node, where a node past the
+    # limit would raise. Recursion is bounded before it happens: ``parens``
+    # counts the open parentheses, and ``above`` the enclosing "!",
+    # quantifier and "->" operators, each of which puts one more level over
+    # what it encloses.
 
     def __init__(self, text: str):
         self.text = text
@@ -361,8 +320,8 @@ class _Parser:
                 self.above -= 1
             else:
                 right = self.formula(prec + 1)
+            self._limit(1 + max(left.depth, right.depth), pos)
             left = kind(left, right)
-            self._limit(left.depth, pos)
         return left
 
     def _unary(self) -> Formula:
@@ -373,15 +332,13 @@ class _Parser:
         self._advance()
         self.above += 1
         self._limit(self.above + 1, pos)
-        if tok == Not._symbol:
-            node = Not(self._unary())
-        else:
+        if tok != Not._symbol:
             var = self._ident("a variable")
             self._expect(".")
-            node = _QUANTIFIERS[tok](var, self._unary())
+        body = self._unary()
+        self._limit(1 + body.depth, pos)
         self.above -= 1
-        self._limit(node.depth, pos)
-        return node
+        return Not(body) if tok == Not._symbol else _QUANTIFIERS[tok](var, body)
 
     def _atom(self) -> Formula:
         if self._peek() == "(":
@@ -418,54 +375,26 @@ def parse(text: str) -> Formula:
 
 def format_formula(f: Formula) -> str:
     """Canonical fully parenthesized text; ``parse(format_formula(f)) == f``."""
-    # An explicit stack, so a formula built in code prints at any depth.
-    # It holds the nodes still to print and, between them, the text that
-    # follows each, in reverse order; children were checked when made.
-    out: list[str] = []
-    todo: list[Formula | str] = [_node(f)]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, str):
-            out.append(node)
-            continue
-        negated = isinstance(node, Not) and isinstance(node.body, _Atomic)
-        atom = node.body if negated else node
-        if isinstance(atom, _Atomic):
-            out.append(f"({atom.lhs} {atom._negated if negated else atom._word} {atom.rhs})")
-        elif isinstance(node, _Operator):
-            # "!" goes before its one operand, a connective between its two.
-            parts = node._parts()
-            if len(parts) == 1:
-                out.append(f"({node._symbol}")
-                todo += [")", parts[0]]
-            else:
-                out.append("(")
-                todo += [")", parts[1], f" {node._symbol} ", parts[0]]
-        elif isinstance(node, _Quantifier):
-            out.append(f"({node._keyword} {node.var}. ")
-            todo += [")", node.body]
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-    return "".join(out)
+    negated = isinstance(f, Not) and isinstance(f.body, _Atomic)
+    atom = f.body if negated else f
+    if isinstance(atom, _Atomic):
+        return f"({atom.lhs} {atom._negated if negated else atom._word} {atom.rhs})"
+    if isinstance(f, _Operator):
+        # "!" goes before its one operand, a connective between its two.
+        parts = f._parts()
+        if len(parts) == 1:
+            return f"({f._symbol}{format_formula(parts[0])})"
+        return f"({format_formula(parts[0])} {f._symbol} {format_formula(parts[1])})"
+    return f"({_node(f)._keyword} {f.var}. {format_formula(f.body)})"
 
 
 def free_vars(f: Formula) -> frozenset[str]:
     """Exactly the variables with a free occurrence, under lexical binding."""
-    # An explicit stack, so a formula built in code is read at any depth;
-    # each node goes with the variables bound above it.
-    free: set[str] = set()
-    todo: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
-    while todo:
-        node, bound = todo.pop()
-        if isinstance(node, _Atomic):
-            free.update({node.lhs, node.rhs} - bound)
-        elif isinstance(node, _Operator):
-            todo += [(part, bound) for part in node._parts()]
-        elif isinstance(node, _Quantifier):
-            todo.append((node.body, bound | {node.var}))
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-    return frozenset(free)
+    if isinstance(f, _Atomic):
+        return frozenset((f.lhs, f.rhs))
+    if isinstance(f, _Operator):
+        return frozenset().union(*[free_vars(getattr(f, name)) for name in f.__match_args__])
+    return free_vars(_node(f).body) - {f.var}
 
 
 def _emit(f: Formula, scope: dict[str, str], top: int) -> str:
@@ -486,13 +415,6 @@ def _emit(f: Formula, scope: dict[str, str], top: int) -> str:
     return f._py.format(var, _emit(f.body, {**scope, f.var: var}, top + 1))
 
 
-def _check_depth(f: Formula) -> None:
-    # Refuses ``f`` when it nests deeper than parse allows: Python could
-    # not compile its emitted text.
-    if _node(f).depth > MAX_NESTING:
-        raise WorkbenchError(f"formula nests deeper than {MAX_NESTING} levels")
-
-
 @lru_cache(maxsize=256)
 def _function(f: Formula) -> tuple[Callable[..., object], tuple[str, ...]]:
     """``f`` as the function ``f0(sets, R, *ids)``, and the free variables the ids bind, sorted.
@@ -500,9 +422,8 @@ def _function(f: Formula) -> tuple[Callable[..., object], tuple[str, ...]]:
     ``sets`` is the universe's list of member masks and ``R`` the range of
     ids the quantifiers scan. The result is a value to test for truth.
     Formulas are immutable and the function keeps no state, so it is made
-    once per formula; a formula too deep to compile is refused here.
+    once per formula.
     """
-    _check_depth(f)
     names = tuple(sorted(free_vars(f)))
     params = [f"v{i}" for i in range(len(names))]
     body = _emit(f, dict(zip(names, params)), len(names))
@@ -564,7 +485,6 @@ def compile_criterion(f: Formula, var: str) -> Selector:
     criterion and the variable, and one serves any number of sets and
     threads, where :func:`evaluate` re-checks its bindings on every call.
     """
-    _check_depth(f)
     names = sorted(free_vars(f))
     if names != [var]:
         raise WrongArity(f"criterion must have exactly the free variable {var!r}, got {names}")

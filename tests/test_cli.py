@@ -23,7 +23,7 @@ from quineset import cli, storage
 from quineset.cli import MAX_PEANO_BYTES, build_arg_parser, main
 from quineset.core import MAX_NESTING
 from quineset.errors import CapExceeded, LiteralSyntaxError, UniverseFormatError
-from quineset.verifier import SUITES
+from quineset.verifier import LAWS, SUITES
 
 from support import small_universes
 
@@ -170,6 +170,12 @@ def test_eval_deep_formula_is_a_usage_error(universe_file, capsys):
     assert "nests deeper than" in capsys.readouterr().err
 
 
+def test_eval_literal_missing_a_member_is_a_usage_error(universe_file, capsys):
+    code = main(["eval", str(universe_file), "x in x", "--bind", "x={u,}"])
+    assert code == 64
+    assert "expected an atom name or '{' but found '}' (at position 3)" in capsys.readouterr().err
+
+
 def test_eval_deep_literal_is_a_usage_error(universe_file, capsys):
     literal = "{" * 2000 + "u" + "}" * 2000
     code = main(["eval", str(universe_file), "x in x", "--bind", f"x={literal}"])
@@ -216,6 +222,27 @@ def test_check_trichotomy_with_pair(universe_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "trichotomy: holds (scanned 15)" in out
+
+
+@pytest.fixture
+def one_atom_file(tmp_path):
+    path = tmp_path / "u.hfu"
+    assert main(["build", "--atoms", "u", "--depth", "2", "--out", str(path)]) == 0
+    return path
+
+
+def test_check_all_on_one_atom_runs_the_laws_that_need_no_pair(one_atom_file, capsys):
+    capsys.readouterr()
+    assert main(["check", str(one_atom_file), "all", "--format", "json"]) == 0
+    names = [r["name"] for r in json.loads(capsys.readouterr().out)["results"]]
+    assert names == [law.name for law in LAWS if not law.needs_pair]
+    assert len(names) == 9
+
+
+def test_check_trichotomy_on_one_atom_needs_pair(one_atom_file, capsys):
+    capsys.readouterr()
+    assert main(["check", str(one_atom_file), "trichotomy"]) == 64
+    assert "the trichotomy suite needs --pair A,B" in capsys.readouterr().err
 
 
 def test_check_unknown_pair_atom(universe_file):
@@ -875,6 +902,16 @@ def test_set_literal_nesting_limit(default_universe):
     ).count("{") == limit
     with pytest.raises(LiteralSyntaxError, match="nests deeper"):
         parse_set_literal(default_universe, "{" * (limit + 1) + "u,v" + "}" * (limit + 1))
+
+
+@pytest.mark.parametrize("text,position", [("{u,}", 3), ("1", 0)])
+def test_set_literal_missing_a_member_names_its_position(default_universe, text, position):
+    found = text[position]
+    with pytest.raises(LiteralSyntaxError) as err:
+        parse_set_literal(default_universe, text)
+    assert str(err.value) == (
+        f"expected an atom name or '{{' but found {found!r} (at position {position})")
+    assert err.value.position == position
 
 
 def test_set_literal_collapse_and_errors(default_universe):

@@ -204,9 +204,9 @@ _BUILT_SHAPES = {
 }
 
 
-def _built(shape, depth):
-    # A formula built in code, ``depth`` levels deep, over ``u in u``.
-    f = Member("u", "u")
+def _built(shape, depth, leaf=Member("u", "u")):
+    # A formula built in code, ``depth`` levels deep, over ``leaf``.
+    f = leaf
     for _ in range(depth - 1):
         f = _BUILT_SHAPES[shape](f)
     return f
@@ -223,33 +223,73 @@ def test_formulas_built_at_the_limit_evaluate(shape):
     assert select(u.member_sets, len(u), u.individuals(), 1) == int(expected)
 
 
+_REFUSED = f"^formula nests deeper than {LIMIT} levels$"
+
+
+def _built_until_refused(shape, depth):
+    # Builds toward ``depth`` levels and returns the deepest formula made,
+    # asserting that making the next level raised.
+    f = Member("u", "u")
+    with pytest.raises(WorkbenchError, match=_REFUSED):
+        for _ in range(depth - 1):
+            f = _BUILT_SHAPES[shape](f)
+    return f
+
+
 @pytest.mark.parametrize("depth", [LIMIT + 1, 250])
 @pytest.mark.parametrize("shape", _BUILT_SHAPES)
 def test_formulas_built_past_the_limit_are_refused(shape, depth):
-    # Python cannot compile the emitted text of some 200 levels; such a
-    # formula is refused with the limit parse holds its text to.
+    # Python cannot compile the emitted text of some 200 levels; making the
+    # level past the limit parse holds text to raises, so no formula is
+    # too deep to compile, and the levels below it still evaluate.
     u = Universe(["a"])
-    f = _built(shape, depth)
-    message = f"^formula nests deeper than {LIMIT} levels$"
-    with pytest.raises(WorkbenchError, match=message):
-        evaluate(u, f, {"u": 0})
-    with pytest.raises(WorkbenchError, match=message):
-        compile_criterion(f, "u")
+    f = _built_until_refused(shape, depth)
+    assert f.depth == LIMIT
+    assert evaluate(u, f, {"u": 0}) is reference_eval(u, f, {"u": 0})
 
 
 @pytest.mark.parametrize("depth", [499, 5000])
 @pytest.mark.parametrize("shape", _BUILT_SHAPES)
 def test_formulas_built_far_past_the_limit_are_refused_before_hashing(shape, depth):
-    # Each node stores its depth and hash when it is made, so neither the
-    # depth check nor the compile cache's hash walks the formula, and one
-    # thousands of levels deep is refused like any other.
+    # Each node stores its depth and hash when it is made, from its
+    # children's, so the depth check walks nothing, and building thousands
+    # of levels stops at the same level as building one past the limit.
+    f = _built_until_refused(shape, depth)
+    again = _built(shape, LIMIT)
+    assert f.depth == LIMIT
+    assert hash(f) == hash(again) and f == again
+
+
+def _at_stack_depth(frames, call):
+    # ``call()``, made with ``frames`` frames on the stack below it.
+    here, below = sys._getframe(), 0
+    while here is not None:
+        here, below = here.f_back, below + 1
+    if below >= frames:
+        return call()
+    return _at_stack_depth(frames, call)
+
+
+@pytest.mark.parametrize("shape", _BUILT_SHAPES)
+def test_formulas_at_the_limit_are_walked_from_a_deep_stack(shape):
+    # Every walker recurses, a few frames a level, so a formula at the limit
+    # takes some 400 frames at most, within the interpreter's default
+    # limit of 1000 under a caller 500 frames deep. The leaf is one no
+    # other test builds on, so nothing compiled before serves from a cache.
     u = Universe(["a"])
-    f = _built(shape, depth)
-    message = f"^formula nests deeper than {LIMIT} levels$"
-    with pytest.raises(WorkbenchError, match=message):
-        evaluate(u, f, {"u": 0})
-    with pytest.raises(WorkbenchError, match=message):
-        compile_criterion(f, "u")
+    f, again = _built(shape, LIMIT, Equal("u", "u")), _built(shape, LIMIT, Equal("u", "u"))
+    expected = reference_eval(u, f, {"u": 0})
+
+    def walk():
+        assert parse(format_formula(f)) == f
+        assert f == again and repr(f) == repr(again)
+        assert free_vars(f) == {"u"}
+        assert pickle.loads(pickle.dumps(f)) == f
+        assert evaluate(u, f, {"u": 0}) is expected
+        assert compile_criterion(f, "u")(u.member_sets, len(u), u.individuals(), 1) == expected
+
+    assert sys.getrecursionlimit() == 1000
+    _at_stack_depth(500, walk)
 
 
 # --- nodes -----------------------------------------------------------------
@@ -271,37 +311,38 @@ def test_nodes_store_their_depth_and_a_structural_hash(rng, depth):
     assert hash(again) == hash(f)
 
 
-def test_a_not_chain_5000_deep_is_made_and_hashed_then_refused():
+def test_a_not_chain_is_made_and_hashed_to_the_limit_then_refused_by_every_family():
     u = Universe(["a"])
-    f, g = _built("not", 5000), _built("not", 5000)
-    assert f.depth == 5000
+    f, g = _built("not", LIMIT), _built("not", LIMIT)
+    assert f.depth == LIMIT
     assert hash(f) == hash(g)
-    message = f"^formula nests deeper than {LIMIT} levels$"
-    with pytest.raises(WorkbenchError, match=message):
-        evaluate(u, f, {"u": 0})
-    with pytest.raises(WorkbenchError, match=message):
-        compile_criterion(f, "u")
+    for deeper in [Not, lambda f: Or(Member("u", "u"), f), lambda f: Exists("v", f)]:
+        with pytest.raises(WorkbenchError, match=_REFUSED):
+            deeper(f)
+    assert evaluate(u, f, {"u": 0}) is reference_eval(u, f, {"u": 0})
 
 
 _LEAF = "Member(lhs='u', rhs='u')"
+_UNDER = LIMIT - 1  # the nodes above the leaf of a formula at the limit
 
 
 @pytest.mark.parametrize("shape,text,shown", [
-    ("not", "(!" * 4998 + "(u notin u)" + ")" * 4998,
-     "Not(body=" * 4999 + _LEAF + ")" * 4999),
-    ("and-chain", "(" * 4999 + "(u in u)" + " & (u in u))" * 4999,
-     "And(lhs=" * 4999 + _LEAF + f", rhs={_LEAF})" * 4999),
-    ("forall", "(forall v. " * 4999 + "(u in u)" + ")" * 4999,
-     "Forall(var='v', body=" * 4999 + _LEAF + ")" * 4999),
+    ("not", "(!" * (_UNDER - 1) + "(u notin u)" + ")" * (_UNDER - 1),
+     "Not(body=" * _UNDER + _LEAF + ")" * _UNDER),
+    ("and-chain", "(" * _UNDER + "(u in u)" + " & (u in u))" * _UNDER,
+     "And(lhs=" * _UNDER + _LEAF + f", rhs={_LEAF})" * _UNDER),
+    ("forall", "(forall v. " * _UNDER + "(u in u)" + ")" * _UNDER,
+     "Forall(var='v', body=" * _UNDER + _LEAF + ")" * _UNDER),
 ], ids=["not", "and-chain", "forall"])
-def test_a_chain_5000_deep_prints_and_lists_its_free_variables(shape, text, shown):
-    # The printer, free_vars, == and repr all walk an explicit stack.
-    f, g = _built(shape, 5000), _built(shape, 5000)
+def test_a_chain_at_the_limit_prints_parses_back_and_lists_free_vars(shape, text, shown):
+    # The printer, free_vars, == and repr all recurse, one case per family.
+    f, g = _built(shape, LIMIT), _built(shape, LIMIT)
     assert format_formula(f) == text
+    assert parse(text) == f
     assert free_vars(f) == {"u"}
-    assert free_vars(Forall("u", f)) == frozenset()
+    assert free_vars(Forall("u", _built(shape, LIMIT - 1))) == frozenset()
     assert f == g and not f != g
-    assert f != _built(shape, 4999)
+    assert f != _built(shape, LIMIT - 1)
     assert repr(f) == shown
 
 
@@ -319,6 +360,17 @@ def test_the_formula_base_class_makes_no_node():
 def test_a_child_that_is_not_a_formula_node_is_refused(make):
     with pytest.raises(TypeError, match=r"^not a formula node: 'u in u'$"):
         make("u in u")
+
+
+@pytest.mark.parametrize("walk", [
+    format_formula,
+    free_vars,
+    lambda f: evaluate(Universe(["a"]), f, {"u": 0}),
+    lambda f: compile_criterion(f, "u"),
+], ids=["format_formula", "free_vars", "evaluate", "compile_criterion"])
+def test_a_walker_refuses_what_is_not_a_formula_node(walk):
+    with pytest.raises(TypeError, match=r"^not a formula node: 'u in u'$"):
+        walk("u in u")
 
 
 def test_a_pickled_formula_hashes_as_one_made_in_this_process():

@@ -33,7 +33,7 @@ from quineset import (
 )
 from quineset import verifier
 from quineset.errors import AtomsEqual, NotAtom
-from quineset.formula import free_vars
+from quineset.formula import format_formula, free_vars
 from quineset.verifier import LAWS, PAIR_SUITES, SUITES
 
 from support import inject_self_membered, model_verdicts, small_universes
@@ -417,6 +417,39 @@ def test_subset_derivations_name_a_selection_missing_from_the_file():
     by_name = {r.name: r.status for r in check_dual_paths(universe).results}
     assert by_name["dualpath-subset-derivations"] is Status.HOLDS
     assert len(universe) == 5
+
+
+# Each case patches one scan to the verdict its oracle does not give (the
+# law table looks each scan up in the module at call time), and names the
+# variables the witness binds: the atoms A and B, and P, their pair, id 2.
+DISAGREEMENTS = [
+    ("theorem1", "check_theorem1", Status.FAILS, "uv3", {}),
+    ("trichotomy", "check_trichotomy", Status.FAILS, "uv3", {"A": 0, "B": 1}),
+    ("pair-membership", "check_pair_membership_claim", Status.FAILS, "uv3",
+     {"A": 0, "B": 1, "P": 2}),
+    ("union-lemma", "check_union_lemma", Status.HOLDS, "union-missing", {}),
+]
+
+
+@pytest.mark.parametrize("law,scan,status,where,bindings", DISAGREEMENTS,
+                         ids=[case[0] for case in DISAGREEMENTS])
+def test_dual_paths_report_a_scan_that_disagrees_with_its_oracle(
+        monkeypatch, default_universe, law, scan, status, where, bindings):
+    universe = default_universe if where == "uv3" else loads_universe(UNION_MISSING)
+    monkeypatch.setattr(verifier, scan, lambda *args: verifier.CheckResult(law, status, 0))
+    report = check_dual_paths(universe, 0, 1)
+    failed = [r for r in report.results if r.status is Status.FAILS]
+    assert [r.name for r in failed] == [f"dualpath-{law}"]
+    assert not report.passed
+    n = len(universe)
+    witness = failed[0].witness
+    assert failed[0].scanned == witness.domain == n
+    # A scan that fails where its oracle holds is witnessed by the oracle's
+    # negation; one that holds where its oracle fails, by the oracle itself.
+    text = format_formula(next(l.oracle for l in LAWS if l.name == law))
+    assert witness.formula == (f"(!{text})" if status is Status.FAILS else text)
+    assert dict(witness.bindings) == bindings
+    assert witness_reproduces(universe, witness)
 
 
 def _count_specify(monkeypatch):
