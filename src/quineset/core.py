@@ -35,20 +35,25 @@ mask, set once.
 Every other method here is a read, and so are the checks in
 :mod:`quineset.verifier` and :mod:`quineset.peano` on a universe made by
 the builder (or loaded from a file it wrote): they may run from any number
-of threads at once while nothing interns. The checks share the
-transitivity column, :meth:`Universe.transitivity`, and the same facts as
-one mask of the transitive ids, :meth:`Universe.transitive_ids`. Both are
+of threads at once while nothing interns. The checks share the membership
+columns, :meth:`Universe.member_columns`: the same facts as ``member_sets``
+stored transposed, one mask of ids per member id. Beside them are kept the
+mask of the ids that are members of some set,
+:meth:`Universe.occurring_members`, and the mask of the transitive ids,
+:meth:`Universe.transitive_ids`, worked out from the columns. All three are
 kept per universe size and published together by one assignment, so a
-concurrent reader sees a whole column and its mask or computes its own.
+concurrent reader sees a whole set of them or computes its own.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from functools import reduce
-from itertools import count, filterfalse
-from operator import gt, or_
-from typing import Collection, Iterable
+from itertools import compress, count, filterfalse
+from operator import and_, gt, or_
+from typing import Collection, Iterable, Iterator
 
 from .errors import (
     AtomsEqual,
@@ -78,17 +83,37 @@ _LOW_BYTE = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 _HIGH_BYTE = tuple(tuple(i + 8 for i in range(8) if b >> i & 1) for b in range(256))
 
 
+# Binary digits as the bytes 0 and 1, for ``compress``.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+# Entry ``b``: each byte value as the ASCII digit of its bit ``b``.
+_BIT_DIGITS = tuple(bytes(48 | x >> b & 1 for x in range(256)) for b in range(8))
+_LOW_64 = (1 << 64) - 1
+
+
 def ids_of(mask: int) -> tuple[SetId, ...]:
     """The ids whose bits are set in ``mask``, in increasing order."""
     if mask < 0x10000:
         return _LOW_BYTE[mask & 0xFF] + _HIGH_BYTE[mask >> 8]
-    # Wider masks: take the lowest set bit off at a time.
-    ids: list[SetId] = []
-    while mask:
-        low = mask & -mask
-        ids.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(ids)
+    width = mask.bit_length()
+    if mask.bit_count() << 5 < width:
+        # Fewer than one bit in 32 set: take the highest set bit off at a time.
+        ids: list[SetId] = []
+        while mask:
+            top = mask.bit_length() - 1
+            ids.append(top)
+            mask ^= 1 << top
+        ids.reverse()
+        return tuple(ids)
+    return tuple(iter_ids(mask))
+
+
+def iter_ids(mask: int) -> Iterator[SetId]:
+    """The ids of :func:`ids_of`, read lazily, for a loop that may stop early.
+
+    One pass in C writes a binary digit per bit, the lowest first; the ids
+    of the digits that are 1 are read as they are asked for.
+    """
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES))
 
 
 def mask_of(ids: Iterable[SetId]) -> int:
@@ -96,17 +121,32 @@ def mask_of(ids: Iterable[SetId]) -> int:
     return reduce(or_, map((1).__lshift__, ids), 0)
 
 
-def _byte_unions(sets: list[int], base: int) -> list[int]:
-    """Entry ``b``: the union of the masks of the ids ``base + i`` for the set bits ``i`` of ``b``.
+def _columns(masks: list[int]) -> list[int]:
+    """Entry ``v``: the mask of the indexes ``i`` whose ``masks[i]`` has bit ``v``.
 
-    An id past the end of ``sets`` adds nothing.
+    There is one entry per bit below the widest mask's ``bit_length()``.
+    The low 64 bits of the masks are packed into an array, whose bytes split
+    into one plane per byte of a mask; each of those columns is then one
+    ``translate`` of a reversed plane into binary digits and one
+    ``int(…, 2)``. The bits past 64, which only masks of late members such
+    as a chain's have, are added from the ids of each such mask.
     """
-    unions = [0]
-    for sid in range(base, base + 8):
-        # The bytes whose top bit is this id's: those below it, with its mask.
-        ms = sets[sid] if sid < len(sets) else 0
-        unions += [u | ms for u in unions]
-    return unions
+    width = max(masks).bit_length()
+    packed_width = min(width, 64)
+    typecode = next(code for code in "BHIQ" if packed_width <= 8 * array(code).itemsize)
+    packed = array(typecode, masks if width <= 64 else [ms & _LOW_64 for ms in masks])
+    if sys.byteorder == "big":
+        packed.byteswap()
+    raw, size = packed.tobytes(), packed.itemsize
+    # Plane ``b``: byte ``b`` of each mask, the last index first.
+    planes = [raw[b::size][::-1] for b in range((packed_width + 7) >> 3)]
+    columns = [int(planes[v >> 3].translate(_BIT_DIGITS[v & 7]), 2) for v in range(packed_width)]
+    columns += [0] * (width - packed_width)
+    if width > 64:
+        for i, high in enumerate(ms >> 64 for ms in masks):
+            for v in ids_of(high):
+                columns[v + 64] |= 1 << i
+    return columns
 
 
 class Universe:
@@ -136,9 +176,9 @@ class Universe:
         # _index; read-only. Atom i's sole member is itself.
         self.member_sets: list[int] = [1 << i for i in range(len(names))]
         self._index: dict[int, SetId] = {ms: i for i, ms in enumerate(self.member_sets)}
-        # Memoised is_transitive column and the mask of its transitive ids,
-        # replaced whole as one pair, never mutated.
-        self._transitive: tuple[list[bool], int] = ([], 0)
+        # The universe size the kept membership columns, occurring members
+        # and transitive ids were worked out for; replaced whole, never mutated.
+        self._columns: tuple[int, tuple[int, ...], int, int] = (0, (), 0, 0)
         # The self-membered ids: no write can add one to the atoms.
         self._individuals = (1 << len(names)) - 1
         self._atom_ids: dict[str, SetId] = dict(zip(names, range(len(names))))
@@ -349,47 +389,52 @@ class Universe:
         ms = self.member_sets[s]
         return ms & self.member_sets[t] == ms
 
-    def _kept_transitivity(self) -> tuple[list[bool], int]:
-        """The kept transitivity column and transitive-id mask, extended to every id."""
-        column, transitive = self._transitive
+    def _kept_columns(self) -> tuple[int, tuple[int, ...], int, int]:
+        """The kept columns, occurring members and transitive ids, for every id so far."""
+        kept = self._columns
         sets = self.member_sets
-        if len(column) < len(sets):
-            low, high = _byte_unions(sets, 0), _byte_unions(sets, 8)
-            # Starting the union at the set's own mask, it stays that mask
-            # exactly when every member's mask lies within it.
-            fresh = [
-                low[ms & 0xFF] | high[ms >> 8] | ms == ms if ms < 0x10000
-                else reduce(or_, map(sets.__getitem__, ids_of(ms)), ms) == ms
-                for ms in sets[len(column):]
-            ]
-            # One binary digit per new id, the highest id first.
-            transitive |= int("".join(map("01".__getitem__, reversed(fresh))), 2) << len(column)
-            column = column + fresh
-            self._transitive = column, transitive
-        return column, transitive
+        n = len(sets)
+        if kept[0] != n:
+            columns = tuple(_columns(sets))
+            occurring = mask_of(compress(count(), columns))
+            # A set that holds v is intransitive unless it is in the column
+            # of each member of v as well.
+            transitive = ((1 << n) - 1) ^ reduce(or_, [
+                columns[v] ^ reduce(and_, map(columns.__getitem__, ids_of(sets[v])), columns[v])
+                for v in ids_of(occurring)
+            ], 0)
+            kept = self._columns = n, columns, occurring, transitive
+        return kept
 
-    def transitivity(self) -> list[bool]:
-        """Column of :meth:`is_transitive` over every id interned so far; read-only.
+    def member_columns(self) -> tuple[int, ...]:
+        """The membership columns: entry ``v`` is the mask of the ids that have ``v`` as a member.
 
-        A set is transitive when the union of its members' masks lies
-        within its own. Sets never change once interned, so entries are
-        computed once. The column is extended by building a longer list and
-        publishing it, with :meth:`transitive_ids`, by one assignment, so a
-        reader never sees a partly built column.
+        There is one entry per bit below the widest member mask's
+        ``bit_length()``. The columns are the member masks transposed, so
+        a filter on member masks is a few operations on them. They are kept
+        per universe size: a universe that has grown since gets new ones,
+        published with :meth:`occurring_members` and :meth:`transitive_ids`
+        by one assignment, so a reader never sees a partly built set.
         """
-        return self._kept_transitivity()[0]
+        return self._kept_columns()[1]
+
+    def occurring_members(self) -> int:
+        """The mask of the ids that are a member of some set: those with a nonzero column."""
+        return self._kept_columns()[2]
 
     def transitive_ids(self) -> int:
         """The mask of the transitive ids among every id interned so far.
 
-        It is kept beside :meth:`transitivity`, and extended with it.
+        A set is transitive when each member's mask lies within its own.
+        The mask is worked out from :meth:`member_columns` and kept with
+        them.
         """
-        return self._kept_transitivity()[1]
+        return self._kept_columns()[3]
 
     def is_transitive(self, s: SetId) -> bool:
         """True when every member of ``s`` is also a subset of ``s``."""
         self._check_id(s)
-        return self.transitivity()[s]
+        return bool(self.transitive_ids() >> s & 1)
 
     def cardinality(self, s: SetId) -> int:
         self._check_id(s)

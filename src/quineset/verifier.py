@@ -12,38 +12,43 @@ for one counterexample yields the bindings of each and lets
 Scans are reads with one signature, ``_check_*(universe)``,
 ``check_*(universe)`` or ``check_*(universe, a1, a2)``. Each decides its
 law over the ids below ``len(universe)`` by mask algebra on ``member_sets``,
-the self-membered ids' mask ``individuals()``, and the kept
-``transitivity()`` column and ``transitive_ids()`` mask, looking up rather
-than interning any set it must name. A scan that asks whether all members
-of a set are transitive tests its mask against ``transitive_ids()``, which
-the universe keeps, so no scan builds that mask again. A subset test is
-written ``a & b == a`` and a difference ``a ^ (a & b)``, so that no
-negative operand spans the universe; the one negation, ``rest & -rest``,
-keeps only the lowest bit of ``rest``. A set missing from the universe is
-named by a witness written over member sets instead, or, for a subset
-that separation must select, is itself the failure. subset-derivations
-calls ``specify`` only for a selection it has found among the scanned
-sets, so that call interns nothing either, and only once per distinct
-selection. The lookup alone would decide; the call stays while the
-benchmark's trace tallies it (ROADMAP item 1).
+the self-membered ids' mask ``individuals()``, and the universe's kept
+membership columns: ``member_columns()``, entry ``v`` the mask of the sets
+that hold ``v``, with ``occurring_members()`` and ``transitive_ids()``
+beside them. It looks up rather than interns any set it must name. A
+subset test is written ``a & b == a`` and a difference ``a ^ (a & b)``, so
+that no negative operand spans the universe; the one negation,
+``m & -m``, keeps only the lowest bit of ``m``. A set missing from the
+universe is named by a witness written over member sets instead, or, for
+a subset that separation must select, is itself the failure.
+subset-derivations calls ``specify`` only for a selection it has found
+among the scanned sets, so that call interns nothing either, and only once
+per distinct selection. The lookup alone would decide; the call stays
+while the benchmark's trace tallies it (ROADMAP item 1).
 
-Members precede their sets, so the least non-individual member of a set
-shares no non-individual with it: it is minimal for regularity and, in a
-transitive set, a set of individuals for theorem1. Both scans test it
-first, one mask test per set, and look at the other members only when it
-fails, as it can in a universe whose members come after their sets.
+Six scans are filters on member masks and run on the columns, with no loop
+over the sets: regularity, russell-equivalence, theorem1, pair-membership,
+and the qualifying sets of trichotomy and union-lemma. The mask of the
+sets whose member mask meets ``k`` is the union of the columns of the ids
+of ``k``, and only ids that are some set's member have a column to read,
+so each filter is a few operations on masks as wide as the universe, one
+per member id. A scan that fails names the least failing set, and counts
+the qualifying sets up to it, as a loop over the sets in id order would;
+the detail of its witness is worked out for that one set. trichotomy
+then loops over pairs of qualifying sets, and union-lemma over the
+qualifying sets that have a non-individual member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import compress
+from functools import cached_property, reduce
+from operator import and_, or_
 from typing import Callable, Iterable
 
 from .constructors import specify, union_members
-from .core import SetId, Universe, ensure_distinct_atoms, ids_of
+from .core import SetId, Universe, ensure_distinct_atoms, ids_of, iter_ids, mask_of
 from .formula import Formula, Member, Not, evaluate, format_formula, free_vars, parse
 
 
@@ -295,20 +300,51 @@ def _check_no_empty(universe: Universe) -> CheckResult:
     )
 
 
+def _meets(universe: Universe, k: int) -> int:
+    """The mask of the ids whose member mask meets ``k``: the union of its ids' columns."""
+    columns = universe.member_columns()
+    return reduce(or_, map(columns.__getitem__, ids_of(k & universe.occurring_members())), 0)
+
+
+def _non_individual_members(universe: Universe) -> int:
+    """The mask of the non-individuals that are a member of some set."""
+    occurring = universe.occurring_members()
+    return occurring ^ (occurring & universe.individuals())
+
+
+def _sets_of_individuals(universe: Universe) -> int:
+    """The mask of the non-individuals that are a member of some set and hold only individuals."""
+    sets = universe.member_sets
+    individuals = universe.individuals()
+    return mask_of(v for v in ids_of(_non_individual_members(universe))
+                   if sets[v] & individuals == sets[v])
+
+
+def _lowest(mask: int) -> SetId:
+    """The least id of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _count_to(mask: int, s: SetId) -> int:
+    """How many ids of ``mask`` are at most ``s``."""
+    return (mask & (2 << s) - 1).bit_count()
+
+
 def _check_regularity(universe: Universe) -> CheckResult:
     n = len(universe)
     sets = universe.member_sets
-    individuals = universe.individuals()
-
-    # ``rest`` is the non-individual members of s, and a member is minimal
-    # when it shares none of them. Members precede their sets, so the least
-    # of them is minimal, and one test decides s unless members come late.
+    columns = universe.member_columns()
+    rest = _non_individual_members(universe)
+    # A set with a non-individual member v passes when v is minimal: none
+    # of v's non-individual members is in the set too.
+    minimal = 0
+    for v in ids_of(rest):
+        held = columns[v]
+        minimal |= held ^ (held & _meets(universe, sets[v] & rest))
+    failures = _meets(universe, rest) ^ minimal
     return CheckResult.first(
         "regularity", n, n, _REGULARITY_AT_S,
-        ({"s": s} for s in range(n)
-         if (rest := (ms := sets[s]) ^ (ms & individuals))
-         and sets[(rest & -rest).bit_length() - 1] & rest
-         and all(sets[v] & rest for v in ids_of(rest))),
+        ({"s": _lowest(failures)},) if failures else (),
     )
 
 
@@ -331,13 +367,17 @@ def check_russell(universe: Universe) -> CheckResult:
 def check_russell_equivalence(universe: Universe) -> CheckResult:
     """Both sides of the paradox-elimination biconditional, computed separately."""
     n = len(universe)
-    sets = universe.member_sets
-    individuals = universe.individuals()
-    non_individuals = ((1 << n) - 1) ^ individuals
+    columns = universe.member_columns()
+    every = (1 << n) - 1
+    non_individuals = every ^ universe.individuals()
     # Some u has (u in s) <-> (u in u): an individual in s or a
-    # non-individual outside it.
-    lhs = all(ms & individuals or ms & non_individuals != non_individuals for ms in sets)
-    rhs = non_individuals not in sets
+    # non-individual outside it. No set holds every non-individual when
+    # one of them is no set's member.
+    holding_all = 0
+    if non_individuals & universe.occurring_members() == non_individuals:
+        holding_all = reduce(and_, map(columns.__getitem__, ids_of(non_individuals)), every)
+    lhs = holding_all & _meets(universe, universe.individuals()) == holding_all
+    rhs = universe.lookup_mask(non_individuals) is None
     if lhs != rhs:
         return CheckResult.failure("russell-equivalence", n, n, RUSSELL_EQUIVALENCE_FORMULA)
     return CheckResult("russell-equivalence", Status.HOLDS, n)
@@ -422,29 +462,19 @@ def check_theorem1(universe: Universe) -> CheckResult:
     """Every transitive set with a non-individual member also has a member
     that is a non-individual set of individuals."""
     n = len(universe)
-    sets = universe.member_sets
-    individuals = universe.individuals()
-    qualifying = 0
-    for s in compress(range(n), universe.transitivity()):
-        ms = sets[s]
-        rest = ms ^ (ms & individuals)
-        if not rest:
-            continue
-        qualifying += 1
-        # The least non-individual member witnesses: its members precede it
-        # and, s being transitive, lie in s, so they are individuals.
-        least = sets[(rest & -rest).bit_length() - 1]
-        if least & individuals == least:
-            continue
-        if not any(sets[v] & individuals == sets[v] for v in ids_of(rest)):
-            return CheckResult.failure(
-                "theorem1", qualifying, n,
-                f"{_HAS_NON_INDIVIDUAL} -> {_INDIVIDUALS_SET_MEMBER}",
-                s=s,
-            )
-    if qualifying == 0:
+    qualifying = universe.transitive_ids() & _meets(universe, _non_individual_members(universe))
+    if not qualifying:
         return CheckResult("theorem1", Status.NOT_APPLICABLE, 0)
-    return CheckResult("theorem1", Status.HOLDS, qualifying)
+    holding = _meets(universe, _sets_of_individuals(universe))
+    failures = qualifying ^ (qualifying & holding)
+    if failures:
+        s = _lowest(failures)
+        return CheckResult.failure(
+            "theorem1", _count_to(qualifying, s), n,
+            f"{_HAS_NON_INDIVIDUAL} -> {_INDIVIDUALS_SET_MEMBER}",
+            s=s,
+        )
+    return CheckResult("theorem1", Status.HOLDS, qualifying.bit_count())
 
 
 def check_pair_membership_claim(universe: Universe, a1: SetId, a2: SetId) -> CheckResult:
@@ -461,27 +491,26 @@ def check_pair_membership_claim(universe: Universe, a1: SetId, a2: SetId) -> Che
         # it as its first non-individual member; so without the pair no set
         # qualifies.
         return CheckResult("pair-membership", Status.NOT_APPLICABLE, 0)
-    individuals = universe.individuals()
-    qualifying = 0
-    for s in compress(range(n), universe.transitivity()):
-        ms = sets[s]
-        if ms & individuals != atoms:
-            continue
-        qualifying += 1
-        # The members that are not individuals are all but the two atoms.
-        for m in ids_of(ms ^ atoms):
-            if sets[m] & individuals == sets[m] and m != p:
-                return CheckResult.failure(
-                    "pair-membership", qualifying, n, "m = P", m=m, P=p
-                )
-        # P is in the successor s | {s}.
-        if not (ms >> p & 1 or p == s):
-            return CheckResult.failure(
-                "pair-membership", qualifying, n, "(P in s) | (P = s)", P=p, s=s
-            )
-    if qualifying == 0:
+    columns = universe.member_columns()
+    # The individuals among a qualifying set's members are the two atoms.
+    qualifying = universe.transitive_ids() & columns[a1] & columns[a2]
+    qualifying ^= qualifying & _meets(universe, universe.individuals() ^ atoms)
+    if not qualifying:
         return CheckResult("pair-membership", Status.NOT_APPLICABLE, 0)
-    return CheckResult("pair-membership", Status.HOLDS, qualifying)
+    # A set fails holding a non-individual set of individuals other than P,
+    # or when P is neither in it nor it.
+    others = _sets_of_individuals(universe)
+    others ^= others & 1 << p
+    successors = (columns[p] if p < len(columns) else 0) | 1 << p
+    failures = qualifying & _meets(universe, others) | qualifying ^ (qualifying & successors)
+    if not failures:
+        return CheckResult("pair-membership", Status.HOLDS, qualifying.bit_count())
+    s = _lowest(failures)
+    scanned = _count_to(qualifying, s)
+    if sets[s] & others:
+        m = _lowest(sets[s] & others)
+        return CheckResult.failure("pair-membership", scanned, n, "m = P", m=m, P=p)
+    return CheckResult.failure("pair-membership", scanned, n, "(P in s) | (P = s)", P=p, s=s)
 
 
 def check_trichotomy(universe: Universe, a1: SetId, a2: SetId) -> CheckResult:
@@ -491,13 +520,12 @@ def check_trichotomy(universe: Universe, a1: SetId, a2: SetId) -> CheckResult:
     n = len(universe)
     sets = universe.member_sets
     atoms = 1 << a1 | 1 << a2
-    individuals = universe.individuals()
     transitive = universe.transitive_ids()
-    qualifying = [
-        i
-        for i in compress(range(n), universe.transitivity())
-        if sets[i] & transitive == sets[i] and sets[i] & individuals | atoms == atoms
-    ]
+    occurring = universe.occurring_members()
+    # Transitive sets none of whose members is intransitive or an
+    # individual other than the two atoms.
+    qualifying = ids_of(transitive ^ (transitive & _meets(
+        universe, occurring ^ (occurring & transitive) | universe.individuals() ^ atoms)))
     pairs = 0
     for idx, s in enumerate(qualifying):
         for t in qualifying[idx:]:
@@ -523,16 +551,17 @@ def check_union_lemma(universe: Universe) -> CheckResult:
     sets = universe.member_sets
     transitive = universe.transitive_ids()
     individuals = universe.individuals()
-    qualifying = 0
-    for s in compress(range(n), universe.transitivity()):
+    occurring = universe.occurring_members()
+    # Transitive non-individuals none of whose members is intransitive.
+    qualifying = transitive ^ (transitive & individuals)
+    qualifying ^= qualifying & _meets(universe, occurring ^ (occurring & transitive))
+    if not qualifying:
+        return CheckResult("union-lemma", Status.NOT_APPLICABLE, 0)
+    # With only self-membered members, U = s: transitivity gives U <= s
+    # and self-membership s <= U. So only the sets with a non-individual
+    # member are looked at.
+    for s in iter_ids(qualifying & _meets(universe, _non_individual_members(universe))):
         mem = sets[s]
-        if mem >> s & 1 or mem & transitive != mem:
-            continue
-        qualifying += 1
-        # With only self-membered members, U = s: transitivity gives U <= s
-        # and self-membership s <= U.
-        if mem & individuals == mem:
-            continue
         union = union_members(universe, s)
         if union == mem:
             # U = s, which qualified: transitive, with transitive members,
@@ -548,12 +577,11 @@ def check_union_lemma(universe: Universe) -> CheckResult:
         )
         for holds, (over_u, over_s) in zip(clauses, _UNION_CLAUSES):
             if not holds:
+                scanned = _count_to(qualifying, s)
                 if u is None:
-                    return CheckResult.failure("union-lemma", qualifying, n, over_s, s=s)
-                return CheckResult.failure("union-lemma", qualifying, n, over_u, s=s, U=u)
-    if qualifying == 0:
-        return CheckResult("union-lemma", Status.NOT_APPLICABLE, 0)
-    return CheckResult("union-lemma", Status.HOLDS, qualifying)
+                    return CheckResult.failure("union-lemma", scanned, n, over_s, s=s)
+                return CheckResult.failure("union-lemma", scanned, n, over_u, s=s, U=u)
+    return CheckResult("union-lemma", Status.HOLDS, qualifying.bit_count())
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +612,11 @@ class Law:
         a caller that keeps many reports keeps each name once.
         """
         return f"dualpath-{self.name}"
+
+    @cached_property
+    def oracle_vars(self) -> frozenset[str]:
+        """The oracle's free variables, the names of the two atoms and their pair; worked out once."""
+        return free_vars(self.oracle)
 
 
 LAWS = (
@@ -642,7 +675,7 @@ def check_dual_paths(
         if law.needs_pair and pair_atoms is None:
             continue
         name = law.dual_name
-        env = {var: names[var] for var in free_vars(law.oracle)}
+        env = {var: names[var] for var in law.oracle_vars}
         if None in env.values():
             # The universe lacks the pair P, so no set qualifies for the
             # pair scan (see check_pair_membership_claim).

@@ -6,7 +6,9 @@ singleton of an atom collapses onto the atom), and formulas are evaluated by
 a plain recursive walk with copied environments.
 """
 
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, compress
+from operator import or_
 from random import Random
 
 from hypothesis import strategies as st
@@ -26,7 +28,17 @@ from quineset import (
     build,
     union_all,
 )
+from quineset.core import ensure_distinct_atoms, mask_of
 from quineset.errors import CapExceeded
+from quineset.verifier import (
+    RUSSELL_EQUIVALENCE_FORMULA,
+    CheckResult,
+    Status,
+    _HAS_NON_INDIVIDUAL,
+    _INDIVIDUALS_SET_MEMBER,
+    _REGULARITY_AT_S,
+    _UNION_CLAUSES,
+)
 
 # --- frozenset model of the set theory ------------------------------------
 
@@ -201,6 +213,24 @@ def inject_self_membered(universe, extra_member):
     return new_id
 
 
+def written_universe(atoms, masks):
+    """A universe holding ``masks`` after its atoms, written to its tables directly.
+
+    Interning refuses a member that is not there yet, a repeated extension
+    and a set that holds itself; this writes each mask as it comes. A
+    repeated mask keeps its first id in the index, and a mask that holds
+    its own id joins the individuals' mask.
+    """
+    universe = Universe(atoms)
+    for mask in masks:
+        sid = len(universe)
+        universe._index.setdefault(mask, sid)
+        universe.member_sets.append(mask)
+        if mask >> sid & 1:
+            universe._individuals |= 1 << sid
+    return universe
+
+
 @st.composite
 def small_universes(draw):
     """A built universe grown by random sets, successors and unions, and
@@ -221,6 +251,210 @@ def small_universes(draw):
         else:
             inject_self_membered(universe, x)
     return universe
+
+
+@st.composite
+def well_founded_universes(draw):
+    """Up to 64 sets over 1-3 atoms, each composite a random set of 1-4 earlier ids.
+
+    Members precede their sets, but the stages are not full, so laws that
+    need a closure property of full stages can fail here.
+    """
+    universe = Universe(("a", "b", "c")[: draw(st.integers(1, 3))])
+    for _ in range(draw(st.integers(0, 61))):
+        n = len(universe)
+        universe.intern(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4)))
+    return universe
+
+
+@st.composite
+def written_universes(draw):
+    """1-8 composites over 1-3 atoms whose members are any ids, later ones included.
+
+    A composite may hold a set after it, repeat an extension or hold
+    itself (see :func:`written_universe`).
+    """
+    atoms = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    count = draw(st.integers(1, 8))
+    ids = st.integers(0, len(atoms) + count - 1)
+    return written_universe(atoms, [
+        mask_of(draw(st.sets(ids, min_size=1, max_size=4))) for _ in range(count)
+    ])
+
+
+def lowest_bit_ids(mask):
+    """The ids of ``mask``'s set bits in increasing order, taking the lowest bit off at a time."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(ids)
+
+
+# --- reference scans: one loop over the sets per law ----------------------------
+
+def _transitive_column(universe):
+    """Entry ``s``: whether every member's mask of set ``s`` lies within its own."""
+    sets = universe.member_sets
+    return [all(sets[m] & ms == sets[m] for m in lowest_bit_ids(ms)) for ms in sets]
+
+
+def _reference_regularity(universe):
+    n = len(universe)
+    sets = universe.member_sets
+    individuals = universe.individuals()
+    return CheckResult.first(
+        "regularity", n, n, _REGULARITY_AT_S,
+        ({"s": s} for s in range(n)
+         if (rest := (ms := sets[s]) ^ (ms & individuals))
+         and all(sets[v] & rest for v in lowest_bit_ids(rest))),
+    )
+
+
+def _reference_russell_equivalence(universe):
+    n = len(universe)
+    sets = universe.member_sets
+    individuals = universe.individuals()
+    non_individuals = ((1 << n) - 1) ^ individuals
+    lhs = all(ms & individuals or ms & non_individuals != non_individuals for ms in sets)
+    rhs = non_individuals not in sets
+    if lhs != rhs:
+        return CheckResult.failure("russell-equivalence", n, n, RUSSELL_EQUIVALENCE_FORMULA)
+    return CheckResult("russell-equivalence", Status.HOLDS, n)
+
+
+def _reference_theorem1(universe):
+    n = len(universe)
+    sets = universe.member_sets
+    individuals = universe.individuals()
+    qualifying = 0
+    for s in compress(range(n), _transitive_column(universe)):
+        ms = sets[s]
+        rest = ms ^ (ms & individuals)
+        if not rest:
+            continue
+        qualifying += 1
+        if not any(sets[v] & individuals == sets[v] for v in lowest_bit_ids(rest)):
+            return CheckResult.failure(
+                "theorem1", qualifying, n,
+                f"{_HAS_NON_INDIVIDUAL} -> {_INDIVIDUALS_SET_MEMBER}",
+                s=s,
+            )
+    if qualifying == 0:
+        return CheckResult("theorem1", Status.NOT_APPLICABLE, 0)
+    return CheckResult("theorem1", Status.HOLDS, qualifying)
+
+
+def _reference_pair_membership(universe, a1, a2):
+    ensure_distinct_atoms(universe, a1, a2)
+    n = len(universe)
+    sets = universe.member_sets
+    atoms = 1 << a1 | 1 << a2
+    p = universe.lookup_mask(atoms)
+    if p is None:
+        return CheckResult("pair-membership", Status.NOT_APPLICABLE, 0)
+    individuals = universe.individuals()
+    qualifying = 0
+    for s in compress(range(n), _transitive_column(universe)):
+        ms = sets[s]
+        if ms & individuals != atoms:
+            continue
+        qualifying += 1
+        for m in lowest_bit_ids(ms ^ atoms):
+            if sets[m] & individuals == sets[m] and m != p:
+                return CheckResult.failure(
+                    "pair-membership", qualifying, n, "m = P", m=m, P=p
+                )
+        if not (ms >> p & 1 or p == s):
+            return CheckResult.failure(
+                "pair-membership", qualifying, n, "(P in s) | (P = s)", P=p, s=s
+            )
+    if qualifying == 0:
+        return CheckResult("pair-membership", Status.NOT_APPLICABLE, 0)
+    return CheckResult("pair-membership", Status.HOLDS, qualifying)
+
+
+def _reference_trichotomy(universe, a1, a2):
+    ensure_distinct_atoms(universe, a1, a2)
+    n = len(universe)
+    sets = universe.member_sets
+    atoms = 1 << a1 | 1 << a2
+    individuals = universe.individuals()
+    column = _transitive_column(universe)
+    transitive = mask_of(compress(range(n), column))
+    qualifying = [
+        i
+        for i in compress(range(n), column)
+        if sets[i] & transitive == sets[i] and sets[i] & individuals | atoms == atoms
+    ]
+    pairs = 0
+    for idx, s in enumerate(qualifying):
+        for t in qualifying[idx:]:
+            pairs += 1
+            if sets[s] >> s & 1 or sets[t] >> t & 1:
+                continue
+            if not (sets[t] >> s & 1 or s == t or sets[s] >> t & 1):
+                return CheckResult.failure(
+                    "trichotomy", pairs, n,
+                    "(s in t) | ((s = t) | (t in s))",
+                    s=s, t=t,
+                )
+    if pairs == 0:
+        return CheckResult("trichotomy", Status.NOT_APPLICABLE, 0)
+    return CheckResult("trichotomy", Status.HOLDS, pairs)
+
+
+def _reference_union_lemma(universe):
+    n = len(universe)
+    sets = universe.member_sets
+    column = _transitive_column(universe)
+    transitive = mask_of(compress(range(n), column))
+    individuals = universe.individuals()
+    qualifying = 0
+    for s in compress(range(n), column):
+        mem = sets[s]
+        if mem >> s & 1 or mem & transitive != mem:
+            continue
+        qualifying += 1
+        if mem & individuals == mem:
+            continue
+        union = reduce(or_, map(sets.__getitem__, lowest_bit_ids(mem)), 0)
+        if union == mem:
+            continue
+        u = universe.lookup_mask(union)
+        clauses = (
+            all(sets[x] & union == sets[x] for x in lowest_bit_ids(union)),
+            union & transitive == union,
+            not union >> s & 1,
+            u is not None and mem == union | 1 << u,
+        )
+        for holds, (over_u, over_s) in zip(clauses, _UNION_CLAUSES):
+            if not holds:
+                if u is None:
+                    return CheckResult.failure("union-lemma", qualifying, n, over_s, s=s)
+                return CheckResult.failure("union-lemma", qualifying, n, over_u, s=s, U=u)
+    if qualifying == 0:
+        return CheckResult("union-lemma", Status.NOT_APPLICABLE, 0)
+    return CheckResult("union-lemma", Status.HOLDS, qualifying)
+
+
+def reference_scans(universe, pair_atoms=None):
+    """The results of the column scans, each found by a loop over the sets.
+
+    These are the per-set scans that membership columns replaced, reading
+    member masks and a transitivity column worked out here set by set;
+    the pair laws run only when ``pair_atoms`` is given.
+    """
+    results = [
+        _reference_regularity(universe),
+        _reference_russell_equivalence(universe),
+        _reference_theorem1(universe),
+    ]
+    if pair_atoms is not None:
+        results += [_reference_trichotomy(universe, *pair_atoms),
+                    _reference_pair_membership(universe, *pair_atoms)]
+    return [*results, _reference_union_lemma(universe)]
 
 
 # --- law verdicts straight from member sets -----------------------------------

@@ -1,8 +1,10 @@
 import copy
-from itertools import compress
+from functools import reduce
+from operator import or_
+from random import Random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quineset import (
     BuildConfig,
@@ -38,6 +40,7 @@ from support import (
     _intern_masks,
     enumerated_index,
     inject_self_membered,
+    lowest_bit_ids,
     model_members,
     rep_of,
     small_universes,
@@ -314,6 +317,27 @@ def test_ids_of_lists_the_set_bits_in_order(mask):
     assert ids_of(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0, 1, 15, 16, 17, 31, 32, 33, 64, 65, 1000, 20000])
+       | st.integers(0, 20000),
+       st.sampled_from([0, 1, 2, 31, 32, 33, 64, 128, 256, 512, 1024]),
+       st.integers(0, 2**32))
+@example(16, 1024, 0)
+@example(17, 1024, 0)
+@example(65536, 1024, 0)
+@example(65536, 512, 0)
+@example(65536, 1, 0)
+def test_ids_of_matches_the_lowest_bit_loop(width, per_1024, seed):
+    # ``per_1024`` of each 1024 bits set, at random places below ``width``:
+    # none, one, either side of one bit in 32, half and all. Widths 16 and
+    # 17 give masks on both sides of 2**16.
+    digits = bytearray(b"0" * width)
+    for i in Random(seed).sample(range(width), width * per_1024 // 1024):
+        digits[i] = ord("1")
+    mask = int(digits[::-1] or b"0", 2)
+    assert ids_of(mask) == lowest_bit_ids(mask)
+
+
 def test_intern_mask_takes_a_member_mask():
     u = Universe(["u", "v"])
     pair = u.intern_mask(0b11)
@@ -399,7 +423,7 @@ def test_masks_past_16_bits_read_and_round_trip(data):
         )
 
 
-# --- memoised transitivity ------------------------------------------------------
+# --- kept transitivity and membership columns ----------------------------------
 
 def _transitive_by_definition(u, s):
     ext = u.member_set(s)
@@ -407,37 +431,75 @@ def _transitive_by_definition(u, s):
 
 
 def _assert_transitivity_matches(u):
-    column = u.transitivity()
-    assert len(column) == len(u)
+    transitive = u.transitive_ids()
+    assert transitive.bit_length() <= len(u)
     for s in u.ids():
         expected = _transitive_by_definition(u, s)
-        assert column[s] == expected, s
+        assert bool(transitive >> s & 1) == expected, s
         assert u.is_transitive(s) == expected, s
+
+
+def _assert_columns_transpose(columns, member_sets):
+    # Entry v holds id s exactly when set s has member v, one entry per bit
+    # below the widest mask.
+    assert len(columns) == max(member_sets).bit_length()
+    for v, column in enumerate(columns):
+        assert column == sum(1 << s for s, ms in enumerate(member_sets) if ms >> v & 1), v
+
+
+def _assert_columns_match(u):
+    _assert_columns_transpose(u.member_columns(), u.member_sets)
+    assert u.occurring_members() == reduce(or_, u.member_sets)
+    _assert_transitivity_matches(u)
 
 
 def test_transitivity_covers_sets_interned_after_the_column(shallow_universe):
     u = shallow_universe
-    early = u.transitivity()
-    assert len(early) == len(u) == 7
+    early = u.member_columns()
+    assert ids_of(u.transitive_ids()) == (0, 1, 2, 6)
+    assert len(u) == 7
     for mask in range(1, 1 << 7):
         u.intern([i for i in range(7) if mask >> i & 1])
     newest = union_all(u, len(u) - 1)
-    # is_transitive on a new id extends the column before anything else asks.
+    # is_transitive on a new id works out new columns before anything else asks.
     assert u.is_transitive(newest) == _transitive_by_definition(u, newest)
-    _assert_transitivity_matches(u)
-    # The column is replaced, never extended in place.
-    assert len(early) == 7
+    _assert_columns_match(u)
+    # The kept columns are replaced, never extended in place.
+    _assert_columns_transpose(early, u.member_sets[:7])
 
 
 def test_transitivity_covers_injected_self_membered_sets(default_universe):
     u = default_universe
-    u.transitivity()
+    u.transitive_ids()
     inject_self_membered(u, 3)
-    _assert_transitivity_matches(u)
+    _assert_columns_match(u)
     fresh = Universe(["u", "v"])
     fresh.intern([0, 1])
     inject_self_membered(fresh, 2)
-    _assert_transitivity_matches(fresh)
+    _assert_columns_match(fresh)
+
+
+@pytest.mark.parametrize("atoms", [16, 32, 64], ids=["2**16", "2**32", "2**64"])
+def test_columns_either_side_of_a_packed_width(atoms):
+    # All the atoms make the widest mask 2**k - 1, the last width one array
+    # type holds; the singleton of that set makes it 2**k, one bit wider.
+    u = Universe([f"a{i}" for i in range(atoms)])
+    everything = u.intern(range(atoms))
+    assert u.member_mask(everything) == (1 << atoms) - 1
+    _assert_columns_match(u)
+    assert u.member_mask(u.intern([everything])) == 1 << atoms
+    _assert_columns_match(u)
+
+
+def test_columns_of_a_wide_chain():
+    # 300 nested singletons over {u,v}: masks far past 64 bits, read set by set.
+    u = Universe(["u", "v"])
+    top = u.intern([0, 1])
+    for _ in range(300):
+        top = u.intern([top])
+    assert u.member_sets[-1].bit_length() == len(u) - 1
+    _assert_columns_match(u)
+    assert ids_of(u.transitive_ids()) == (0, 1, 2)
 
 
 # --- kept individuals ------------------------------------------------------------
@@ -637,24 +699,20 @@ def test_no_write_makes_a_self_membered_composite(data):
         assert not any(ms >> i & 1 for i, ms in enumerate(universe.member_sets) if i >= len(atoms))
 
 
-def _assert_transitive_ids_match(u):
-    assert ids_of(u.transitive_ids()) == tuple(compress(u.ids(), u.transitivity()))
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_universes(), st.data())
 def test_transitive_ids_are_the_transitivity_column(u, data):
-    # The mask is asked for first, so it extends the column too.
-    _assert_transitive_ids_match(u)
-    _assert_transitivity_matches(u)
+    # The columns are the transposed member masks, and the transitive ids
+    # worked out from them are the sets whose members lie within them;
+    # both again after the universe grows past the kept columns.
+    _assert_columns_match(u)
     n = len(u)
     for members in data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
                                       max_size=4)):
         u.intern(members)
     if data.draw(st.booleans()):
         inject_self_membered(u, data.draw(st.integers(0, len(u) - 1)))
-    _assert_transitive_ids_match(u)
-    _assert_transitivity_matches(u)
+    _assert_columns_match(u)
 
 
 def test_is_transitive_unknown_id():

@@ -5,7 +5,7 @@ import threading
 import weakref
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from quineset import (
     BuildConfig,
@@ -36,7 +36,15 @@ from quineset.errors import AtomsEqual, NotAtom
 from quineset.formula import format_formula, free_vars
 from quineset.verifier import LAWS, PAIR_SUITES, SUITES
 
-from support import inject_self_membered, model_verdicts, small_universes
+from support import (
+    inject_self_membered,
+    model_verdicts,
+    reference_scans,
+    small_universes,
+    well_founded_universes,
+    written_universe,
+    written_universes,
+)
 
 
 def all_hold(report):
@@ -211,6 +219,9 @@ def test_dual_paths_follow_the_suite_order(default_universe):
 def test_oracles_are_closed_unless_the_law_needs_a_pair():
     for law in LAWS:
         assert law.needs_pair or not free_vars(law.oracle), law.name
+        # Worked out once per law, for every check_dual_paths call.
+        assert law.oracle_vars is law.oracle_vars
+        assert law.oracle_vars == free_vars(law.oracle), law.name
 
 
 def test_dual_paths_without_the_pair_intern_nothing():
@@ -343,24 +354,14 @@ def _injected_mixed_set():
     return universe
 
 
-def _written(atoms, masks):
-    # A universe holding ``masks`` after its atoms, written to its tables
-    # directly: interning refuses a member that is not there yet.
-    universe = Universe(atoms)
-    for mask in masks:
-        universe._index[mask] = len(universe)
-        universe.member_sets.append(mask)
-    return universe
-
-
 # With members after their sets, the least non-individual member of
 # s = {u, v, c, d} (ids 2 and 3 below) need not be minimal or a set of
 # individuals, so regularity and theorem1 look past it.
 LATE_MEMBERS = {
     # c = {u, d}, d = {u, v}: d is minimal and a set of individuals.
-    "holds": _written(["u", "v"], [0b1001, 0b0011, 0b1111]),
+    "holds": written_universe(["u", "v"], [0b1001, 0b0011, 0b1111]),
     # c = {u, d}, d = {u, c}: each holds the other.
-    "fails": _written(["u", "v"], [0b1001, 0b0101, 0b1111]),
+    "fails": written_universe(["u", "v"], [0b1001, 0b0101, 0b1111]),
 }
 
 
@@ -500,6 +501,42 @@ def test_subset_derivations_verdicts_on_the_written_fixtures(monkeypatch, univer
     assert len(made) == calls
 
 
+# --- column scans against the per-set reference -------------------------------------
+
+def _nested_singletons(depth):
+    # {u,v}, then each set the singleton of the one before: masks past 64 bits.
+    return loads_universe("quineset-universe 1\natoms u,v\n0,1\n"
+                          + "".join(f"{i}\n" for i in range(2, depth + 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_universes() | well_founded_universes() | written_universes(), st.data())
+@example(loads_universe(UNION_MISSING), None)
+@example(LATE_MEMBERS["holds"], None)
+@example(LATE_MEMBERS["fails"], None)
+# The "fails" file with {u, v, c, d, s} after it: regularity and theorem1
+# fail at s, and theorem1 qualifies a set past it.
+@example(written_universe(["u", "v"], [0b1001, 0b0101, 0b1111, 0b11111]), None)
+@example(_injected_mixed_set(), None)
+@example(_nested_singletons(300), None)
+# {u,v}, then {u} written as a composite, a non-individual set of
+# individuals other than the pair, in the transitive {u, v, {u}}.
+@example(written_universe(["u", "v"], [0b11, 0b1, 0b1011]), None)
+def test_column_scans_match_the_per_set_reference(universe, data):
+    # Status, count and witness of each scan that reads membership columns,
+    # against the loop over the sets it replaced, on universes where laws
+    # fail: stages that are not full, members after their sets, repeated
+    # extensions and self-membered composites.
+    atoms = universe.atoms
+    pair_atoms = None
+    if len(atoms) >= 2:
+        pair_atoms = (0, 1) if data is None else data.draw(
+            st.sampled_from([(a, b) for a in atoms for b in atoms if a != b]))
+    expected = reference_scans(universe, pair_atoms)
+    got = {r.name: r for r in run_suite(universe, "all", pair_atoms).results}
+    assert [got[r.name] for r in expected] == expected
+
+
 # --- lifetime and threads -----------------------------------------------------------
 
 def test_a_checked_universe_can_be_collected():
@@ -513,7 +550,7 @@ def test_a_checked_universe_can_be_collected():
 
 def test_threads_scanning_one_cold_universe_agree_with_one_thread():
     # Every selection is in a built universe, so no call interns, and the
-    # threads meet the universe's individuals and transitivity columns cold.
+    # threads meet the universe's membership columns cold.
     crit = parse("exists y. ((y in x) & (y notin y))")
 
     def scan(universe):
