@@ -87,7 +87,6 @@ _HIGH_BYTE = tuple(tuple(i + 8 for i in range(8) if b >> i & 1) for b in range(2
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 # Entry ``b``: each byte value as the ASCII digit of its bit ``b``.
 _BIT_DIGITS = tuple(bytes(48 | x >> b & 1 for x in range(256)) for b in range(8))
-_LOW_64 = (1 << 64) - 1
 
 
 def ids_of(mask: int) -> tuple[SetId, ...]:
@@ -125,27 +124,26 @@ def _columns(masks: list[int]) -> list[int]:
     """Entry ``v``: the mask of the indexes ``i`` whose ``masks[i]`` has bit ``v``.
 
     There is one entry per bit below the widest mask's ``bit_length()``.
-    The low 64 bits of the masks are packed into an array, whose bytes split
-    into one plane per byte of a mask; each of those columns is then one
-    ``translate`` of a reversed plane into binary digits and one
-    ``int(…, 2)``. The bits past 64, which only masks of late members such
-    as a chain's have, are added from the ids of each such mask.
+    The low 16 bits of the masks are packed into an ``array('H')``, whose
+    bytes split into a low and a high plane; each of those columns is then
+    one ``translate`` of a reversed plane into binary digits and one
+    ``int(…, 2)``. The bits past 16, which only masks of late members such
+    as a chain's have, are added from the ids of each mask of 2**16 or
+    wider, one mask at a time.
     """
     width = max(masks).bit_length()
-    packed_width = min(width, 64)
-    typecode = next(code for code in "BHIQ" if packed_width <= 8 * array(code).itemsize)
-    packed = array(typecode, masks if width <= 64 else [ms & _LOW_64 for ms in masks])
+    packed = array("H", masks if width <= 16 else [ms & 0xFFFF for ms in masks])
     if sys.byteorder == "big":
         packed.byteswap()
-    raw, size = packed.tobytes(), packed.itemsize
-    # Plane ``b``: byte ``b`` of each mask, the last index first.
-    planes = [raw[b::size][::-1] for b in range((packed_width + 7) >> 3)]
-    columns = [int(planes[v >> 3].translate(_BIT_DIGITS[v & 7]), 2) for v in range(packed_width)]
-    columns += [0] * (width - packed_width)
-    if width > 64:
-        for i, high in enumerate(ms >> 64 for ms in masks):
-            for v in ids_of(high):
-                columns[v + 64] |= 1 << i
+    raw = packed.tobytes()
+    # The low and the high byte of each mask, the last index first.
+    planes = raw[::2][::-1], raw[1::2][::-1]
+    columns = [int(planes[v >> 3].translate(_BIT_DIGITS[v & 7]), 2) for v in range(min(width, 16))]
+    if width > 16:
+        columns += [0] * (width - 16)
+        for i in compress(count(), map((0xFFFF).__lt__, masks)):
+            for v in ids_of(masks[i] >> 16):
+                columns[v + 16] |= 1 << i
     return columns
 
 
@@ -399,10 +397,10 @@ class Universe:
             occurring = mask_of(compress(count(), columns))
             # A set that holds v is intransitive unless it is in the column
             # of each member of v as well.
-            transitive = ((1 << n) - 1) ^ reduce(or_, [
+            transitive = ((1 << n) - 1) ^ reduce(or_, (
                 columns[v] ^ reduce(and_, map(columns.__getitem__, ids_of(sets[v])), columns[v])
                 for v in ids_of(occurring)
-            ], 0)
+            ), 0)
             kept = self._columns = n, columns, occurring, transitive
         return kept
 

@@ -479,10 +479,11 @@ def test_transitivity_covers_injected_self_membered_sets(default_universe):
     _assert_columns_match(fresh)
 
 
-@pytest.mark.parametrize("atoms", [16, 32, 64], ids=["2**16", "2**32", "2**64"])
+@pytest.mark.parametrize("atoms", [8, 16, 17], ids=["2**8", "2**16", "2**17"])
 def test_columns_either_side_of_a_packed_width(atoms):
-    # All the atoms make the widest mask 2**k - 1, the last width one array
-    # type holds; the singleton of that set makes it 2**k, one bit wider.
+    # All the atoms make the widest mask 2**k - 1; the singleton of that set
+    # makes it 2**k, one bit wider. Past 8 bits the high byte plane is read,
+    # and past 16 bits the columns are read set by set.
     u = Universe([f"a{i}" for i in range(atoms)])
     everything = u.intern(range(atoms))
     assert u.member_mask(everything) == (1 << atoms) - 1
@@ -492,7 +493,7 @@ def test_columns_either_side_of_a_packed_width(atoms):
 
 
 def test_columns_of_a_wide_chain():
-    # 300 nested singletons over {u,v}: masks far past 64 bits, read set by set.
+    # 300 nested singletons over {u,v}: masks far past 16 bits, read set by set.
     u = Universe(["u", "v"])
     top = u.intern([0, 1])
     for _ in range(300):

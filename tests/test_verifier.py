@@ -504,7 +504,7 @@ def test_subset_derivations_verdicts_on_the_written_fixtures(monkeypatch, univer
 # --- column scans against the per-set reference -------------------------------------
 
 def _nested_singletons(depth):
-    # {u,v}, then each set the singleton of the one before: masks past 64 bits.
+    # {u,v}, then each set the singleton of the one before: masks past 16 bits.
     return loads_universe("quineset-universe 1\natoms u,v\n0,1\n"
                           + "".join(f"{i}\n" for i in range(2, depth + 1)))
 
