@@ -85,8 +85,9 @@ def specify(universe: Universe, s: SetId, criterion: Formula, var: str) -> Speci
 
     The criterion's selector (see :func:`~quineset.formula.compile_criterion`)
     is called once on the member mask of ``s``, and once more on every id
-    only when no member qualifies. The selection is looked up and interned
-    only when missing.
+    only when no member qualifies. The selection is interned by
+    :meth:`~quineset.core.Universe.intern_mask`, which adds it only when
+    missing.
     """
     select = compile_criterion(criterion, var)
     sets = universe.member_sets
@@ -94,8 +95,7 @@ def specify(universe: Universe, s: SetId, criterion: Formula, var: str) -> Speci
     individuals = universe.individuals()
     chosen = select(sets, n, individuals, universe.member_mask(s))
     if chosen:
-        found = universe.lookup_mask(chosen)
-        return Specified(universe.intern_mask(chosen) if found is None else found)
+        return Specified(universe.intern_mask(chosen))
     if select(sets, n, individuals, (1 << n) - 1):
         return NoSet(NoSetReason.NO_WITNESS)
     return NoSet(NoSetReason.CONTRADICTORY_CRITERION)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .constructors import pair, union_members
-from .core import SetId, Universe, ensure_distinct_atoms, ids_of
+from .core import SetId, Universe, ensure_distinct_atoms
 from .errors import MalformedSequence, UnknownId
 from .verifier import CheckResult, Report
 
@@ -69,6 +69,7 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
     steps = list(zip(elements, elements[1:]))
     # The member mask of each element's successor, e together with {e}.
     succs = [sets[e] | 1 << e for e in elements]
+    transitive = universe.transitive_ids()
     first = CheckResult.first
     results = [
         first("base-in-sequence", 1, n, "b = e",
@@ -92,8 +93,7 @@ def check_peano(universe: Universe, seq: NumberSequence) -> Report:
               "(forall u. ((u in s) -> (forall w. ((w in u) -> "
               "(forall z. ((z in w) -> (z in u)))))))",
               ({"s": e} for e in elements
-               if not (universe.is_transitive(e)
-                       and all(universe.is_transitive(m) for m in ids_of(sets[e]))))),
+               if not (transitive >> e & 1 and sets[e] & transitive == sets[e]))),
         first("union-inverse", length - 1, n,
               "forall x. ((exists m. ((m in s) & (x in m))) <-> (x in t))",
               ({"s": s, "t": t} for t, s in steps if union_members(universe, s) != sets[t])),

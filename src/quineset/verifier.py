@@ -21,10 +21,16 @@ that no negative operand spans the universe; the one negation,
 ``m & -m``, keeps only the lowest bit of ``m``. A set missing from the
 universe is named by a witness written over member sets instead, or, for
 a subset that separation must select, is itself the failure.
-subset-derivations calls ``specify`` only for a selection it has found
-among the scanned sets, so that call interns nothing either, and only once
-per distinct selection. The lookup alone would decide; the call stays
-while the benchmark's trace tallies it (ROADMAP item 1).
+subset-derivations calls ``specify`` once per distinct non-individual part,
+only after looking the part up, so that call interns nothing either. The
+lookup alone would decide; the call stays while the benchmark's trace
+tallies it (ROADMAP item 1).
+
+No scan loops over every id. A set is found by one ``lookup_mask`` and a
+class of sets by the columns; a loop visits only the sets a filter leaves,
+and tests only the clauses a lookup does not settle. equality-substitution
+and no-empty-set test the whole list of member masks in C, checking the
+model side without trusting the index.
 
 Six scans are filters on member masks and run on the columns, with no loop
 over the sets: regularity, russell-equivalence, theorem1, pair-membership,
@@ -48,7 +54,7 @@ from operator import and_, or_
 from typing import Callable, Iterable
 
 from .constructors import specify, union_members
-from .core import SetId, Universe, ensure_distinct_atoms, ids_of, iter_ids, mask_of
+from .core import SetId, Universe, ensure_distinct_atoms, ids_of, iter_ids
 from .formula import Formula, Member, Not, evaluate, format_formula, free_vars, parse
 
 
@@ -314,10 +320,10 @@ def _non_individual_members(universe: Universe) -> int:
 
 def _sets_of_individuals(universe: Universe) -> int:
     """The mask of the non-individuals that are a member of some set and hold only individuals."""
-    sets = universe.member_sets
-    individuals = universe.individuals()
-    return mask_of(v for v in ids_of(_non_individual_members(universe))
-                   if sets[v] & individuals == sets[v])
+    rest = _non_individual_members(universe)
+    # A member of a set is itself a member of some set, so a set of
+    # individuals is one whose mask does not meet ``rest``.
+    return rest ^ (rest & _meets(universe, rest))
 
 
 def _lowest(mask: int) -> SetId:
@@ -354,13 +360,11 @@ def _check_regularity(universe: Universe) -> CheckResult:
 def check_russell(universe: Universe) -> CheckResult:
     """No set collects exactly the non-self-membered sets."""
     n = len(universe)
-    sets = universe.member_sets
-    non_individuals = ((1 << n) - 1) ^ universe.individuals()
+    s = universe.lookup_mask(((1 << n) - 1) ^ universe.individuals())
     return CheckResult.first(
         "russell", n, n,
         "!(forall u. ((u in s) <-> (u notin u)))",
-        ({"s": s} for s in range(n) if sets[s] == non_individuals)
-        if non_individuals in sets else (),
+        () if s is None else ({"s": s},),
     )
 
 
@@ -383,9 +387,8 @@ def check_russell_equivalence(universe: Universe) -> CheckResult:
     return CheckResult("russell-equivalence", Status.HOLDS, n)
 
 
-# The two criteria subset-derivations selects by.
+# The criterion subset-derivations selects the non-individual part by.
 _NOT_SELF = Not(Member("x", "x"))
-_IN_SELF = Member("x", "x")
 
 
 def check_subset_derivations(universe: Universe) -> CheckResult:
@@ -395,65 +398,52 @@ def check_subset_derivations(universe: Universe) -> CheckResult:
 
     A set whose members are all individuals, or all non-individuals, selects
     itself, and then no clause can fail: were ``s`` in ``s`` it would be an
-    individual member of itself. Only a mixed set needs ``specify``, and only
-    once its selection is known to be among the scanned sets, so that
-    ``specify`` finds it and interns nothing. A selection missing from them
-    is a failure at ``s``. Each distinct selection is specified once, by
-    the first set that has it, and later sets reuse the id; every clause is
-    still tested per set. The looked-up id already decides, and the call
-    stays only because the benchmark's trace tallies it (ROADMAP item 1).
+    individual member of itself. A universal set holds an atom and every
+    non-individual, so it is mixed. Only the mixed sets are visited, in
+    increasing id, and each part of one is looked up: a part missing from
+    the universe is a failure at ``s``. A found id's member mask is the
+    part, which lies within ``s``; so the subset clause holds, and the
+    individual part, were it in itself, would be an individual member of
+    ``s``. What is left to test is the Russell content, that the
+    non-individual part ``v`` is in neither ``v`` nor ``s``. ``specify`` is
+    called once per distinct non-individual part, by the first set that
+    has it, and finds it without interning. The looked-up id already
+    decides, and the call stays only because the benchmark's trace tallies
+    it (ROADMAP item 1).
     """
     name = "subset-derivations"
     n = len(universe)
     sets = universe.member_sets
     every = (1 << n) - 1
     individuals = universe.individuals()
-    has_non_individual = individuals != every
     lookup = universe.lookup_mask
-    # The id ``specify`` returned for each selection id met so far, one
-    # dict per criterion, so it is called once per distinct selection.
-    non_individual_parts: dict[SetId, SetId] = {}
-    individual_parts: dict[SetId, SetId] = {}
-    for s in range(n):
+    mixed = _meets(universe, individuals) & _meets(universe, _non_individual_members(universe))
+    # The id ``specify`` returned for each non-individual part met so far.
+    parts: dict[SetId, SetId] = {}
+    for s in iter_ids(mixed):
         mem = sets[s]
         own = mem & individuals
-        rest = mem ^ own
-        if rest and own:
-            found = lookup(rest)
-            if found is None or found >= n:
-                return CheckResult.failure(
-                    name, n, n,
-                    "exists v. (forall u. ((u in v) <-> ((u in s) & (u notin u))))",
-                    s=s,
-                )
-            v = non_individual_parts.get(found)
-            if v is None:
-                v = non_individual_parts[found] = specify(universe, s, _NOT_SELF, "x").set_id
-            if sets[v] & mem != sets[v]:
-                return CheckResult.failure(
-                    name, n, n, "forall u. ((u in v) -> (u in s))", v=v, s=s
-                )
-            if sets[v] >> v & 1:
-                return CheckResult.failure(name, n, n, "v notin v", v=v)
-            if mem >> v & 1:
-                return CheckResult.failure(name, n, n, "v notin s", v=v, s=s)
-            found = lookup(own)
-            if found is None or found >= n:
-                return CheckResult.failure(
-                    name, n, n,
-                    "exists v. (forall u. ((u in v) <-> ((u in s) & (u in u))))",
-                    s=s,
-                )
-            w = individual_parts.get(found)
-            if w is None:
-                w = individual_parts[found] = specify(universe, s, _IN_SELF, "x").set_id
-            if sets[w] >> w & 1 and not mem >> w & 1:
-                return CheckResult.failure(
-                    name, n, n,
-                    "(w notin w) | ((w in w) & (w in s))",
-                    w=w, s=s,
-                )
-        if has_non_individual and mem & every == every:
+        found = lookup(mem ^ own)
+        if found is None:
+            return CheckResult.failure(
+                name, n, n,
+                "exists v. (forall u. ((u in v) <-> ((u in s) & (u notin u))))",
+                s=s,
+            )
+        v = parts.get(found)
+        if v is None:
+            v = parts[found] = specify(universe, s, _NOT_SELF, "x").set_id
+        if sets[v] >> v & 1:
+            return CheckResult.failure(name, n, n, "v notin v", v=v)
+        if mem >> v & 1:
+            return CheckResult.failure(name, n, n, "v notin s", v=v, s=s)
+        if lookup(own) is None:
+            return CheckResult.failure(
+                name, n, n,
+                "exists v. (forall u. ((u in v) <-> ((u in s) & (u in u))))",
+                s=s,
+            )
+        if mem == every:
             return CheckResult.failure(name, n, n, "exists u. (u notin s)", s=s)
     return CheckResult(name, Status.HOLDS, n)
 

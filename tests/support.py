@@ -312,6 +312,17 @@ def _reference_regularity(universe):
     )
 
 
+def _reference_russell(universe):
+    n = len(universe)
+    sets = universe.member_sets
+    non_individuals = ((1 << n) - 1) ^ universe.individuals()
+    return CheckResult.first(
+        "russell", n, n,
+        "!(forall u. ((u in s) <-> (u notin u)))",
+        ({"s": s} for s in range(n) if sets[s] == non_individuals),
+    )
+
+
 def _reference_russell_equivalence(universe):
     n = len(universe)
     sets = universe.member_sets
@@ -322,6 +333,49 @@ def _reference_russell_equivalence(universe):
     if lhs != rhs:
         return CheckResult.failure("russell-equivalence", n, n, RUSSELL_EQUIVALENCE_FORMULA)
     return CheckResult("russell-equivalence", Status.HOLDS, n)
+
+
+def _reference_subset_derivations(universe):
+    # Every set, every clause, each part found by a lookup and no ``specify``.
+    name = "subset-derivations"
+    n = len(universe)
+    sets = universe.member_sets
+    every = (1 << n) - 1
+    individuals = universe.individuals()
+    for s in range(n):
+        mem = sets[s]
+        own = mem & individuals
+        rest = mem ^ own
+        if rest and own:
+            v = universe.lookup_mask(rest)
+            if v is None or v >= n:
+                return CheckResult.failure(
+                    name, n, n,
+                    "exists v. (forall u. ((u in v) <-> ((u in s) & (u notin u))))",
+                    s=s,
+                )
+            if sets[v] & mem != sets[v]:
+                return CheckResult.failure(
+                    name, n, n, "forall u. ((u in v) -> (u in s))", v=v, s=s
+                )
+            if sets[v] >> v & 1:
+                return CheckResult.failure(name, n, n, "v notin v", v=v)
+            if mem >> v & 1:
+                return CheckResult.failure(name, n, n, "v notin s", v=v, s=s)
+            w = universe.lookup_mask(own)
+            if w is None or w >= n:
+                return CheckResult.failure(
+                    name, n, n,
+                    "exists v. (forall u. ((u in v) <-> ((u in s) & (u in u))))",
+                    s=s,
+                )
+            if sets[w] >> w & 1 and not mem >> w & 1:
+                return CheckResult.failure(
+                    name, n, n, "(w notin w) | ((w in w) & (w in s))", w=w, s=s
+                )
+        if individuals != every and mem & every == every:
+            return CheckResult.failure(name, n, n, "exists u. (u notin s)", s=s)
+    return CheckResult(name, Status.HOLDS, n)
 
 
 def _reference_theorem1(universe):
@@ -440,15 +494,17 @@ def _reference_union_lemma(universe):
 
 
 def reference_scans(universe, pair_atoms=None):
-    """The results of the column scans, each found by a loop over the sets.
+    """The results of the column and lookup scans, each found by a loop over the sets.
 
-    These are the per-set scans that membership columns replaced, reading
-    member masks and a transitivity column worked out here set by set;
-    the pair laws run only when ``pair_atoms`` is given.
+    These are the per-set scans that membership columns and lookups
+    replaced, reading member masks and a transitivity column worked out
+    here set by set; the pair laws run only when ``pair_atoms`` is given.
     """
     results = [
         _reference_regularity(universe),
+        _reference_russell(universe),
         _reference_russell_equivalence(universe),
+        _reference_subset_derivations(universe),
         _reference_theorem1(universe),
     ]
     if pair_atoms is not None:
