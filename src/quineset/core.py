@@ -24,8 +24,10 @@ out a set already in the index, which keeps its id.
 list as one list and returns their ids (``powerset``), and
 :meth:`Universe.intern_mask` takes a set's member mask (the constructors
 that compute one). :meth:`Universe.intern_stage` is the builder's stage:
-the subsets of all ids so far are distinct masks, so it appends those not
-yet interned with no pass for repeats and returns no ids.
+the subsets of all n ids so far are the masks ``1..2**n - 1``, so it
+appends the gaps between the masks already interned
+(:func:`absent_masks`), with no lookup per mask and no pass for repeats,
+and returns no ids.
 :meth:`Universe.intern_fresh` takes a list of masks that should all be
 new (the loader's records) and stops at the first that is not. Each admits
 only members that already exist, so a new set never holds its own id: the
@@ -50,8 +52,9 @@ from __future__ import annotations
 import re
 import sys
 from array import array
+from bisect import bisect_right
 from functools import reduce
-from itertools import compress, count, filterfalse
+from itertools import chain, compress, count, filterfalse
 from operator import and_, gt, or_
 from typing import Collection, Iterable, Iterator
 
@@ -118,6 +121,19 @@ def iter_ids(mask: int) -> Iterator[SetId]:
 def mask_of(ids: Iterable[SetId]) -> int:
     """The mask with the bit of each of ``ids`` set; ids must be ints from 0."""
     return reduce(or_, map((1).__lshift__, ids), 0)
+
+
+def absent_masks(present: Iterable[int], total: int) -> Iterator[int]:
+    """The ints ``1..total`` that are not in ``present``, in increasing order.
+
+    They are the gaps between the sorted ints of ``present`` that lie in
+    ``1..total``, one ``range`` each (a repeat makes an empty one), so the
+    cost is a sort of ``present`` and a ``chain`` of ranges, with no test
+    per int.
+    """
+    edges = sorted(present)
+    edges = edges[bisect_right(edges, 0):bisect_right(edges, total)]
+    return chain.from_iterable(map(range, map((1).__add__, [0, *edges]), [*edges, total + 1]))
 
 
 def _columns(masks: list[int]) -> list[int]:
@@ -291,14 +307,15 @@ class Universe:
         Over the ids ``0..n-1`` the subset holding id ``i`` exactly when bit
         ``i`` of ``mask`` is set has member mask ``mask``, so the subsets are
         the masks ``1..2**n - 1``. Subsets of distinct ids are distinct, so
-        only the masks already interned are left out, with no pass for
-        repeats, and no ids are returned. When the ``2**n - 1`` subsets
-        exceed the cap, nothing is interned.
+        the stage appends the gaps between the masks already interned
+        (:func:`absent_masks`), with no pass for repeats, and returns no
+        ids. When the ``2**n - 1`` subsets exceed the cap, nothing is
+        interned.
         """
         total = (1 << len(self.member_sets)) - 1
         if self.max_sets is not None and total > self.max_sets:
             raise CapExceeded(required=total, max_sets=self.max_sets)
-        self._append(list(filterfalse(self._index.__contains__, range(1, total + 1))))
+        self._append(list(absent_masks(self._index, total)))
 
     def intern_fresh(self, masks: list[int]) -> int:
         """Intern ``masks`` in order, each as a new set, up to the first that is not; how many were.

@@ -25,18 +25,19 @@ of order, repeats an id or does not intern to a fresh set. So a file that
 loads dumps back byte for byte.
 
 One function, :func:`_record_line`, spells the record of a member mask; the
-dumper writes it and the loader holds each record to it. Once a record's
-ids have passed the spelling rules and the unknown-id check, the record
-equals the spelling of its mask (the OR of its ids' bits) exactly when
-its ids are strictly increasing. The unknown-id check compares spellings
-with the universe's size as text, so an id too long for ``int()`` is
-reported like any other. The record loop reads records until one breaks
-a rule, then interns the masks read, that record's included when only its
-order is wrong, by one call to :meth:`Universe.intern_fresh`. That call
-stops at the first record that is not a fresh set and reports the cap at
-the first fresh one past it. So each fault is named as a loop that
-interned one record at a time, before judging its order, would name it:
-a record past the cap reports the cap, and the first faulty record wins.
+loader holds each record to it, and the dumper writes it for every universe
+but a built one (below). Once a record's ids have passed the spelling rules
+and the unknown-id check, the record equals the spelling of its mask (the
+OR of its ids' bits) exactly when its ids are strictly increasing. The
+unknown-id check compares spellings with the universe's size as text, so an
+id too long for ``int()`` is reported like any other. The record loop reads
+records until one breaks a rule, then interns the masks read, that record's
+included when only its order is wrong, by one call to
+:meth:`Universe.intern_fresh`. That call stops at the first record that is
+not a fresh set and reports the cap at the first fresh one past it. So each
+fault is named as a loop that interned one record at a time, before judging
+its order, would name it: a record past the cap reports the cap, and the
+first faulty record wins.
 
 A file that is exactly what :func:`~quineset.builder.build` writes for its
 header is built again instead of read record by record. When the header
@@ -48,6 +49,14 @@ straight from the atom count and the stages (:func:`_built_records`), and
 compare them with the text, one string compare. It builds only when they
 match. Every other file goes through the record loop under the rules
 above, in the same order and with the same messages, and no build.
+
+The dumper writes the same closed form, by content and with no flag: a
+universe of ``2**domain - 1`` sets whose sets after the atoms are the
+masks ``1..2**domain - 1`` other than the atoms', in increasing order
+(:func:`~quineset.core.absent_masks`), is what ``build`` makes, and its
+records are :func:`_built_records`. Every other universe is written one
+:func:`_record_line` per set. So build, dumps and the loader's compare
+share one spelling of a built file.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ from operator import or_
 from pathlib import Path
 
 from .builder import BuildConfig, build
-from .core import Universe, ids_of
+from .core import Universe, absent_masks, ids_of
 from .errors import UniverseFormatError, WorkbenchError
 
 MAGIC = "quineset-universe 1"
@@ -83,7 +92,14 @@ def dumps_universe(universe: Universe) -> str:
         lines.append(f"depth {universe.build_depth}")
     if universe.max_sets is not None:
         lines.append(f"max-sets {universe.max_sets}")
-    lines += map(_record_line, universe.member_sets[len(universe.atom_names):])
+    sets, atoms = universe.member_sets, len(universe.atom_names)
+    size = len(sets)
+    # 2**domain - 1 sets, the atoms and then every other mask below
+    # 2**domain in order, are a build's; the compare fails by length when
+    # domain is below the atom count.
+    if size & (size + 1) == 0 and sets[atoms:] == list(absent_masks(sets[:atoms], size)):
+        return "\n".join(lines) + "\n" + _built_records(atoms, size.bit_length())
+    lines += map(_record_line, sets[atoms:])
     return "\n".join(lines) + "\n"
 
 

@@ -109,8 +109,14 @@ def _intern_masks(universe, base):
 
 
 def enumerated_index(member_sets):
-    """The index a universe with ``member_sets`` must hold: each mask to its id."""
-    return {ms: i for i, ms in enumerate(member_sets)}
+    """The index a universe with ``member_sets`` must hold: each mask to its id.
+
+    A repeated mask, which only a written universe has, keeps its first id.
+    """
+    index = {}
+    for i, ms in enumerate(member_sets):
+        index.setdefault(ms, i)
+    return index
 
 
 def reference_build(config):
@@ -290,6 +296,21 @@ def lowest_bit_ids(mask):
         ids.append(low.bit_length() - 1)
         mask ^= low
     return tuple(ids)
+
+
+def reference_dumps(universe):
+    """The text ``dumps_universe`` writes: the header, then one record per set after the atoms.
+
+    Each record is spelled from its own ids, one set at a time.
+    """
+    lines = ["quineset-universe 1", "atoms " + ",".join(universe.atom_names)]
+    if universe.build_depth is not None:
+        lines.append(f"depth {universe.build_depth}")
+    if universe.max_sets is not None:
+        lines.append(f"max-sets {universe.max_sets}")
+    for ms in universe.member_sets[len(universe.atom_names):]:
+        lines.append(",".join(map(str, lowest_bit_ids(ms))))
+    return "".join(line + "\n" for line in lines)
 
 
 # --- reference scans: one loop over the sets per law ----------------------------

@@ -25,7 +25,7 @@ from quineset.core import MAX_NESTING
 from quineset.errors import CapExceeded, LiteralSyntaxError, UniverseFormatError
 from quineset.verifier import LAWS, SUITES
 
-from support import small_universes
+from support import inject_self_membered, reference_dumps, small_universes, written_universes
 
 
 @pytest.fixture
@@ -715,18 +715,14 @@ CONFIGS_IN_THE_DEFAULT_CAP = [(atoms, depth) for atoms in range(1, 17) for depth
                               if _built_size(atoms, depth) <= DEFAULT_MAX_SETS]
 
 
-def _records_of(text):
-    # The text after the header of a file build wrote: magic, atoms, depth, max-sets.
-    return text.split("\n", 4)[4]
-
-
 @pytest.mark.parametrize("atoms,depth", CONFIGS_IN_THE_DEFAULT_CAP + [(1, 10**6)])
 def test_the_built_records_are_generated_without_a_universe(build_calls, atoms, depth):
     names = NAMES16[:atoms]
     universe, report = build(BuildConfig(names, depth))
     # The last stage forms the subsets of the sets there were before it.
     domain = report.counts[-2] if depth else 0
-    assert storage._built_records(atoms, domain) == _records_of(dumps_universe(universe))
+    records = "".join(f"{storage._record_line(ms)}\n" for ms in universe.member_sets[atoms:])
+    assert storage._built_records(atoms, domain) == records
     # At a cap of exactly the built size the file is still built again, once.
     config = BuildConfig(names, depth, len(universe))
     text = dumps_universe(build(config)[0])
@@ -734,6 +730,85 @@ def test_the_built_records_are_generated_without_a_universe(build_calls, atoms, 
     assert build_calls == [config]
     assert dumps_universe(loaded) == text
     assert loaded.member_sets == universe.member_sets
+
+
+def _dumps_and_closed_forms(universe):
+    """What ``dumps_universe`` writes for ``universe``, and the ``_built_records`` calls it made."""
+    calls = []
+    real_built_records = storage._built_records
+
+    def counted(atoms, domain):
+        calls.append((atoms, domain))
+        return real_built_records(atoms, domain)
+
+    with mock.patch.object(storage, "_built_records", counted):
+        return dumps_universe(universe), calls
+
+
+def _is_a_build(universe):
+    """Whether ``universe`` holds, in order, the sets ``build`` makes of its atoms at a depth past 0."""
+    depth = 1
+    while True:
+        try:
+            built, report = build(BuildConfig(universe.atom_names, depth, len(universe)))
+        except CapExceeded:
+            return False
+        if built.member_sets == universe.member_sets:
+            return True
+        if len(built) == len(universe) or report.fixed_point_stage is not None:
+            return False
+        depth += 1
+
+
+def _closed_forms_expected(universe):
+    # A build writes its records in closed form, once, up to its last
+    # stage's domain: 2**domain - 1 sets.
+    return [(len(universe.atom_names), len(universe).bit_length())] if _is_a_build(universe) else []
+
+
+@pytest.mark.parametrize("atoms,depth", CONFIGS_IN_THE_DEFAULT_CAP)
+def test_dumps_writes_a_built_universe_in_closed_form_as_record_by_record(atoms, depth):
+    universe = build(BuildConfig(NAMES16[:atoms], depth))[0]
+    text, calls = _dumps_and_closed_forms(universe)
+    assert text == reference_dumps(universe)
+    # Depth 0 over two atoms or more has no stage to close.
+    assert calls == ([(atoms, len(universe).bit_length())] if depth or atoms == 1 else [])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([c for c in CONFIGS_IN_THE_DEFAULT_CAP if c[1] and _built_size(*c) <= 127]),
+       st.sampled_from(["intern", "inject", "swap"]), st.data())
+def test_dumps_writes_a_built_universe_changed_after_the_build_record_by_record(config, change, data):
+    atoms, depth = config
+    universe = build(BuildConfig(NAMES16[:atoms], depth))[0]
+    n = len(universe)
+    if change == "intern":
+        universe.intern(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4)))
+        assume(len(universe) > n)
+    elif change == "inject":
+        inject_self_membered(universe, data.draw(st.integers(0, n - 1)))
+    else:
+        # Two records trade places, written to the tables directly: the
+        # same size and the same sets as the build, in another order.
+        assume(n - atoms >= 2)
+        i, j = data.draw(st.lists(st.integers(atoms, n - 1), min_size=2, max_size=2, unique=True))
+        sets = universe.member_sets
+        sets[i], sets[j] = sets[j], sets[i]
+        universe._index.update({sets[i]: i, sets[j]: j})
+    text, calls = _dumps_and_closed_forms(universe)
+    assert text == reference_dumps(universe)
+    assert calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_universes(), written_universes()))
+def test_dumps_writes_any_universe_as_record_by_record(universe):
+    # Only a universe whose sets are exactly a build's takes the closed
+    # form: a small universe left as built, or a written one that happens
+    # to hold a build's sets in its order.
+    text, calls = _dumps_and_closed_forms(universe)
+    assert text == reference_dumps(universe)
+    assert calls == _closed_forms_expected(universe)
 
 
 def _one_record_at_a_time(text):

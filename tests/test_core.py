@@ -1,5 +1,6 @@
 import copy
 from functools import reduce
+from itertools import filterfalse
 from operator import or_
 from random import Random
 
@@ -23,7 +24,7 @@ from quineset import (
     successor,
     union_all,
 )
-from quineset.core import mask_of
+from quineset.core import absent_masks, mask_of
 from quineset.errors import (
     CapExceeded,
     DuplicateAtomName,
@@ -44,6 +45,7 @@ from support import (
     model_members,
     rep_of,
     small_universes,
+    written_universes,
 )
 
 
@@ -581,15 +583,25 @@ def _stage_outcome(stage, universe):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(small_universes(), st.sampled_from(_FIXTURE_CONFIGS).map(lambda c: build(c)[0])),
+@given(st.one_of(small_universes(), written_universes(),
+                 st.sampled_from(_FIXTURE_CONFIGS).map(lambda c: build(c)[0])),
        st.data())
 def test_intern_stage_matches_intern_subsets_of_every_id(universe, data):
+    # A written universe may repeat a mask, which keeps its first id, and
+    # hold members that come after their set.
     assume(len(universe) <= 10)
     whole = (1 << len(universe)) - 1
     universe.max_sets = data.draw(st.integers(max(1, whole - 2), whole + 1))
     twin = copy.deepcopy(universe)
     assert _stage_outcome(Universe.intern_stage, universe) == _stage_outcome(
         lambda u: u.intern_subsets(u.ids()), twin)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 70)), st.integers(0, 64))
+def test_absent_masks_are_the_ints_up_to_total_not_present(present, total):
+    assert list(absent_masks(present, total)) == list(
+        filterfalse(set(present).__contains__, range(1, total + 1)))
 
 
 def _fresh_one_at_a_time(universe, masks):
