@@ -19,6 +19,7 @@ from functools import reduce
 from operator import or_
 
 from .core import SetId, Universe
+from .errors import CapExceeded
 from .formula import Formula, compile_criterion
 
 
@@ -50,9 +51,20 @@ def powerset(universe: Universe, s: SetId) -> SetId:
     """The set of all nonempty subsets of ``s``; always contains ``s`` itself.
 
     A set of n members has 2**n - 1 nonempty subsets, so this honours the
-    universe's ``max_sets`` cap the same way the stage builder does.
+    universe's ``max_sets`` cap the same way the stage builder does: when
+    the subsets alone exceed it, nothing is interned. The subsets are
+    interned in mask order: subset ``mask`` holds member ``i`` exactly when
+    bit ``i`` of ``mask`` is set.
     """
-    return universe.intern(universe.intern_subsets(universe.members(s)))
+    base = universe.members(s)
+    total = (1 << len(base)) - 1
+    if universe.max_sets is not None and total > universe.max_sets:
+        raise CapExceeded(required=total, max_sets=universe.max_sets)
+    subsets = [0]
+    for m in base:
+        bit = 1 << m
+        subsets += [ms | bit for ms in subsets]
+    return universe.intern(map(universe.intern_mask, subsets[1:]))
 
 
 class NoSetReason(Enum):

@@ -17,11 +17,9 @@ There is no empty set.
 Interning is the only write, and it needs a single writer. After the
 atoms, every write goes through one append rule, which takes a list of
 new, distinct masks and appends them in order, by one ``extend`` and one
-index ``update``, up to the cap. Five methods feed it, and each leaves
+index ``update``, up to the cap. Four methods feed it, and each leaves
 out a set already in the index, which keeps its id.
-:meth:`Universe.intern` validates any member collection,
-:meth:`Universe.intern_subsets` interns every nonempty subset of an id
-list as one list and returns their ids (``powerset``), and
+:meth:`Universe.intern` validates any member collection, and
 :meth:`Universe.intern_mask` takes a set's member mask (the constructors
 that compute one). :meth:`Universe.intern_stage` is the builder's stage:
 the subsets of all n ids so far are the masks ``1..2**n - 1``, so it
@@ -29,7 +27,8 @@ appends the gaps between the masks already interned
 (:func:`absent_masks`), with no lookup per mask and no pass for repeats,
 and returns no ids.
 :meth:`Universe.intern_fresh` takes a list of masks that should all be
-new (the loader's records) and stops at the first that is not. Each admits
+new (the loader's records, or the sets before a closed form's last stage)
+and stops at the first that is not. Each admits
 only members that already exist, so a new set never holds its own id: the
 atoms are the only individuals, and :meth:`Universe.individuals` is their
 mask, set once.
@@ -54,7 +53,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from functools import reduce
-from itertools import chain, compress, count, filterfalse
+from itertools import chain, compress, count
 from operator import and_, gt, or_
 from typing import Collection, Iterable, Iterator
 
@@ -269,37 +268,6 @@ class Universe:
         if not (min(ms) >= 0 and max(ms) < len(self.member_sets)):
             for m in sorted(ms):
                 self._check_id(m)
-
-    def intern_subsets(self, ids: Iterable[SetId]) -> list[SetId]:
-        """Intern every nonempty subset of ``ids``; their ids, in mask order.
-
-        Entry ``mask - 1`` is the subset holding ``ids[i]`` exactly when bit
-        ``i`` of ``mask`` is set, so ids are interned in the same order as a
-        loop over masks would intern them. Singletons of atoms collapse onto
-        the atoms. When the ``2**len(ids) - 1`` subsets alone exceed the cap,
-        nothing is interned.
-        """
-        ids = list(ids)
-        if ids:
-            self._check_ids(ids)
-        total = (1 << len(ids)) - 1
-        if self.max_sets is not None and total > self.max_sets:
-            raise CapExceeded(required=total, max_sets=self.max_sets)
-        # subsets[mask] is the member mask of subset ``mask``. The masks
-        # whose top bit is bit k are the masks below 2**k plus that bit, in
-        # order, so each subset is one earlier subset with ids[k] added.
-        subsets = [0]
-        for m in ids:
-            bit = 1 << m
-            subsets += [ms | bit for ms in subsets]
-        del subsets[0]
-        index = self._index
-        fresh = list(filterfalse(index.__contains__, subsets))
-        if len(fresh) > 1:
-            # A mask may repeat; it is appended once, at its first place.
-            fresh = list(dict.fromkeys(fresh))
-        self._append(fresh)
-        return list(map(index.__getitem__, subsets))
 
     def intern_stage(self) -> None:
         """One build stage: intern every nonempty subset of the ids so far, in mask order.

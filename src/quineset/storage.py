@@ -39,33 +39,30 @@ fault is named as a loop that interned one record at a time, before judging
 its order, would name it: a record past the cap reports the cap, and the
 first faulty record wins.
 
-A file that is exactly what :func:`~quineset.builder.build` writes for its
-header is built again instead of read record by record. When the header
-carries both ``depth`` and ``max-sets``, the loader works out the built
-size in closed form (each stage maps n sets to 2**n - 1) and counts the
-record lines, without splitting the file. Only when the atoms and records
-add up to that size does it write the records a build would write,
-straight from the atom count and the stages (:func:`_built_records`), and
-compare them with the text, one string compare. It builds only when they
-match. Every other file goes through the record loop under the rules
-above, in the same order and with the same messages, and no build.
-
-The dumper writes the same closed form, by content and with no flag: a
-universe of ``2**domain - 1`` sets whose sets after the atoms are the
-masks ``1..2**domain - 1`` other than the atoms', in increasing order
-(:func:`~quineset.core.absent_masks`), is what ``build`` makes, and its
-records are :func:`_built_records`. Every other universe is written one
-:func:`_record_line` per set. So build, dumps and the loader's compare
-share one spelling of a built file.
+A built universe has one closed form: ``2**domain - 1`` sets, the atoms
+and then every other mask below ``2**domain`` in increasing order
+(:func:`~quineset.core.absent_masks`). Its records are
+:func:`_built_records`, written from the atom count and the domain alone.
+Both directions spot the form by content, whatever the header says. The
+dumper writes those records for a universe whose sets are in the form.
+The loader counts the record lines, without splitting the file, and takes
+the form when there are at least two atoms, the atoms and records add up
+to ``2**domain - 1`` within any cap, and the text after the header is
+those records, one string compare. It then interns the ``domain - atoms``
+sets before the last stage and makes that stage by one
+:meth:`Universe.intern_stage` call. A single atom has no closed form to
+load: its first record would be the set of its own id. Every other file
+goes through the record loop under the rules above, in the same order and
+with the same messages.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import islice
 from operator import or_
 from pathlib import Path
 
-from .builder import BuildConfig, build
 from .core import Universe, absent_masks, ids_of
 from .errors import UniverseFormatError, WorkbenchError
 
@@ -126,26 +123,6 @@ def _built_records(atoms: int, domain: int) -> str:
     return "".join(blocks)
 
 
-def _rebuilt(names: list[str], depth: int, max_sets: int, text: str, start: int) -> Universe | None:
-    """The universe ``build`` makes for this header, when it writes ``text`` from ``start`` on."""
-    sets = len(names) + text.count("\n", start)
-    # Each stage closes a domain of n sets to 2**n - 1, so the built size
-    # follows from the atom count alone. It stops at a fixed point (one
-    # atom), and a stage past the cap or the file's sets rules the build
-    # out, so a header of any depth costs a few steps.
-    size, domain = len(names), 0
-    for _ in range(depth):
-        grown = 2**size - 1
-        if grown == size:
-            break
-        if grown > min(max_sets, sets):
-            return None
-        size, domain = grown, size
-    if size != sets or text[start:] != _built_records(len(names), domain):
-        return None
-    return build(BuildConfig(names, depth, max_sets))[0]
-
-
 def loads_universe(text: str) -> Universe:
     if not text.isascii() or "\r" in text:
         lineno = next(i for i, line in enumerate(text.split("\n"), 1)
@@ -193,10 +170,15 @@ def loads_universe(text: str) -> Universe:
         raise UniverseFormatError(f"line 2: bad atom list: {exc}") from exc
     universe.build_depth = depth
     start = sum(map(len, lines[:row])) + row
-    if depth is not None and max_sets is not None:
-        built = _rebuilt(names, depth, max_sets, text, start)
-        if built is not None:
-            return built
+    atoms = len(names)
+    total = atoms + text.count("\n", start)
+    domain = total.bit_length()
+    if (atoms > 1 and total & (total + 1) == 0 and (max_sets is None or total <= max_sets)
+            and text[start:] == _built_records(atoms, domain)):
+        # The sets before the last stage, then that stage over them.
+        universe.intern_fresh(list(islice(absent_masks(universe.member_sets, total), domain - atoms)))
+        universe.intern_stage()
+        return universe
     records = text[start:].split("\n")
     records.pop()
     # Each record must intern to a fresh set, so the universe holds ``sid``

@@ -2,7 +2,8 @@ import argparse
 import hashlib
 import io
 import json
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from functools import lru_cache
 from unittest import mock
 
 import pytest
@@ -25,7 +26,13 @@ from quineset.core import MAX_NESTING
 from quineset.errors import CapExceeded, LiteralSyntaxError, UniverseFormatError
 from quineset.verifier import LAWS, SUITES
 
-from support import inject_self_membered, reference_dumps, small_universes, written_universes
+from support import (
+    inject_self_membered,
+    reference_dumps,
+    small_universes,
+    written_universe,
+    written_universes,
+)
 
 
 @pytest.fixture
@@ -545,7 +552,7 @@ def test_loader_applies_build_config_rules_to_the_header():
     assert (len(edge), edge.build_depth, edge.max_sets) == (2, 0, 2)
 
 
-# --- built files, rebuilt --------------------------------------------------
+# --- built files, in closed form --------------------------------------------------
 
 def _built_size(atoms, depth):
     # The number of sets build makes: each stage closes n sets to 2**n - 1.
@@ -558,23 +565,23 @@ def _built_size(atoms, depth):
 
 
 def _without_depth(text):
-    # The same file without its depth line, which the rebuild needs, so it
-    # loads through the record loop.
+    # The same file without its depth line.
     lines = text.split("\n")
     return "\n".join(line for line in lines if not line.startswith("depth "))
 
 
-@pytest.fixture
-def build_calls(monkeypatch):
+@contextmanager
+def counted_stages():
+    """The sizes of the universes ``Universe.intern_stage`` is called on, while in the block."""
     calls = []
-    real_build = storage.build
+    real_stage = Universe.intern_stage
 
-    def counted(config):
-        calls.append(config)
-        return real_build(config)
+    def counted(universe):
+        calls.append(len(universe))
+        return real_stage(universe)
 
-    monkeypatch.setattr(storage, "build", counted)
-    return calls
+    with mock.patch.object(Universe, "intern_stage", counted):
+        yield calls
 
 
 BUILT_CONFIGS = [(atoms, depth) for atoms in range(1, 5) for depth in range(4)
@@ -584,28 +591,90 @@ BUILT_CONFIGS = [(atoms, depth) for atoms in range(1, 5) for depth in range(4)
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(BUILT_CONFIGS).flatmap(lambda config: st.tuples(
     st.just(config), st.integers(_built_size(*config), DEFAULT_MAX_SETS))))
-def test_a_built_file_loads_the_same_rebuilt_as_record_by_record(config_and_cap):
+def test_a_built_file_loads_as_record_by_record_under_any_cap(config_and_cap):
     (atoms, depth), cap = config_and_cap
     text = dumps_universe(build(BuildConfig("abcd"[:atoms], depth, cap))[0])
-    rebuilt, read = loads_universe(text), loads_universe(_without_depth(text))
-    assert rebuilt.member_sets == read.member_sets
-    assert rebuilt._index == read._index
-    assert rebuilt.atom_names == read.atom_names == tuple("abcd"[:atoms])
-    assert (rebuilt.build_depth, read.build_depth) == (depth, None)
-    assert rebuilt.max_sets == read.max_sets == cap
-    assert dumps_universe(rebuilt) == text
+    loaded, read = loads_universe(text), loads_universe(_without_depth(text))
+    assert loaded.member_sets == read.member_sets == _one_record_at_a_time(text)
+    assert loaded._index == read._index == {ms: i for i, ms in enumerate(loaded.member_sets)}
+    assert loaded.atom_names == read.atom_names == tuple("abcd"[:atoms])
+    assert (loaded.build_depth, read.build_depth) == (depth, None)
+    assert loaded.max_sets == read.max_sets == cap
+    assert dumps_universe(loaded) == text
     assert dumps_universe(read) == _without_depth(text)
 
 
-def test_only_a_header_with_depth_and_cap_and_the_built_size_is_rebuilt(build_calls):
-    text = dumps_universe(build(BuildConfig(("u", "v"), 3))[0])
-    loads_universe(text)
-    assert build_calls == [BuildConfig(("u", "v"), 3, DEFAULT_MAX_SETS)]
-    loads_universe(_without_depth(text))
-    loads_universe(text.replace(f"max-sets {DEFAULT_MAX_SETS}\n", ""))
-    loads_universe(text.replace("depth 3", "depth 2"))
-    loads_universe(text[:text.rindex("\n", 0, -1) + 1])
-    assert len(build_calls) == 1
+@lru_cache(maxsize=None)
+def _built_text(atoms, depth):
+    return dumps_universe(build(BuildConfig("abcd"[:atoms], depth))[0])
+
+
+def _header_variant(text, size, variant):
+    # The built file with its depth or max-sets line dropped, or its cap
+    # set to its size or one below it.
+    lines = text.split("\n")
+    cap = f"max-sets {DEFAULT_MAX_SETS}"
+    lines = {
+        "as-written": lines,
+        "no-depth": [line for line in lines if not line.startswith("depth ")],
+        "no-max-sets": [line for line in lines if line != cap],
+        "cap-at-size": [f"max-sets {size}" if line == cap else line for line in lines],
+        "cap-below-size": [f"max-sets {size - 1}" if line == cap else line for line in lines],
+    }[variant]
+    return "\n".join(lines)
+
+
+# A cap below the atoms is a header error, so a file with no records has
+# no cap one below its size.
+HEADER_VARIANTS = [
+    (atoms, depth, variant) for atoms, depth in BUILT_CONFIGS
+    for variant in ("as-written", "no-depth", "no-max-sets", "cap-at-size", "cap-below-size")
+    if variant != "cap-below-size" or _built_size(atoms, depth) > atoms
+]
+
+
+@pytest.mark.parametrize("atoms,depth,variant", HEADER_VARIANTS)
+def test_a_built_file_loads_by_its_content_whatever_its_header(atoms, depth, variant):
+    # The header's depth and cap do not pick the path: a file in closed
+    # form within its cap loads by one stage, and one past its cap meets
+    # the record loop and its message.
+    size = _built_size(atoms, depth)
+    edited = _header_variant(_built_text(atoms, depth), size, variant)
+    with counted_stages() as stages:
+        loaded = _loaded(edited)
+    assert loaded == _one_record_at_a_time(edited)
+    if variant == "cap-below-size":
+        assert f"exceeding the cap of {size - 1}" in loaded
+        assert stages == []
+    else:
+        assert dumps_universe(loads_universe(edited)) == edited
+        assert len(stages) == (1 if atoms > 1 and depth else 0)
+
+
+def test_a_file_in_closed_form_that_no_build_makes_loads_by_one_stage():
+    # u, v and then every other mask below 16: no depth builds 15 sets
+    # from two atoms, but the file is in the closed form all the same.
+    universe = written_universe(("u", "v"), list(range(3, 16)))
+    text = dumps_universe(universe)
+    with counted_stages() as stages:
+        loaded = loads_universe(text)
+    assert stages == [4]
+    assert loaded.member_sets == universe.member_sets == _one_record_at_a_time(text)
+    assert dumps_universe(loaded) == text
+
+
+def test_one_atom_has_no_closed_form_to_load(tmp_path, capsys):
+    # The records 1 and 0,1 are the closed form's spelling over one atom,
+    # but the set {1} names itself: the record loop reports it.
+    text = "quineset-universe 1\natoms a\n1\n0,1\n"
+    with counted_stages() as stages, pytest.raises(UniverseFormatError) as err:
+        loads_universe(text)
+    assert str(err.value) == "line 3: 1 is not a set id of this universe"
+    assert stages == []
+    path = tmp_path / "one-atom.hfu"
+    path.write_text(text)
+    assert main(["check", str(path), "all"]) == 65
+    assert "line 3: 1 is not a set id of this universe" in capsys.readouterr().err
 
 
 def _behind_a_build_header(body, message):
@@ -637,14 +706,14 @@ LOADER_ERRORS_BEHIND_A_BUILD_HEADER = {
 
 @pytest.mark.parametrize("body,message", LOADER_ERRORS_BEHIND_A_BUILD_HEADER.values(),
                          ids=LOADER_ERRORS_BEHIND_A_BUILD_HEADER)
-def test_loader_error_precedence_behind_a_build_header(build_calls, body, message):
+def test_loader_error_precedence_behind_a_build_header(body, message):
     # Each case has the record count a build would make, but its records
     # differ from the ones a build writes, so the loader reads them as
-    # before, without a build.
-    with pytest.raises(UniverseFormatError) as err:
+    # before, with no stage.
+    with counted_stages() as stages, pytest.raises(UniverseFormatError) as err:
         loads_universe("quineset-universe 1\n" + body)
     assert str(err.value) == message
-    assert build_calls == []
+    assert stages == []
 
 
 def test_every_record_count_case_is_rerun_behind_a_build_header():
@@ -716,18 +785,19 @@ CONFIGS_IN_THE_DEFAULT_CAP = [(atoms, depth) for atoms in range(1, 17) for depth
 
 
 @pytest.mark.parametrize("atoms,depth", CONFIGS_IN_THE_DEFAULT_CAP + [(1, 10**6)])
-def test_the_built_records_are_generated_without_a_universe(build_calls, atoms, depth):
+def test_the_built_records_are_generated_without_a_universe(atoms, depth):
     names = NAMES16[:atoms]
     universe, report = build(BuildConfig(names, depth))
     # The last stage forms the subsets of the sets there were before it.
     domain = report.counts[-2] if depth else 0
     records = "".join(f"{storage._record_line(ms)}\n" for ms in universe.member_sets[atoms:])
     assert storage._built_records(atoms, domain) == records
-    # At a cap of exactly the built size the file is still built again, once.
-    config = BuildConfig(names, depth, len(universe))
-    text = dumps_universe(build(config)[0])
-    loaded = loads_universe(text)
-    assert build_calls == [config]
+    # At a cap of exactly the built size the file still loads by one
+    # stage, over the sets before the last, unless no stage adds a set.
+    text = dumps_universe(build(BuildConfig(names, depth, len(universe)))[0])
+    with counted_stages() as stages:
+        loaded = loads_universe(text)
+    assert stages == ([domain] if atoms > 1 and depth else [])
     assert dumps_universe(loaded) == text
     assert loaded.member_sets == universe.member_sets
 
@@ -745,25 +815,15 @@ def _dumps_and_closed_forms(universe):
         return dumps_universe(universe), calls
 
 
-def _is_a_build(universe):
-    """Whether ``universe`` holds, in order, the sets ``build`` makes of its atoms at a depth past 0."""
-    depth = 1
-    while True:
-        try:
-            built, report = build(BuildConfig(universe.atom_names, depth, len(universe)))
-        except CapExceeded:
-            return False
-        if built.member_sets == universe.member_sets:
-            return True
-        if len(built) == len(universe) or report.fixed_point_stage is not None:
-            return False
-        depth += 1
-
-
 def _closed_forms_expected(universe):
-    # A build writes its records in closed form, once, up to its last
-    # stage's domain: 2**domain - 1 sets.
-    return [(len(universe.atom_names), len(universe).bit_length())] if _is_a_build(universe) else []
+    # The closed form is 2**domain - 1 sets: the atoms, then every other
+    # mask below 2**domain in increasing order. dumps writes it once.
+    sets, atoms = universe.member_sets, len(universe.atom_names)
+    size = len(sets)
+    others = [mask for mask in range(1, size + 1) if mask not in sets[:atoms]]
+    if size & (size + 1) == 0 and sets[atoms:] == others:
+        return [(atoms, size.bit_length())]
+    return []
 
 
 @pytest.mark.parametrize("atoms,depth", CONFIGS_IN_THE_DEFAULT_CAP)
@@ -802,10 +862,12 @@ def test_dumps_writes_a_built_universe_changed_after_the_build_record_by_record(
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(small_universes(), written_universes()))
+@example(written_universe(("u", "v"), list(range(3, 16))))
+@example(written_universe(("a",), [2, 3]))
 def test_dumps_writes_any_universe_as_record_by_record(universe):
-    # Only a universe whose sets are exactly a build's takes the closed
-    # form: a small universe left as built, or a written one that happens
-    # to hold a build's sets in its order.
+    # Only a universe whose sets are the closed form takes it: a small
+    # universe left as built, or a written one that happens to hold those
+    # sets in that order, whether or not a build makes them.
     text, calls = _dumps_and_closed_forms(universe)
     assert text == reference_dumps(universe)
     assert calls == _closed_forms_expected(universe)
@@ -886,9 +948,9 @@ def edited_built_files(draw):
 @settings(max_examples=200, deadline=None)
 @given(edited_built_files())
 def test_an_edited_built_file_loads_as_the_record_loop_loads_it(edited):
-    with mock.patch.object(storage, "build", wraps=storage.build) as counted:
+    with counted_stages() as stages:
         loaded = _loaded(edited)
-    assert counted.call_count == 0
+    assert stages == []
     # Without the depth line the file goes through the record loop, every
     # record one line up.
     assert loaded == _loaded(_without_depth(edited), skew=1)

@@ -266,7 +266,7 @@ def test_intern_names_the_first_bad_member():
         with pytest.raises(UnknownId, match=r"^'x' is not a set id of this universe$"):
             u.intern(members)
     with pytest.raises(UnknownId, match=r"^'x' is not a set id of this universe$"):
-        u.intern_subsets(["x", 0])
+        powerset(u, "x")
     with pytest.raises(UnknownId, match=r"^'x' is not a set id of this universe$"):
         pair(u, 0, "x")
     with pytest.raises(UnknownId, match=r"^1\.5 is not a set id of this universe$"):
@@ -531,18 +531,18 @@ def test_individuals_are_the_self_membered_ids(u, data):
 
 
 def _reference_subsets(universe, ids):
-    """``intern_subsets`` by one ``intern`` per subset mask, after the same up-front cap test."""
+    """Every nonempty subset of ``ids`` by one ``intern`` per subset mask, after an up-front cap test."""
     count = (1 << len(ids)) - 1
     if count > universe.max_sets:
         raise CapExceeded(required=count, max_sets=universe.max_sets)
     return _intern_masks(universe, ids)
 
 
-def _subsets_outcome(intern_subsets, universe, ids):
-    """The ids ``intern_subsets`` returns, or its cap error, and the tables it leaves."""
+def _powerset_outcome(construct, universe, s):
+    """The id ``construct`` returns, or its cap error, and the tables it leaves."""
     size = len(universe)
     try:
-        result = intern_subsets(universe, ids)
+        result = construct(universe, s)
     except CapExceeded as exc:
         result = ("cap", exc.required, exc.max_sets, exc.stage)
     assert len(universe) <= max(size, universe.max_sets)
@@ -558,17 +558,19 @@ _FIXTURE_CONFIGS = [BuildConfig(("u", "v"), 3), BuildConfig(("o", "a", "e"), 2),
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(small_universes(), st.sampled_from(_FIXTURE_CONFIGS).map(lambda c: build(c)[0])),
        st.data())
-def test_intern_subsets_matches_one_intern_per_mask(universe, data):
-    # One bulk append per call against one append per subset. Ids may
-    # repeat, so masks may too; the cap stops the call up front, part way
-    # through its new sets or not at all.
-    ids = data.draw(st.lists(st.integers(0, len(universe) - 1), max_size=4))
-    whole = len(universe) + (1 << len(ids)) - 1
+def test_powerset_matches_one_intern_per_mask(universe, data):
+    # One intern_mask per subset against one intern per subset. Some
+    # subsets may be interned already; the cap stops the call up front,
+    # part way through its new sets or not at all.
+    s = universe.intern(data.draw(st.sets(st.integers(0, len(universe) - 1),
+                                          min_size=1, max_size=4)))
+    base = universe.members(s)
+    whole = len(universe) + (1 << len(base))
     universe.max_sets = data.draw(st.one_of(
-        st.integers(1, 1 << len(ids)), st.integers(max(1, len(universe) - 1), whole + 1)))
+        st.integers(1, 1 << len(base)), st.integers(max(1, len(universe) - 1), whole)))
     twin = copy.deepcopy(universe)
-    assert _subsets_outcome(Universe.intern_subsets, universe, ids) == _subsets_outcome(
-        _reference_subsets, twin, ids)
+    assert _powerset_outcome(powerset, universe, s) == _powerset_outcome(
+        lambda u, s: u.intern(_reference_subsets(u, base)), twin, s)
 
 
 def _stage_outcome(stage, universe):
@@ -586,7 +588,7 @@ def _stage_outcome(stage, universe):
 @given(st.one_of(small_universes(), written_universes(),
                  st.sampled_from(_FIXTURE_CONFIGS).map(lambda c: build(c)[0])),
        st.data())
-def test_intern_stage_matches_intern_subsets_of_every_id(universe, data):
+def test_intern_stage_matches_one_intern_per_subset_of_every_id(universe, data):
     # A written universe may repeat a mask, which keeps its first id, and
     # hold members that come after their set.
     assume(len(universe) <= 10)
@@ -594,7 +596,7 @@ def test_intern_stage_matches_intern_subsets_of_every_id(universe, data):
     universe.max_sets = data.draw(st.integers(max(1, whole - 2), whole + 1))
     twin = copy.deepcopy(universe)
     assert _stage_outcome(Universe.intern_stage, universe) == _stage_outcome(
-        lambda u: u.intern_subsets(u.ids()), twin)
+        lambda u: _reference_subsets(u, list(u.ids())), twin)
 
 
 @settings(max_examples=200, deadline=None)
@@ -652,7 +654,7 @@ def test_intern_fresh_refuses_a_bad_mask_and_interns_nothing(bad, error):
     assert u.member_sets == [1, 2, 0b11, 0b101]
 
 
-_WRITES = ["intern", "intern_subsets", "intern_mask", "pair", "singleton", "union_all",
+_WRITES = ["intern", "intern_mask", "pair", "singleton", "union_all",
            "powerset", "specify", "successor", "literal", "round_trip"]
 _CRITERIA = [parse(text) for text in (
     "x in x", "x notin x", "exists y. (x in y)", "forall y. (y notin x)", "x in x & x notin x",
@@ -668,8 +670,6 @@ def _write(universe, kind, data):
     ids = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=4))
     if kind == "intern":
         universe.intern(ids)
-    elif kind == "intern_subsets":
-        universe.intern_subsets(ids[:3])
     elif kind == "intern_mask":
         universe.intern_mask(mask_of(ids))
     elif kind == "pair":
