@@ -43,7 +43,14 @@ mask of the ids that are members of some set,
 :meth:`Universe.occurring_members`, and the mask of the transitive ids,
 :meth:`Universe.transitive_ids`, worked out from the columns. All three are
 kept per universe size and published together by one assignment, so a
-concurrent reader sees a whole set of them or computes its own.
+concurrent reader sees a whole set of them or computes its own. A universe
+that still has the size its last stage left, built or loaded in closed
+form, needs no pass over its sets for them: the stage's sets are known
+masks in increasing order, so each of their columns is a periodic bit
+pattern cut at the stage's gaps (:func:`_stage_columns`), and only the
+sets before the stage are transposed. Any other universe, one that grew
+after its stage or that no stage made, transposes every member mask
+(:func:`_columns`).
 """
 
 from __future__ import annotations
@@ -109,12 +116,18 @@ def ids_of(mask: int) -> tuple[SetId, ...]:
 
 
 def iter_ids(mask: int) -> Iterator[SetId]:
-    """The ids of :func:`ids_of`, read lazily, for a loop that may stop early.
+    """The ids of :func:`ids_of`, read lazily, for a loop that may stop early."""
+    return at_ids(count(), mask)
 
-    One pass in C writes a binary digit per bit, the lowest first; the ids
-    of the digits that are 1 are read as they are asked for.
+
+def at_ids(items: Iterable, mask: int) -> Iterator:
+    """The items at the ids of ``mask``, in increasing id order, read lazily.
+
+    One pass in C writes a binary digit per bit, the lowest first, and
+    ``compress`` keeps the items whose digit is 1; it stops at the end of
+    ``items`` or of the digits.
     """
-    return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES))
+    return compress(items, bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES))
 
 
 def mask_of(ids: Iterable[SetId]) -> int:
@@ -130,9 +143,19 @@ def absent_masks(present: Iterable[int], total: int) -> Iterator[int]:
     cost is a sort of ``present`` and a ``chain`` of ranges, with no test
     per int.
     """
+    return chain.from_iterable(map(range, *_gap_bounds(present, total)))
+
+
+def _gap_bounds(present: Iterable[int], total: int) -> tuple[list[int], list[int]]:
+    """The starts and the stops of the gaps of :func:`absent_masks`, one pair per gap.
+
+    A gap runs from one past a sorted int of ``present`` in ``1..total``
+    (or from 1) up to the next (or to ``total``); a repeated int makes a
+    gap whose stop is below its start.
+    """
     edges = sorted(present)
     edges = edges[bisect_right(edges, 0):bisect_right(edges, total)]
-    return chain.from_iterable(map(range, map((1).__add__, [0, *edges]), [*edges, total + 1]))
+    return [*map((1).__add__, [0, *edges])], [*edges, total + 1]
 
 
 def _columns(masks: list[int]) -> list[int]:
@@ -159,6 +182,40 @@ def _columns(masks: list[int]) -> list[int]:
         for i in compress(count(), map((0xFFFF).__lt__, masks)):
             for v in ids_of(masks[i] >> 16):
                 columns[v + 16] |= 1 << i
+    return columns
+
+
+def _stage_columns(before: list[int]) -> list[int]:
+    """:func:`_columns` of the masks ``before`` followed by the stage over them.
+
+    Over ``start = len(before)`` ids, that stage is the masks
+    ``1..2**start - 1`` absent from ``before``, in increasing order
+    (:meth:`Universe.intern_stage`). Over every int ``0..2**start - 1`` in
+    turn, bit ``v`` runs ``2**v`` zeros, then ``2**v`` ones, again and
+    again: one periodic pattern, made by doubling. The stage's column ``v``
+    is that pattern cut at the same gaps (:func:`_gap_bounds`), one shift
+    and one AND per gap, and moved to the stage's first id, ``start``. The
+    columns of ``before`` are ORed in; they may be wider, and the trailing
+    empty columns are dropped.
+    """
+    start = len(before)
+    total = (1 << start) - 1
+    gaps = [(a, b - a) for a, b in zip(*_gap_bounds(before, total)) if b > a]
+    columns = _columns(before)
+    columns += [0] * (start - len(columns))
+    for v in range(start):
+        period = 1 << v
+        pattern = ((1 << period) - 1) << period
+        width = period << 1
+        while width <= total:
+            pattern |= pattern << width
+            width <<= 1
+        offset = start
+        for a, size in gaps:
+            columns[v] |= (pattern >> a & (1 << size) - 1) << offset
+            offset += size
+    while not columns[-1]:
+        columns.pop()
     return columns
 
 
@@ -192,6 +249,9 @@ class Universe:
         # The universe size the kept membership columns, occurring members
         # and transitive ids were worked out for; replaced whole, never mutated.
         self._columns: tuple[int, tuple[int, ...], int, int] = (0, (), 0, 0)
+        # The first id of the last stage's sets and the universe size that
+        # stage left; replaced whole by each stage.
+        self._stage = (0, 0)
         # The self-membered ids: no write can add one to the atoms.
         self._individuals = (1 << len(names)) - 1
         self._atom_ids: dict[str, SetId] = dict(zip(names, range(len(names))))
@@ -278,12 +338,15 @@ class Universe:
         the stage appends the gaps between the masks already interned
         (:func:`absent_masks`), with no pass for repeats, and returns no
         ids. When the ``2**n - 1`` subsets exceed the cap, nothing is
-        interned.
+        interned. The stage keeps its first id, ``n``, and the size it
+        leaves, from which :meth:`member_columns` works out its columns.
         """
-        total = (1 << len(self.member_sets)) - 1
+        n = len(self.member_sets)
+        total = (1 << n) - 1
         if self.max_sets is not None and total > self.max_sets:
             raise CapExceeded(required=total, max_sets=self.max_sets)
         self._append(list(absent_masks(self._index, total)))
+        self._stage = n, len(self.member_sets)
 
     def intern_fresh(self, masks: list[int]) -> int:
         """Intern ``masks`` in order, each as a new set, up to the first that is not; how many were.
@@ -378,7 +441,8 @@ class Universe:
         sets = self.member_sets
         n = len(sets)
         if kept[0] != n:
-            columns = tuple(_columns(sets))
+            start, size = self._stage
+            columns = tuple(_stage_columns(sets[:start]) if size == n else _columns(sets))
             occurring = mask_of(compress(count(), columns))
             # A set that holds v is intransitive unless it is in the column
             # of each member of v as well.
@@ -397,7 +461,11 @@ class Universe:
         a filter on member masks is a few operations on them. They are kept
         per universe size: a universe that has grown since gets new ones,
         published with :meth:`occurring_members` and :meth:`transitive_ids`
-        by one assignment, so a reader never sees a partly built set.
+        by one assignment, so a reader never sees a partly built set. While
+        the universe has the size its last :meth:`intern_stage` left, the
+        stage's sets take their columns in closed form
+        (:func:`_stage_columns`) and only the sets before them are
+        transposed; otherwise every member mask is (:func:`_columns`).
         """
         return self._kept_columns()[1]
 

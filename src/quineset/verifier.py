@@ -21,16 +21,17 @@ that no negative operand spans the universe; the one negation,
 ``m & -m``, keeps only the lowest bit of ``m``. A set missing from the
 universe is named by a witness written over member sets instead, or, for
 a subset that separation must select, is itself the failure.
-subset-derivations calls ``specify`` once per distinct non-individual part,
-only after looking the part up, so that call interns nothing either. The
-lookup alone would decide; the call stays while the benchmark's trace
-tallies it (ROADMAP item 1).
 
 No scan loops over every id. A set is found by one ``lookup_mask`` and a
 class of sets by the columns; a loop visits only the sets a filter leaves,
 and tests only the clauses a lookup does not settle. equality-substitution
 and no-empty-set test the whole list of member masks in C, checking the
-model side without trusting the index.
+model side without trusting the index. subset-derivations has no loop over
+the sets at all: ``map`` splits the mixed sets' masks into their two
+parts, and each distinct part is looked up once. It calls ``specify`` once
+per distinct non-individual part found, on that part's own id, so the call
+interns nothing either. The lookups alone decide; the call stays while the
+benchmark's trace tallies it (ROADMAP item 1).
 
 Six scans are filters on member masks and run on the columns, with no loop
 over the sets: regularity, russell-equivalence, theorem1, pair-membership,
@@ -50,11 +51,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
-from operator import and_, or_
+from itertools import islice, repeat
+from operator import and_, or_, xor
 from typing import Callable, Iterable
 
 from .constructors import specify, union_members
-from .core import SetId, Universe, ensure_distinct_atoms, ids_of, iter_ids
+from .core import SetId, Universe, at_ids, ensure_distinct_atoms, ids_of, iter_ids
 from .formula import Formula, Member, Not, evaluate, format_formula, free_vars, parse
 
 
@@ -302,7 +304,7 @@ def _check_no_empty(universe: Universe) -> CheckResult:
     sets = universe.member_sets
     return CheckResult.first(
         "no-empty-set", n, n, "exists u. (u in s)",
-        ({"s": s} for s in range(n) if not sets[s]) if 0 in sets else (),
+        ({"s": s} for s in range(n) if not sets[s]) if not all(sets) else (),
     )
 
 
@@ -391,6 +393,20 @@ def check_russell_equivalence(universe: Universe) -> CheckResult:
 _NOT_SELF = Not(Member("x", "x"))
 
 
+def _first_missing(universe: Universe, parts: list[int]) -> tuple[int, list[SetId | None]]:
+    """Where in ``parts`` the first mask that no set has is, or ``len(parts)``; and
+    the id of each distinct mask of ``parts``, in the order of their first place.
+
+    Each distinct mask is looked up once, so the first missing one is the
+    first ``None``, and one ``index`` finds its first place.
+    """
+    distinct = dict.fromkeys(parts)
+    found = list(map(universe.lookup_mask, distinct))
+    if None not in found:
+        return len(parts), found
+    return parts.index(list(distinct)[found.index(None)]), found
+
+
 def check_subset_derivations(universe: Universe) -> CheckResult:
     """Selected-subset facts: the non-individual part of any set is a subset
     but never a member; the individual part is an individual member or not an
@@ -398,54 +414,52 @@ def check_subset_derivations(universe: Universe) -> CheckResult:
 
     A set whose members are all individuals, or all non-individuals, selects
     itself, and then no clause can fail: were ``s`` in ``s`` it would be an
-    individual member of itself. A universal set holds an atom and every
-    non-individual, so it is mixed. Only the mixed sets are visited, in
-    increasing id, and each part of one is looked up: a part missing from
-    the universe is a failure at ``s``. A found id's member mask is the
-    part, which lies within ``s``; so the subset clause holds, and the
-    individual part, were it in itself, would be an individual member of
-    ``s``. What is left to test is the Russell content, that the
-    non-individual part ``v`` is in neither ``v`` nor ``s``. ``specify`` is
-    called once per distinct non-individual part, by the first set that
-    has it, and finds it without interning. The looked-up id already
-    decides, and the call stays only because the benchmark's trace tallies
-    it (ROADMAP item 1).
+    individual member of itself. So only the mixed sets are read, and each
+    part of one is looked up: a part missing from the universe is a failure
+    at ``s``, the non-individual part's clause first. A found id's member
+    mask is the part, which lies within ``s``; so the subset clause holds,
+    and the individual part, were it in itself, would be an individual
+    member of ``s``. The Russell content needs no test either. The found
+    non-individual part ``v`` holds no individual, so it is not in itself,
+    since a self-membered id is an individual (:meth:`Universe.individuals`).
+    So ``v`` is no individual, and were it in ``s`` it would be in ``s``'s
+    non-individual part, ``v`` itself. A universal set, where a
+    non-individual exists, is mixed, and its non-individual part would be
+    the set of every non-individual, itself among them; so that part's
+    lookup fails first.
+
+    There is no loop over the sets. ``map`` splits the mixed sets' masks
+    into their two parts, and :func:`_first_missing` looks each distinct
+    part up once and finds the first set whose part is missing. ``specify``
+    is called once per distinct non-individual part found up to the failing
+    set, or in all, on the part's own id: its members are all
+    non-individuals, so it selects that id again and interns nothing. The
+    lookups decide; the call stays only because the benchmark's trace
+    tallies it (ROADMAP item 1).
     """
     name = "subset-derivations"
     n = len(universe)
-    sets = universe.member_sets
-    every = (1 << n) - 1
     individuals = universe.individuals()
-    lookup = universe.lookup_mask
     mixed = _meets(universe, individuals) & _meets(universe, _non_individual_members(universe))
-    # The id ``specify`` returned for each non-individual part met so far.
-    parts: dict[SetId, SetId] = {}
-    for s in iter_ids(mixed):
-        mem = sets[s]
-        own = mem & individuals
-        found = lookup(mem ^ own)
-        if found is None:
-            return CheckResult.failure(
-                name, n, n,
-                "exists v. (forall u. ((u in v) <-> ((u in s) & (u notin u))))",
-                s=s,
-            )
-        v = parts.get(found)
-        if v is None:
-            v = parts[found] = specify(universe, s, _NOT_SELF, "x").set_id
-        if sets[v] >> v & 1:
-            return CheckResult.failure(name, n, n, "v notin v", v=v)
-        if mem >> v & 1:
-            return CheckResult.failure(name, n, n, "v notin s", v=v, s=s)
-        if lookup(own) is None:
-            return CheckResult.failure(
-                name, n, n,
-                "exists v. (forall u. ((u in v) <-> ((u in s) & (u in u))))",
-                s=s,
-            )
-        if mem == every:
-            return CheckResult.failure(name, n, n, "exists u. (u notin s)", s=s)
-    return CheckResult(name, Status.HOLDS, n)
+    masks = list(at_ids(universe.member_sets, mixed))
+    owns = list(map(and_, masks, repeat(individuals)))
+    rests = list(map(xor, masks, owns))
+    rest_at, rest_ids = _first_missing(universe, rests)
+    own_at, _ = _first_missing(universe, owns)
+    at = min(rest_at, own_at)
+    met = len(rest_ids)
+    if at < len(masks):
+        # The parts up to the failing set, less its own when that is missing.
+        met = len(dict.fromkeys(rests[:at + 1])) - (at == rest_at)
+    for v in rest_ids[:met]:
+        specify(universe, v, _NOT_SELF, "x")
+    if at == len(masks):
+        return CheckResult(name, Status.HOLDS, n)
+    s = next(islice(iter_ids(mixed), at, None))
+    selects = "u notin u" if at == rest_at else "u in u"
+    return CheckResult.failure(
+        name, n, n, f"exists v. (forall u. ((u in v) <-> ((u in s) & ({selects}))))", s=s
+    )
 
 
 def check_theorem1(universe: Universe) -> CheckResult:

@@ -24,6 +24,7 @@ from quineset import (
     successor,
     union_all,
 )
+from quineset import core
 from quineset.core import absent_masks, mask_of
 from quineset.errors import (
     CapExceeded,
@@ -45,6 +46,7 @@ from support import (
     model_members,
     rep_of,
     small_universes,
+    written_universe,
     written_universes,
 )
 
@@ -443,10 +445,11 @@ def _assert_transitivity_matches(u):
 
 def _assert_columns_transpose(columns, member_sets):
     # Entry v holds id s exactly when set s has member v, one entry per bit
-    # below the widest mask.
+    # below the widest mask; written as one binary digit per set, the last first.
     assert len(columns) == max(member_sets).bit_length()
     for v, column in enumerate(columns):
-        assert column == sum(1 << s for s, ms in enumerate(member_sets) if ms >> v & 1), v
+        assert column == int("".join("1" if ms >> v & 1 else "0"
+                                     for ms in reversed(member_sets)), 2), v
 
 
 def _assert_columns_match(u):
@@ -503,6 +506,89 @@ def test_columns_of_a_wide_chain():
     assert u.member_sets[-1].bit_length() == len(u) - 1
     _assert_columns_match(u)
     assert ids_of(u.transitive_ids()) == (0, 1, 2)
+
+
+# --- a stage's columns in closed form ---------------------------------------------
+
+def _columns_spy(monkeypatch):
+    """The length of each list of masks ``core._columns`` is called on, from now on."""
+    lengths = []
+    real = core._columns
+
+    def spy(masks):
+        lengths.append(len(masks))
+        return real(masks)
+
+    monkeypatch.setattr(core, "_columns", spy)
+    return lengths
+
+
+def _assert_stage_columns(monkeypatch, u):
+    """``u`` is as its last stage left it: its kept columns come from the stage
+    and match the reference, and one new set after it falls back to ``_columns``."""
+    start, size = u._stage
+    assert size == len(u) > 0
+    lengths = _columns_spy(monkeypatch)
+    _assert_columns_match(u)
+    # Only the sets before the stage went through _columns.
+    assert lengths == [start]
+    u.max_sets = None
+    n = len(u)
+    # The singleton of the stage's first set, when the stage made one.
+    if start < n and u.intern_mask(1 << start) == n:
+        _assert_columns_match(u)
+        assert lengths == [start, n + 1]
+
+
+@pytest.mark.parametrize("config", [
+    *(BuildConfig(tuple("abcd"[:atoms]), depth) for atoms in range(1, 5) for depth in (1, 2)),
+    BuildConfig(("u",), 5),
+    BuildConfig(tuple(f"a{i}" for i in range(16)), 1),
+    BuildConfig(("u", "v"), 3, max_sets=127),
+    BuildConfig(("a", "b", "c", "d"), 2, max_sets=32767),
+], ids=lambda c: f"{len(c.atom_names)}atoms-d{c.depth}-cap{c.max_sets}")
+def test_a_built_universe_takes_its_last_stage_columns(monkeypatch, config):
+    # Shapes of 1-4 atoms at depths 1 and 2, u at its fixed point (a stage
+    # that appends nothing), 65535 sets, and builds that fill their cap.
+    universe, _ = build(config)
+    _assert_stage_columns(monkeypatch, universe)
+
+
+@pytest.mark.parametrize("config", [BuildConfig(("u", "v"), 3), BuildConfig(("a", "b", "c"), 2)],
+                         ids=["uv3", "abc2"])
+def test_a_closed_form_load_takes_its_last_stage_columns(monkeypatch, config):
+    loaded = loads_universe(dumps_universe(build(config)[0]))
+    _assert_stage_columns(monkeypatch, loaded)
+
+
+def test_a_universe_no_stage_left_takes_the_general_columns(monkeypatch):
+    # The same sets as uv3, interned by the record loop's call: no stage.
+    built, _ = build(BuildConfig(("u", "v"), 3))
+    copied = Universe(["u", "v"])
+    copied.intern_fresh(built.member_sets[2:])
+    expected = built.member_columns()
+    lengths = _columns_spy(monkeypatch)
+    assert copied.member_columns() == expected
+    assert lengths == [127]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_universes() | written_universes(), st.booleans(), st.data())
+# {u,v} twice, then {u, id 5}: a repeated mask, and a mask past 2**5 whose
+# member is made only by the stage.
+@example(written_universe(["u", "v"], [0b11, 0b11, 0b100001]), False, None)
+# A self-membered composite {u, itself} before the stage.
+@example(written_universe(["u", "v"], [0b101]), False, None)
+def test_any_staged_universe_takes_its_stage_columns(universe, inject, data):
+    # Universes with repeated masks, masks of 2**n or more, members after
+    # their sets and self-membered composites, then staged.
+    if inject:
+        inject_self_membered(universe, data.draw(st.integers(0, len(universe) - 1)))
+    assume(len(universe) <= 10)
+    universe.max_sets = None
+    universe.intern_stage()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_stage_columns(monkeypatch, universe)
 
 
 # --- kept individuals ------------------------------------------------------------

@@ -75,6 +75,16 @@ def test_individuals_axiom_fails_on_injected_node(default_universe):
     assert witness_reproduces(default_universe, failing.witness)
 
 
+def test_no_empty_set_names_the_first_memberless_set_written_to_the_tables():
+    # No write makes a set of no members, so the two are written directly.
+    universe = written_universe(["u", "v"], [0b11, 0, 0b101, 0])
+    by_name = {r.name: r for r in run_suite(universe, "axioms").results}
+    failing = by_name["no-empty-set"]
+    assert (failing.status, failing.scanned) == (Status.FAILS, 6)
+    assert failing.witness.bindings == (("s", 3),)
+    assert witness_reproduces(universe, failing.witness)
+
+
 def test_russell_holds(default_universe, three_atom_universe):
     result = check_russell(default_universe)
     assert result.status is Status.HOLDS
@@ -483,16 +493,35 @@ def test_subset_derivations_calls_specify_once_per_distinct_selection(monkeypatc
     assert 0 < len(calls) == _distinct_parts(universe)
 
 
+# Mixed sets {u,{u,v}}, {v,{{u,v}}}, {u,{u,v},{{u,v}}} and {v,{u,v}} find
+# their parts, three distinct non-individual ones, before the last record
+# of each file: {u,w,{{{u,v}}}}, whose individual part {u,w} is missing,
+# or {u,{{{u,v}}},{{u,v},{{u,v}}}}, whose non-individual part is. The
+# first has a fourth non-individual part, {{{{u,v}}}}, and finds it.
+LATE_PARTS = "quineset-universe 1\natoms u,v,w\n0,1\n3\n0,3\n4\n1,4\n3,4\n0,3,4\n1,3\n6\n"
+LATE_OWN = LATE_PARTS + "0,2,6\n"
+LATE_REST = LATE_PARTS + "0,6,8\n"
+
+
 @pytest.mark.parametrize("universe,calls,expected", [
     (_injected_mixed_set(), 1, ("holds", 9, None)),
     *[(LATE_MEMBERS[case], 0,
        ("fails", 5, ((("s", 2),),
                      "exists v. (forall u. ((u in v) <-> ((u in s) & (u notin u))))", 5)))
       for case in LATE_MEMBERS],
-], ids=["injected", *(f"late-{case}" for case in LATE_MEMBERS)])
+    (loads_universe(LATE_OWN), 4,
+     ("fails", 13, ((("s", 12),),
+                    "exists v. (forall u. ((u in v) <-> ((u in s) & (u in u))))", 13))),
+    (loads_universe(LATE_REST), 3,
+     ("fails", 13, ((("s", 12),),
+                    "exists v. (forall u. ((u in v) <-> ((u in s) & (u notin u))))", 13))),
+], ids=["injected", *(f"late-{case}" for case in LATE_MEMBERS), "late-own", "late-rest"])
 def test_subset_derivations_verdicts_on_the_written_fixtures(monkeypatch, universe, calls, expected):
     # The verdict, count and witness each fixture had when specify was
-    # called twice per mixed set. The late-member files fail before any call.
+    # called twice per mixed set. The late-member files fail before any
+    # call. The late-part files have those of the loop over the mixed sets
+    # that called specify once per distinct non-individual part met, the
+    # failing set's own included when it is found.
     made = _count_specify(monkeypatch)
     result = check_subset_derivations(universe)
     witness = result.witness and (result.witness.bindings, result.witness.formula,
@@ -535,6 +564,22 @@ def test_column_scans_match_the_per_set_reference(universe, data):
     expected = reference_scans(universe, pair_atoms)
     got = {r.name: r for r in run_suite(universe, "all", pair_atoms).results}
     assert [got[r.name] for r in expected] == expected
+
+
+@pytest.mark.parametrize("config", [
+    BuildConfig(("u", "v"), 3), BuildConfig(("o", "a", "e"), 2),
+    BuildConfig(("a", "b", "c", "d"), 2), BuildConfig(tuple(f"a{i}" for i in range(16)), 1),
+], ids=["uv3", "oae2", "abcd2", "flat16"])
+def test_suite_is_the_same_on_a_built_universe_and_a_copy_no_stage_left(config):
+    # The built universe's columns come from its last stage; the copy has
+    # the same ids but was interned by one intern_fresh call, so its
+    # columns come from the general transpose. The first two atoms are the pair.
+    built, _ = build(config)
+    copied = Universe(config.atom_names)
+    copied.intern_fresh(built.member_sets[len(config.atom_names):])
+    assert built._stage == (len(built).bit_length(), len(built)) and copied._stage == (0, 0)
+    assert run_suite(built, "all", (0, 1)).results == run_suite(copied, "all", (0, 1)).results
+    assert built.member_columns() == copied.member_columns()
 
 
 # --- lifetime and threads -----------------------------------------------------------
