@@ -43,14 +43,14 @@ mask of the ids that are members of some set,
 :meth:`Universe.occurring_members`, and the mask of the transitive ids,
 :meth:`Universe.transitive_ids`, worked out from the columns. All three are
 kept per universe size and published together by one assignment, so a
-concurrent reader sees a whole set of them or computes its own. A universe
-that still has the size its last stage left, built or loaded in closed
-form, needs no pass over its sets for them: the stage's sets are known
-masks in increasing order, so each of their columns is a periodic bit
-pattern cut at the stage's gaps (:func:`_stage_columns`), and only the
-sets before the stage are transposed. Any other universe, one that grew
-after its stage or that no stage made, transposes every member mask
-(:func:`_columns`).
+concurrent reader sees a whole set of them or computes its own. A build's
+closed form is fixed by two ints, its atom count and its domain: the
+atoms, then every other mask below ``2**domain`` in increasing order. A
+universe that a stage left in that form, built or loaded, needs no pass
+over its sets for them: each column is a periodic bit pattern cut at the
+atoms' masks (:func:`_closed_columns`), worked out from those two ints.
+Any other universe, one that grew after its stage or that no stage left
+in closed form, transposes every member mask (:func:`_columns`).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from functools import reduce
-from itertools import chain, compress, count
+from itertools import chain, compress, count, islice
 from operator import and_, gt, or_
 from typing import Collection, Iterable, Iterator
 
@@ -143,19 +143,9 @@ def absent_masks(present: Iterable[int], total: int) -> Iterator[int]:
     cost is a sort of ``present`` and a ``chain`` of ranges, with no test
     per int.
     """
-    return chain.from_iterable(map(range, *_gap_bounds(present, total)))
-
-
-def _gap_bounds(present: Iterable[int], total: int) -> tuple[list[int], list[int]]:
-    """The starts and the stops of the gaps of :func:`absent_masks`, one pair per gap.
-
-    A gap runs from one past a sorted int of ``present`` in ``1..total``
-    (or from 1) up to the next (or to ``total``); a repeated int makes a
-    gap whose stop is below its start.
-    """
     edges = sorted(present)
     edges = edges[bisect_right(edges, 0):bisect_right(edges, total)]
-    return [*map((1).__add__, [0, *edges])], [*edges, total + 1]
+    return chain.from_iterable(map(range, map((1).__add__, [0, *edges]), [*edges, total + 1]))
 
 
 def _columns(masks: list[int]) -> list[int]:
@@ -185,38 +175,33 @@ def _columns(masks: list[int]) -> list[int]:
     return columns
 
 
-def _stage_columns(before: list[int]) -> list[int]:
-    """:func:`_columns` of the masks ``before`` followed by the stage over them.
+def _closed_columns(atoms: int, domain: int) -> list[int]:
+    """:func:`_columns` of a build's closed form, from its atom count and domain alone.
 
-    Over ``start = len(before)`` ids, that stage is the masks
-    ``1..2**start - 1`` absent from ``before``, in increasing order
-    (:meth:`Universe.intern_stage`). Over every int ``0..2**start - 1`` in
+    That form is ``2**domain - 1`` sets: the atoms' masks ``1 << i``, then
+    every other mask ``1..2**domain - 1`` in increasing order
+    (:meth:`Universe.intern_stage`). Over every int ``0..2**domain - 1`` in
     turn, bit ``v`` runs ``2**v`` zeros, then ``2**v`` ones, again and
-    again: one periodic pattern, made by doubling. The stage's column ``v``
-    is that pattern cut at the same gaps (:func:`_gap_bounds`), one shift
-    and one AND per gap, and moved to the stage's first id, ``start``. The
-    columns of ``before`` are ORed in; they may be wider, and the trailing
-    empty columns are dropped.
+    again: one periodic pattern, the one above it (all ones above the top)
+    XOR itself shifted down by ``2**v``. The composites are the ints
+    between one atom's mask and the next, and past the last up to
+    ``2**domain``: column ``v`` is the pattern cut at the atoms' masks,
+    one AND up to each gap's end and a shift to its place, from id
+    ``atoms`` on; atom ``v``, when there is one, adds its own bit. No
+    member mask is read.
     """
-    start = len(before)
-    total = (1 << start) - 1
-    gaps = [(a, b - a) for a, b in zip(*_gap_bounds(before, total)) if b > a]
-    columns = _columns(before)
-    columns += [0] * (start - len(columns))
-    for v in range(start):
-        period = 1 << v
-        pattern = ((1 << period) - 1) << period
-        width = period << 1
-        while width <= total:
-            pattern |= pattern << width
-            width <<= 1
-        offset = start
-        for a, size in gaps:
-            columns[v] |= (pattern >> a & (1 << size) - 1) << offset
-            offset += size
-    while not columns[-1]:
-        columns.pop()
-    return columns
+    edges = [*map((1).__lshift__, range(atoms)), 1 << domain]
+    columns = []
+    pattern = (1 << (1 << domain)) - 1
+    for v in reversed(range(domain)):
+        pattern ^= pattern >> (1 << v)
+        column = 1 << v if v < atoms else 0
+        offset = atoms
+        for a, b in zip(edges, edges[1:]):
+            column |= (pattern & (1 << b) - 1) >> a + 1 << offset
+            offset += b - a - 1
+        columns.append(column)
+    return columns[::-1]
 
 
 class Universe:
@@ -249,9 +234,9 @@ class Universe:
         # The universe size the kept membership columns, occurring members
         # and transitive ids were worked out for; replaced whole, never mutated.
         self._columns: tuple[int, tuple[int, ...], int, int] = (0, (), 0, 0)
-        # The first id of the last stage's sets and the universe size that
-        # stage left; replaced whole by each stage.
-        self._stage = (0, 0)
+        # The domain and the universe size of the closed form the last stage
+        # completed, or (0, 0) when it completed none; replaced whole by each stage.
+        self._closed = (0, 0)
         # The self-membered ids: no write can add one to the atoms.
         self._individuals = (1 << len(names)) - 1
         self._atom_ids: dict[str, SetId] = dict(zip(names, range(len(names))))
@@ -338,15 +323,20 @@ class Universe:
         the stage appends the gaps between the masks already interned
         (:func:`absent_masks`), with no pass for repeats, and returns no
         ids. When the ``2**n - 1`` subsets exceed the cap, nothing is
-        interned. The stage keeps its first id, ``n``, and the size it
-        leaves, from which :meth:`member_columns` works out its columns.
+        interned. After the atoms and then the least other masks in order,
+        the stage completes a build's closed form over domain ``n``, and
+        keeps ``n`` and the size it leaves for :meth:`member_columns`.
         """
-        n = len(self.member_sets)
+        sets = self.member_sets
+        n, k = len(sets), len(self._atom_ids)
         total = (1 << n) - 1
         if self.max_sets is not None and total > self.max_sets:
             raise CapExceeded(required=total, max_sets=self.max_sets)
+        # A closed form the last stage completed begins the next one.
+        closed = self._closed[1] == n or sets[k:] == list(
+            islice(absent_masks(sets[:k], total), n - k))
         self._append(list(absent_masks(self._index, total)))
-        self._stage = n, len(self.member_sets)
+        self._closed = (n, len(sets)) if closed else (0, 0)
 
     def intern_fresh(self, masks: list[int]) -> int:
         """Intern ``masks`` in order, each as a new set, up to the first that is not; how many were.
@@ -441,8 +431,9 @@ class Universe:
         sets = self.member_sets
         n = len(sets)
         if kept[0] != n:
-            start, size = self._stage
-            columns = tuple(_stage_columns(sets[:start]) if size == n else _columns(sets))
+            domain, size = self._closed
+            columns = tuple(_closed_columns(len(self._atom_ids), domain) if size == n
+                            else _columns(sets))
             occurring = mask_of(compress(count(), columns))
             # A set that holds v is intransitive unless it is in the column
             # of each member of v as well.
@@ -462,10 +453,10 @@ class Universe:
         per universe size: a universe that has grown since gets new ones,
         published with :meth:`occurring_members` and :meth:`transitive_ids`
         by one assignment, so a reader never sees a partly built set. While
-        the universe has the size its last :meth:`intern_stage` left, the
-        stage's sets take their columns in closed form
-        (:func:`_stage_columns`) and only the sets before them are
-        transposed; otherwise every member mask is (:func:`_columns`).
+        the universe is the closed form its last :meth:`intern_stage`
+        completed, the columns come from its atom count and domain alone
+        (:func:`_closed_columns`); otherwise every member mask is
+        transposed (:func:`_columns`).
         """
         return self._kept_columns()[1]
 

@@ -666,7 +666,10 @@ def check_dual_paths(
     scan does not fail (a vacuous scan matches a vacuously true formula).
     The pair-dependent checks run only when two atoms are supplied; their
     oracles bind the atoms as ``A`` and ``B`` and the atoms' pair as ``P``.
+    Raises :class:`ValueError` when only one atom is.
     """
+    if (a1 is None) != (a2 is None):
+        raise ValueError("the pair checks need two atoms, not one")
     n = len(universe)
     pair_atoms = None
     names: dict[str, SetId | None] = {}

@@ -508,7 +508,7 @@ def test_columns_of_a_wide_chain():
     assert ids_of(u.transitive_ids()) == (0, 1, 2)
 
 
-# --- a stage's columns in closed form ---------------------------------------------
+# --- a build's columns in closed form --------------------------------------------
 
 def _columns_spy(monkeypatch):
     """The length of each list of masks ``core._columns`` is called on, from now on."""
@@ -523,21 +523,35 @@ def _columns_spy(monkeypatch):
     return lengths
 
 
-def _assert_stage_columns(monkeypatch, u):
-    """``u`` is as its last stage left it: its kept columns come from the stage
-    and match the reference, and one new set after it falls back to ``_columns``."""
-    start, size = u._stage
-    assert size == len(u) > 0
+def _closed_form(atoms, domain):
+    """A build's member masks: ``atoms`` atoms, then every other mask below ``2**domain``."""
+    masks = [1 << i for i in range(atoms)]
+    return masks + list(absent_masks(masks, (1 << domain) - 1))
+
+
+def test_closed_columns_are_the_transpose_of_the_closed_form():
+    for domain in range(1, 11):
+        for atoms in range(1, domain + 1):
+            expected = core._columns(_closed_form(atoms, domain))
+            assert core._closed_columns(atoms, domain) == expected, (atoms, domain)
+
+
+def _assert_closed_columns(monkeypatch, u):
+    """``u`` is the closed form its last stage completed: its kept columns come
+    from its atom count and domain with no ``_columns`` call and match the
+    reference, and one new set after it falls back to ``_columns`` over every set."""
+    domain, size = u._closed
+    assert size == len(u) and u.member_sets == _closed_form(len(u.atoms), domain)
     lengths = _columns_spy(monkeypatch)
     _assert_columns_match(u)
-    # Only the sets before the stage went through _columns.
-    assert lengths == [start]
+    assert lengths == []
     u.max_sets = None
     n = len(u)
-    # The singleton of the stage's first set, when the stage made one.
-    if start < n and u.intern_mask(1 << start) == n:
+    # The singleton of set ``domain``, new unless the universe is one atom.
+    if n > 1:
+        assert u.intern_mask(1 << domain) == n
         _assert_columns_match(u)
-        assert lengths == [start, n + 1]
+        assert lengths == [n + 1]
 
 
 @pytest.mark.parametrize("config", [
@@ -551,14 +565,14 @@ def test_a_built_universe_takes_its_last_stage_columns(monkeypatch, config):
     # Shapes of 1-4 atoms at depths 1 and 2, u at its fixed point (a stage
     # that appends nothing), 65535 sets, and builds that fill their cap.
     universe, _ = build(config)
-    _assert_stage_columns(monkeypatch, universe)
+    _assert_closed_columns(monkeypatch, universe)
 
 
 @pytest.mark.parametrize("config", [BuildConfig(("u", "v"), 3), BuildConfig(("a", "b", "c"), 2)],
                          ids=["uv3", "abc2"])
 def test_a_closed_form_load_takes_its_last_stage_columns(monkeypatch, config):
     loaded = loads_universe(dumps_universe(build(config)[0]))
-    _assert_stage_columns(monkeypatch, loaded)
+    _assert_closed_columns(monkeypatch, loaded)
 
 
 def test_a_universe_no_stage_left_takes_the_general_columns(monkeypatch):
@@ -579,16 +593,28 @@ def test_a_universe_no_stage_left_takes_the_general_columns(monkeypatch):
 @example(written_universe(["u", "v"], [0b11, 0b11, 0b100001]), False, None)
 # A self-membered composite {u, itself} before the stage.
 @example(written_universe(["u", "v"], [0b101]), False, None)
-def test_any_staged_universe_takes_its_stage_columns(universe, inject, data):
+# {u,v}, then {u,{u,v}}: the least two other masks, a prefix no build leaves.
+@example(written_universe(["u", "v"], [0b11, 0b101]), False, None)
+def test_a_stage_completes_the_closed_form_exactly_after_its_prefix(universe, inject, data):
     # Universes with repeated masks, masks of 2**n or more, members after
-    # their sets and self-membered composites, then staged.
+    # their sets and self-membered composites, then staged. Only sets that
+    # are the atoms and then the least other masks make a closed form.
     if inject:
         inject_self_membered(universe, data.draw(st.integers(0, len(universe) - 1)))
     assume(len(universe) <= 10)
     universe.max_sets = None
+    n = len(universe)
+    prefix = universe.member_sets == _closed_form(len(universe.atoms), n)[:n]
     universe.intern_stage()
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _assert_stage_columns(monkeypatch, universe)
+        if prefix:
+            assert universe._closed == (n, len(universe))
+            _assert_closed_columns(monkeypatch, universe)
+        else:
+            assert universe._closed == (0, 0)
+            lengths = _columns_spy(monkeypatch)
+            _assert_columns_match(universe)
+            assert lengths == [len(universe)]
 
 
 # --- kept individuals ------------------------------------------------------------

@@ -245,6 +245,14 @@ def test_dual_paths_without_the_pair_intern_nothing():
     assert by_name["dualpath-trichotomy"] is Status.HOLDS
 
 
+@pytest.mark.parametrize("atoms", [(0, None), (None, 1)], ids=["a1-only", "a2-only"])
+def test_dual_paths_with_one_atom_raise(default_universe, atoms):
+    # One atom is no pair: raise, as run_suite does for a pair suite without
+    # a pair, rather than drop the two pair laws and check nine.
+    with pytest.raises(ValueError, match="two atoms"):
+        check_dual_paths(default_universe, *atoms)
+
+
 def test_reports_deterministic():
     first, _ = build(BuildConfig(("u", "v"), depth=3))
     second, _ = build(BuildConfig(("u", "v"), depth=3))
@@ -571,13 +579,14 @@ def test_column_scans_match_the_per_set_reference(universe, data):
     BuildConfig(("a", "b", "c", "d"), 2), BuildConfig(tuple(f"a{i}" for i in range(16)), 1),
 ], ids=["uv3", "oae2", "abcd2", "flat16"])
 def test_suite_is_the_same_on_a_built_universe_and_a_copy_no_stage_left(config):
-    # The built universe's columns come from its last stage; the copy has
-    # the same ids but was interned by one intern_fresh call, so its
-    # columns come from the general transpose. The first two atoms are the pair.
+    # The built universe's columns come from the closed form its last stage
+    # completed; the copy has the same ids but was interned by one
+    # intern_fresh call, so its columns come from the general transpose.
+    # The first two atoms are the pair.
     built, _ = build(config)
     copied = Universe(config.atom_names)
     copied.intern_fresh(built.member_sets[len(config.atom_names):])
-    assert built._stage == (len(built).bit_length(), len(built)) and copied._stage == (0, 0)
+    assert built._closed == (len(built).bit_length(), len(built)) and copied._closed == (0, 0)
     assert run_suite(built, "all", (0, 1)).results == run_suite(copied, "all", (0, 1)).results
     assert built.member_columns() == copied.member_columns()
 
