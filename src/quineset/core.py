@@ -2,13 +2,14 @@
 
 A :class:`Universe` interns every set exactly once, so two ids are equal
 exactly when their member sets are equal. It stores each set once, as an
-int mask whose bit ``i`` is set when id ``i`` is a member, and that same
-mask keys the index from extensions to ids. A built universe grows stage
-by stage, each set's members taken from the stage before, so its masks are
-small ints. A mask is as wide as its set's highest member id, so a file of
-sets with late members, such as a long chain of nested singletons, holds
-bits with the square of its length. :func:`ids_of` lists a mask's ids in
-increasing order; :meth:`Universe.member_set` and :meth:`Universe.members`
+int mask whose bit ``i`` is set when id ``i`` is a member, and finds a set
+from that mask: by arithmetic in its closed prefix (below), and in an index
+from masks to ids past it. A built universe grows stage by stage, each
+set's members taken from the stage before, so its masks are small ints. A
+mask is as wide as its set's highest member id, so a file of sets with
+late members, such as a long chain of nested singletons, holds bits with
+the square of its length. :func:`ids_of` lists a mask's ids in increasing
+order; :meth:`Universe.member_set` and :meth:`Universe.members`
 build a frozenset or a sorted tuple from it on demand. Atoms are the only
 self-membered objects: atom ``i`` is the mask ``1 << i``, its sole member is
 itself, and the singleton of an atom, having the same mask, is the atom.
@@ -18,14 +19,15 @@ Interning is the only write, and it needs a single writer. After the
 atoms, every write goes through one append rule, which takes a list of
 new, distinct masks and appends them in order, by one ``extend`` and one
 index ``update``, up to the cap. Four methods feed it, and each leaves
-out a set already in the index, which keeps its id.
+out a set already interned, which keeps its id.
 :meth:`Universe.intern` validates any member collection, and
 :meth:`Universe.intern_mask` takes a set's member mask (the constructors
 that compute one). :meth:`Universe.intern_stage` is the builder's stage:
 the subsets of all n ids so far are the masks ``1..2**n - 1``, so it
 appends the gaps between the masks already interned
 (:func:`absent_masks`), with no lookup per mask and no pass for repeats,
-and returns no ids.
+and returns no ids. A stage that completes a build's closed form extends
+the table alone, with no index entry (below).
 :meth:`Universe.intern_fresh` takes a list of masks that should all be
 new (the loader's records, or the sets before a closed form's last stage)
 and stops at the first that is not. Each admits
@@ -51,6 +53,16 @@ over its sets for them: each column is a periodic bit pattern cut at the
 atoms' masks (:func:`_closed_columns`), worked out from those two ints.
 Any other universe, one that grew after its stage or that no stage left
 in closed form, transposes every member mask (:func:`_columns`).
+
+The closed form a stage left stays the universe's closed prefix as it
+grows, and within it a set's id follows from its mask and the atom count
+``k`` alone: mask ``1 << i`` with ``i < k`` is atom ``i``, and any other
+mask ``m`` below ``2**domain`` is id ``k + m - 1 - min(k, m.bit_length())``,
+after the atoms and the other masks below it. So the index holds only the
+masks past the prefix: the stage that completes the form appends its masks
+with no index entry and empties the index, so a build or a closed-form
+load leaves it empty, and no later write adds a mask below ``2**domain``
+to it, since every such mask is interned already.
 """
 
 from __future__ import annotations
@@ -209,7 +221,9 @@ class Universe:
 
     Ids are dense indexes into the table. Atoms occupy ids ``0..k-1`` in the
     order their names were given; every composite is registered after all of
-    its members, so a member's id is always smaller than its set's id.
+    its members, so a member's id is always smaller than its set's id. A
+    set is found from its member mask by arithmetic in the closed prefix,
+    the build's closed form the sets begin with, and in an index past it.
     """
 
     def __init__(self, atom_names: Iterable[str], *, max_sets: int | None = None):
@@ -227,15 +241,18 @@ class Universe:
             seen.add(name)
         self.max_sets = max_sets
         self.build_depth: int | None = None
-        # member_sets[i] is set i's member mask, the same int that keys it in
-        # _index; read-only. Atom i's sole member is itself.
+        # member_sets[i] is set i's member mask; read-only. Atom i's sole
+        # member is itself.
         self.member_sets: list[int] = [1 << i for i in range(len(names))]
+        # Each mask past the closed prefix to its id; a mask below 2**domain
+        # of that prefix is looked up by arithmetic (_closed_id).
         self._index: dict[int, SetId] = {ms: i for i, ms in enumerate(self.member_sets)}
         # The universe size the kept membership columns, occurring members
         # and transitive ids were worked out for; replaced whole, never mutated.
         self._columns: tuple[int, tuple[int, ...], int, int] = (0, (), 0, 0)
-        # The domain and the universe size of the closed form the last stage
-        # completed, or (0, 0) when it completed none; replaced whole by each stage.
+        # The domain and the size of the largest closed form the sets begin
+        # with, or (0, 0) before a stage completes one; replaced whole by a
+        # stage that completes a larger one, and by nothing else.
         self._closed = (0, 0)
         # The self-membered ids: no write can add one to the atoms.
         self._individuals = (1 << len(names)) - 1
@@ -248,7 +265,8 @@ class Universe:
         exist before its own place. They are appended by one ``extend`` of
         the table and one ``update`` of the index. When they would pass the
         cap, those that fit are appended and :class:`CapExceeded` names one
-        set past it. Every write after the atoms goes through here.
+        set past it. Every write after the atoms goes through here, except
+        the stage that completes a closed form (:meth:`intern_stage`).
         """
         sets = self.member_sets
         sid = len(sets)
@@ -324,19 +342,27 @@ class Universe:
         (:func:`absent_masks`), with no pass for repeats, and returns no
         ids. When the ``2**n - 1`` subsets exceed the cap, nothing is
         interned. After the atoms and then the least other masks in order,
-        the stage completes a build's closed form over domain ``n``, and
-        keeps ``n`` and the size it leaves for :meth:`member_columns`.
+        the stage completes a build's closed form over domain ``n``. Every
+        mask below ``2**n`` is then interned, at the id :meth:`lookup_mask`
+        works out, so the stage appends with no index entry, empties the
+        index, and keeps ``n`` and the size it leaves as the closed prefix,
+        which no later stage resets. Any other stage appends through the
+        index.
         """
         sets = self.member_sets
         n, k = len(sets), len(self._atom_ids)
         total = (1 << n) - 1
         if self.max_sets is not None and total > self.max_sets:
             raise CapExceeded(required=total, max_sets=self.max_sets)
-        # A closed form the last stage completed begins the next one.
-        closed = self._closed[1] == n or sets[k:] == list(
-            islice(absent_masks(sets[:k], total), n - k))
-        self._append(list(absent_masks(self._index, total)))
-        self._closed = (n, len(sets)) if closed else (0, 0)
+        fresh = absent_masks(sets, total)
+        # The sets are their closed prefix, or the atoms and then the least
+        # other masks in order.
+        if self._closed[1] == n or sets[k:] == list(islice(absent_masks(sets[:k], total), n - k)):
+            sets += fresh
+            self._index = {}
+            self._closed = (n, len(sets))
+        else:
+            self._append(list(fresh))
 
     def intern_fresh(self, masks: list[int]) -> int:
         """Intern ``masks`` in order, each as a new set, up to the first that is not; how many were.
@@ -356,11 +382,13 @@ class Universe:
                     raise UnknownId(f"{mask!r} is not a member mask of this universe")
                 if not mask:
                     raise EmptySetForbidden("a set needs at least one member")
-        index = self._index
-        if len(set(masks)) < len(masks) or not index.keys().isdisjoint(masks):
+        # Every mask below 2**domain of the closed prefix is interned.
+        index, prefix = self._index, 1 << self._closed[0]
+        if (len(set(masks)) < len(masks) or min(masks, default=prefix) < prefix
+                or not index.keys().isdisjoint(masks)):
             seen: set[int] = set()
             for i, mask in enumerate(masks):
-                if mask in index or mask in seen:
+                if mask < prefix or mask in index or mask in seen:
                     masks = masks[:i]
                     break
                 seen.add(mask)
@@ -377,6 +405,8 @@ class Universe:
             raise UnknownId(f"{mask!r} is not a member mask of this universe")
         if not mask:
             raise EmptySetForbidden("a set needs at least one member")
+        if not mask >> self._closed[0]:
+            return self._closed_id(mask)
         sid = self._index.get(mask)
         if sid is None:
             sid = len(self.member_sets)
@@ -384,8 +414,28 @@ class Universe:
         return sid
 
     def lookup_mask(self, mask: int) -> SetId | None:
-        """The id of the set whose member mask is ``mask``, if interned; never interns."""
+        """The id of the set whose member mask is ``mask``, if interned; never interns.
+
+        A positive int below ``2**domain`` of the closed prefix is found by
+        arithmetic (:meth:`_closed_id`), any other mask in the index.
+        """
+        if isinstance(mask, int) and mask > 0 and not mask >> self._closed[0]:
+            return self._closed_id(mask)
         return self._index.get(mask)
+
+    def _closed_id(self, mask: int) -> SetId:
+        """The id of a positive int ``mask`` below ``2**domain`` of the closed prefix.
+
+        Mask ``1 << i`` with ``i`` below the atom count ``k`` is atom ``i``.
+        Any other mask ``m`` follows the atoms and the other masks below it:
+        ``m - 1`` of them, less the ``min(k, m.bit_length())`` atoms' masks
+        among them.
+        """
+        k = len(self._atom_ids)
+        width = mask.bit_length()
+        if width <= k and mask == 1 << width - 1:
+            return width - 1
+        return k + mask - 1 - min(k, width)
 
     def member_mask(self, sid: SetId) -> int:
         """The member mask of ``sid``: bit ``i`` is set when id ``i`` is a member."""
@@ -453,10 +503,10 @@ class Universe:
         per universe size: a universe that has grown since gets new ones,
         published with :meth:`occurring_members` and :meth:`transitive_ids`
         by one assignment, so a reader never sees a partly built set. While
-        the universe is the closed form its last :meth:`intern_stage`
-        completed, the columns come from its atom count and domain alone
-        (:func:`_closed_columns`); otherwise every member mask is
-        transposed (:func:`_columns`).
+        the universe is the closed form an :meth:`intern_stage` completed,
+        with nothing after it, the columns come from its atom count and
+        domain alone (:func:`_closed_columns`); otherwise every member mask
+        is transposed (:func:`_columns`).
         """
         return self._kept_columns()[1]
 

@@ -44,16 +44,17 @@ and then every other mask below ``2**domain`` in increasing order
 (:func:`~quineset.core.absent_masks`). Its records are
 :func:`_built_records`, written from the atom count and the domain alone.
 Both directions spot the form by content, whatever the header says. The
-dumper writes those records for a universe whose sets are in the form.
+dumper writes those records for a universe whose sets are in the form:
+one that a stage left so, or any other whose sets compare equal to it.
 The loader counts the record lines, without splitting the file, and takes
 the form when there are at least two atoms, the atoms and records add up
 to ``2**domain - 1`` within any cap, and the text after the header is
 those records, one string compare. It then interns the ``domain - atoms``
 sets before the last stage and makes that stage by one
-:meth:`Universe.intern_stage` call. A single atom has no closed form to
-load: its first record would be the set of its own id. Every other file
-goes through the record loop under the rules above, in the same order and
-with the same messages.
+:meth:`Universe.intern_stage` call, which leaves the universe's index of
+masks empty. A single atom has no closed form to load: its first record
+would be the set of its own id. Every other file goes through the record
+loop under the rules above, in the same order and with the same messages.
 """
 
 from __future__ import annotations
@@ -92,9 +93,11 @@ def dumps_universe(universe: Universe) -> str:
     sets, atoms = universe.member_sets, len(universe.atom_names)
     size = len(sets)
     # 2**domain - 1 sets, the atoms and then every other mask below
-    # 2**domain in order, are a build's; the compare fails by length when
-    # domain is below the atom count.
-    if size & (size + 1) == 0 and sets[atoms:] == list(absent_masks(sets[:atoms], size)):
+    # 2**domain in order, are a build's. A stage that left them so says so;
+    # a written universe can hold them too, which the compare finds, and it
+    # fails by length when domain is below the atom count.
+    if universe._closed[1] == size or (
+            size & (size + 1) == 0 and sets[atoms:] == list(absent_masks(sets[:atoms], size))):
         return "\n".join(lines) + "\n" + _built_records(atoms, size.bit_length())
     lines += map(_record_line, sets[atoms:])
     return "\n".join(lines) + "\n"

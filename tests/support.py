@@ -109,7 +109,7 @@ def _intern_masks(universe, base):
 
 
 def enumerated_index(member_sets):
-    """The index a universe with ``member_sets`` must hold: each mask to its id.
+    """The lookups a universe with ``member_sets`` must answer: each mask to its id.
 
     A repeated mask, which only a written universe has, keeps its first id.
     """
@@ -117,6 +117,21 @@ def enumerated_index(member_sets):
     for i, ms in enumerate(member_sets):
         index.setdefault(ms, i)
     return index
+
+
+def assert_lookups_agree(universe):
+    """``lookup_mask`` finds each member mask at the first id that has it, and no other mask.
+
+    The other masks tried are 0, -1 and, for every power of two up to two
+    past the widest mask, the masks one below it, at it and one past it, so
+    masks just past a closed prefix are among them.
+    """
+    index = enumerated_index(universe.member_sets)
+    assert list(map(universe.lookup_mask, index)) == list(index.values())
+    width = max(universe.member_sets).bit_length()
+    probes = {0, -1, *(p + d for p in map((1).__lshift__, range(width + 2)) for d in (-1, 0, 1))}
+    for mask in sorted(probes - index.keys()):
+        assert universe.lookup_mask(mask) is None, mask
 
 
 def reference_build(config):
@@ -203,37 +218,50 @@ def random_formula(rng: Random, depth: int = 4):
 
 # --- fixture helpers ----------------------------------------------------------
 
-def inject_self_membered(universe, extra_member):
-    """Install an illegal composite that contains itself, past every check.
+def write_set(universe, mask, sid=None):
+    """Write the set of member mask ``mask`` into the tables, at id ``sid`` or after the last set.
 
-    Writes the universe's tables directly, the way ``Universe`` appends a
-    set's member mask, since interning rightly refuses a set that contains
-    itself; and adds the new id to the individuals' mask, which the universe
-    sets to the atoms when it is made.
+    Interning refuses a member that is not there yet, a repeated extension
+    and a set that holds itself; this writes the mask as it comes. A mask
+    that holds its own id joins the individuals' mask, which the universe
+    sets to the atoms when it is made. The index keeps each mask past the
+    closed prefix at its first id; a mask of the prefix is looked up by
+    arithmetic. So a write inside the prefix drops it and puts its masks
+    back into the index, and a write over a set drops the kept columns.
     """
+    sets = universe.member_sets
+    domain, size = universe._closed
+    if sid is None:
+        sid = len(sets)
+        sets.append(mask)
+        if not 0 < mask < 1 << domain:
+            universe._index.setdefault(mask, sid)
+    else:
+        sets[sid] = mask
+        universe._columns = (0, (), 0, 0)
+        if sid < size:
+            universe._closed = domain, size = 0, 0
+        universe._index = index = {}
+        for i in range(size, len(sets)):
+            if not 0 < sets[i] < 1 << domain:
+                index.setdefault(sets[i], i)
+    universe._individuals = universe._individuals & ~(1 << sid) | (mask >> sid & 1) << sid
+
+
+def inject_self_membered(universe, extra_member):
+    """Install an illegal composite that holds itself and ``extra_member``, past every check."""
     new_id = len(universe)
-    mask = 1 << extra_member | 1 << new_id
-    universe.member_sets.append(mask)
-    universe._index[mask] = new_id
-    universe._individuals |= 1 << new_id
+    write_set(universe, 1 << extra_member | 1 << new_id)
+    assert_lookups_agree(universe)
     return new_id
 
 
 def written_universe(atoms, masks):
-    """A universe holding ``masks`` after its atoms, written to its tables directly.
-
-    Interning refuses a member that is not there yet, a repeated extension
-    and a set that holds itself; this writes each mask as it comes. A
-    repeated mask keeps its first id in the index, and a mask that holds
-    its own id joins the individuals' mask.
-    """
+    """A universe holding ``masks`` after its atoms, each written as it comes (:func:`write_set`)."""
     universe = Universe(atoms)
     for mask in masks:
-        sid = len(universe)
-        universe._index.setdefault(mask, sid)
-        universe.member_sets.append(mask)
-        if mask >> sid & 1:
-            universe._individuals |= 1 << sid
+        write_set(universe, mask)
+    assert_lookups_agree(universe)
     return universe
 
 

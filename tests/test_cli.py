@@ -27,9 +27,11 @@ from quineset.errors import CapExceeded, LiteralSyntaxError, UniverseFormatError
 from quineset.verifier import LAWS, SUITES
 
 from support import (
+    assert_lookups_agree,
     inject_self_membered,
     reference_dumps,
     small_universes,
+    write_set,
     written_universe,
     written_universes,
 )
@@ -596,7 +598,8 @@ def test_a_built_file_loads_as_record_by_record_under_any_cap(config_and_cap):
     text = dumps_universe(build(BuildConfig("abcd"[:atoms], depth, cap))[0])
     loaded, read = loads_universe(text), loads_universe(_without_depth(text))
     assert loaded.member_sets == read.member_sets == _one_record_at_a_time(text)
-    assert loaded._index == read._index == {ms: i for i, ms in enumerate(loaded.member_sets)}
+    assert_lookups_agree(loaded)
+    assert_lookups_agree(read)
     assert loaded.atom_names == read.atom_names == tuple("abcd"[:atoms])
     assert (loaded.build_depth, read.build_depth) == (depth, None)
     assert loaded.max_sets == read.max_sets == cap
@@ -853,8 +856,10 @@ def test_dumps_writes_a_built_universe_changed_after_the_build_record_by_record(
         assume(n - atoms >= 2)
         i, j = data.draw(st.lists(st.integers(atoms, n - 1), min_size=2, max_size=2, unique=True))
         sets = universe.member_sets
-        sets[i], sets[j] = sets[j], sets[i]
-        universe._index.update({sets[i]: i, sets[j]: j})
+        a, b = sets[i], sets[j]
+        write_set(universe, b, i)
+        write_set(universe, a, j)
+        assert_lookups_agree(universe)
     text, calls = _dumps_and_closed_forms(universe)
     assert text == reference_dumps(universe)
     assert calls == []

@@ -35,7 +35,7 @@ from quineset.errors import CapExceeded, UnknownId, WrongArity
 from quineset.formula import compile_criterion
 
 from support import (
-    enumerated_index,
+    assert_lookups_agree,
     model_powerset,
     model_union,
     reference_eval,
@@ -194,7 +194,7 @@ def _powerset_outcome(construct, universe, s):
         result = construct(universe, s)
     except CapExceeded as exc:
         result = ("cap", exc.required, exc.max_sets)
-    assert universe._index == enumerated_index(universe.member_sets)
+    assert_lookups_agree(universe)
     return result, universe.member_sets
 
 

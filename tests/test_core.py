@@ -40,6 +40,7 @@ from quineset.errors import (
 
 from support import (
     _intern_masks,
+    assert_lookups_agree,
     enumerated_index,
     inject_self_membered,
     lowest_bit_ids,
@@ -605,16 +606,89 @@ def test_a_stage_completes_the_closed_form_exactly_after_its_prefix(universe, in
     universe.max_sets = None
     n = len(universe)
     prefix = universe.member_sets == _closed_form(len(universe.atoms), n)[:n]
+    closed = universe._closed
     universe.intern_stage()
+    assert_lookups_agree(universe)
     with pytest.MonkeyPatch.context() as monkeypatch:
         if prefix:
             assert universe._closed == (n, len(universe))
             _assert_closed_columns(monkeypatch, universe)
         else:
-            assert universe._closed == (0, 0)
+            # The closed prefix the sets began with, if any, stays.
+            assert universe._closed == closed
             lengths = _columns_spy(monkeypatch)
             _assert_columns_match(universe)
             assert lengths == [len(universe)]
+
+
+# --- lookups of the closed prefix by arithmetic ------------------------------------
+
+# Builds of at most 127 sets over 1-4 atoms, as (atoms, depth).
+_SMALL_BUILDS = [BuildConfig(tuple("abcd"[:atoms]), depth) for atoms, depth in
+                 [(1, 0), (1, 3), (2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (4, 1)]]
+
+
+def _loaded_builds():
+    """A build of :data:`_SMALL_BUILDS` as its file loads, in closed form or by the record loop."""
+    return st.sampled_from(_SMALL_BUILDS).map(
+        lambda config: loads_universe(dumps_universe(build(config)[0])))
+
+
+def _assert_lookup_and_intern_agree(universe):
+    """``lookup_mask`` is the first id of each mask, over every mask below
+    ``2**(d + 1)`` and every member mask; a present mask interns to its id and
+    stops ``intern_fresh``; a non-int, zero or negative mask is refused as
+    before. The index holds the masks past the closed prefix and no other."""
+    sets = universe.member_sets
+    index = enumerated_index(sets)
+    domain = universe._closed[0]
+    d = max(domain, len(sets).bit_length())
+    for mask in [*range(1 << d + 1), *sets, -1, -(1 << d), True, "1", None, 1.5, (1,)]:
+        assert universe.lookup_mask(mask) == index.get(mask), mask
+    assert universe._index == {ms: i for ms, i in index.items() if not 0 < ms < 1 << domain}
+    n = len(sets)
+    for mask, sid in index.items():
+        if mask:
+            assert universe.intern_mask(mask) == sid, mask
+            assert universe.intern_fresh([mask]) == 0, mask
+    for bad, error in [(0, EmptySetForbidden), (-1, UnknownId), ("1", UnknownId), (1.0, UnknownId)]:
+        with pytest.raises(error):
+            universe.intern_mask(bad)
+        with pytest.raises(error):
+            universe.intern_fresh([bad])
+    assert len(universe) == n
+
+
+# Each growth step is a kind and up to four picks, taken modulo the size as ids.
+_GROWTH = st.lists(st.tuples(st.sampled_from(["set", "successor", "union", "inject", "stage"]),
+                             st.lists(st.integers(0, 1 << 16), min_size=1, max_size=4)),
+                   max_size=4)
+
+
+@given(st.one_of(small_universes(), written_universes(), _loaded_builds()), _GROWTH)
+# {u,{u,v}}, past the closed prefix of uv1, and then a stage over the four sets.
+@example(build(BuildConfig(("u", "v"), 1))[0], [("set", [0, 2]), ("stage", [0])])
+def test_lookups_and_interns_agree_with_the_first_id_of_each_mask(universe, growth):
+    # Universes built and grown by intern, successor, union and
+    # self-membered composites, written ones, and loaded builds; each is
+    # checked, grown a little more (a stage while it is small), and checked.
+    _assert_lookup_and_intern_agree(universe)
+    universe.max_sets = None
+    for kind, picks in growth:
+        n = len(universe)
+        ids = {pick % n for pick in picks}
+        x = picks[0] % n
+        if kind == "set":
+            universe.intern(ids)
+        elif kind == "successor":
+            successor(universe, x)
+        elif kind == "union":
+            union_all(universe, x)
+        elif kind == "inject":
+            inject_self_membered(universe, x)
+        elif n <= 7:
+            universe.intern_stage()
+    _assert_lookup_and_intern_agree(universe)
 
 
 # --- kept individuals ------------------------------------------------------------
@@ -658,8 +732,8 @@ def _powerset_outcome(construct, universe, s):
     except CapExceeded as exc:
         result = ("cap", exc.required, exc.max_sets, exc.stage)
     assert len(universe) <= max(size, universe.max_sets)
-    assert universe._index == enumerated_index(universe.member_sets)
-    return result, universe.member_sets, universe._index
+    assert_lookups_agree(universe)
+    return result, universe.member_sets
 
 
 # The conftest universes: uv3, oae2 and uv2.
@@ -692,8 +766,8 @@ def _stage_outcome(stage, universe):
         result = None
     except CapExceeded as exc:
         result = ("cap", exc.required, exc.max_sets, exc.stage)
-    assert universe._index == enumerated_index(universe.member_sets)
-    return result, universe.member_sets, universe._index
+    assert_lookups_agree(universe)
+    return result, universe.member_sets
 
 
 @settings(max_examples=100, deadline=None)
@@ -732,8 +806,8 @@ def _fresh_outcome(intern_fresh, universe, masks):
         result = intern_fresh(universe, masks)
     except CapExceeded as exc:
         result = ("cap", exc.required, exc.max_sets)
-    assert universe._index == enumerated_index(universe.member_sets)
-    return result, universe.member_sets, universe._index
+    assert_lookups_agree(universe)
+    return result, universe.member_sets
 
 
 @settings(max_examples=150, deadline=None)
