@@ -41,9 +41,10 @@ def build(config: BuildConfig) -> tuple[Universe, StageReport]:
 
     Stage 0 is the atoms; stage k+1 interns every nonempty subset of the
     stage-k domain (singletons of atoms collapse back onto the atoms, so a
-    domain of n sets closes to exactly 2**n - 1). Each stage is one call to
-    :meth:`Universe.intern_stage`, which appends the subsets not yet
-    interned in mask order, so ids are deterministic for a given config. A
+    domain of n sets closes to exactly 2**n - 1). Each stage over n sets is
+    one call to :meth:`Universe.intern_closed` with domain n, which appends
+    the subsets not yet interned in mask order and leaves the build's closed
+    form, so ids are deterministic for a given config. A
     stage whose closure would outgrow ``max_sets`` raises before anything
     is interned; a partially enumerated stage would silently break every
     "for all subsets" check downstream, so the cap aborts rather than
@@ -57,7 +58,7 @@ def build(config: BuildConfig) -> tuple[Universe, StageReport]:
     for stage in range(1, config.depth + 1):
         n = len(universe)
         try:
-            universe.intern_stage()
+            universe.intern_closed(n)
         except CapExceeded as exc:
             raise CapExceeded(exc.required, exc.max_sets, stage=stage) from None
         counts.append(len(universe))

@@ -15,25 +15,24 @@ self-membered objects: atom ``i`` is the mask ``1 << i``, its sole member is
 itself, and the singleton of an atom, having the same mask, is the atom.
 There is no empty set.
 
-Interning is the only write, and it needs a single writer. After the
-atoms, every write goes through one append rule, which takes a list of
-new, distinct masks and appends them in order, by one ``extend`` and one
-index ``update``, up to the cap. Four methods feed it, and each leaves
-out a set already interned, which keeps its id.
-:meth:`Universe.intern` validates any member collection, and
-:meth:`Universe.intern_mask` takes a set's member mask (the constructors
-that compute one). :meth:`Universe.intern_stage` is the builder's stage:
-the subsets of all n ids so far are the masks ``1..2**n - 1``, so it
-appends the gaps between the masks already interned
-(:func:`absent_masks`), with no lookup per mask and no pass for repeats,
-and returns no ids. A stage that completes a build's closed form extends
-the table alone, with no index entry (below).
-:meth:`Universe.intern_fresh` takes a list of masks that should all be
-new (the loader's records, or the sets before a closed form's last stage)
-and stops at the first that is not. Each admits
-only members that already exist, so a new set never holds its own id: the
-atoms are the only individuals, and :meth:`Universe.individuals` is their
-mask, set once.
+Interning is the only write, and it needs a single writer. A build's
+closed form is fixed by two ints, its atom count and its domain: the
+atoms, then every other mask below ``2**domain`` in increasing order, which
+over the ids ``0..domain-1`` are every nonempty subset.
+:meth:`Universe.intern_closed` alone makes it, for the builder's stages and
+the loader's closed-form files: from the atoms alone or from a closed form,
+it appends the masks not interned yet (:func:`absent_masks`) by one
+``extend``, with no lookup per mask and no index entry (below). Every other
+write goes through one append rule, which takes a list of new, distinct
+masks and appends them in order, by one ``extend`` and one index
+``update``, up to the cap. Three methods feed it, and each leaves out a set
+already interned, which keeps its id. :meth:`Universe.intern` validates
+any member collection, :meth:`Universe.intern_mask` takes a set's member
+mask (the constructors that compute one), and :meth:`Universe.intern_fresh`
+takes a list of masks that should all be new (the loader's records) and
+stops at the first that is not. Each write admits only members that
+already exist, so a new set never holds its own id: the atoms are the only
+individuals, and :meth:`Universe.individuals` is their mask, set once.
 
 Every other method here is a read, and so are the checks in
 :mod:`quineset.verifier` and :mod:`quineset.peano` on a universe made by
@@ -45,24 +44,22 @@ mask of the ids that are members of some set,
 :meth:`Universe.occurring_members`, and the mask of the transitive ids,
 :meth:`Universe.transitive_ids`, worked out from the columns. All three are
 kept per universe size and published together by one assignment, so a
-concurrent reader sees a whole set of them or computes its own. A build's
-closed form is fixed by two ints, its atom count and its domain: the
-atoms, then every other mask below ``2**domain`` in increasing order. A
-universe that a stage left in that form, built or loaded, needs no pass
-over its sets for them: each column is a periodic bit pattern cut at the
-atoms' masks (:func:`_closed_columns`), worked out from those two ints.
-Any other universe, one that grew after its stage or that no stage left
-in closed form, transposes every member mask (:func:`_columns`).
+concurrent reader sees a whole set of them or computes its own. While a
+universe is exactly the closed form :meth:`Universe.intern_closed` made
+(:meth:`Universe.closed_domain`), built or loaded, it needs no pass over
+its sets for them: each column is a periodic bit pattern cut at the atoms'
+masks (:func:`_closed_columns`), worked out from those two ints. Any other
+universe, one that grew after that call or that no call left in closed
+form, transposes every member mask (:func:`_columns`).
 
-The closed form a stage left stays the universe's closed prefix as it
-grows, and within it a set's id follows from its mask and the atom count
-``k`` alone: mask ``1 << i`` with ``i < k`` is atom ``i``, and any other
-mask ``m`` below ``2**domain`` is id ``k + m - 1 - min(k, m.bit_length())``,
-after the atoms and the other masks below it. So the index holds only the
-masks past the prefix: the stage that completes the form appends its masks
-with no index entry and empties the index, so a build or a closed-form
-load leaves it empty, and no later write adds a mask below ``2**domain``
-to it, since every such mask is interned already.
+The closed form stays the universe's closed prefix as it grows, and within
+it a set's id follows from its mask and the atom count ``k`` alone: mask
+``1 << i`` with ``i < k`` is atom ``i``, and any other mask ``m`` below
+``2**domain`` is id ``k + m - 1 - min(k, m.bit_length())``, after the atoms
+and the other masks below it. So the index holds only the masks past the
+prefix: :meth:`Universe.intern_closed` empties it, so a build or a
+closed-form load leaves it empty, and no later write adds a mask below
+``2**domain`` to it, since every such mask is interned already.
 """
 
 from __future__ import annotations
@@ -72,7 +69,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from functools import reduce
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, count
 from operator import and_, gt, or_
 from typing import Collection, Iterable, Iterator
 
@@ -192,7 +189,7 @@ def _closed_columns(atoms: int, domain: int) -> list[int]:
 
     That form is ``2**domain - 1`` sets: the atoms' masks ``1 << i``, then
     every other mask ``1..2**domain - 1`` in increasing order
-    (:meth:`Universe.intern_stage`). Over every int ``0..2**domain - 1`` in
+    (:meth:`Universe.intern_closed`). Over every int ``0..2**domain - 1`` in
     turn, bit ``v`` runs ``2**v`` zeros, then ``2**v`` ones, again and
     again: one periodic pattern, the one above it (all ones above the top)
     XOR itself shifted down by ``2**v``. The composites are the ints
@@ -250,10 +247,9 @@ class Universe:
         # The universe size the kept membership columns, occurring members
         # and transitive ids were worked out for; replaced whole, never mutated.
         self._columns: tuple[int, tuple[int, ...], int, int] = (0, (), 0, 0)
-        # The domain and the size of the largest closed form the sets begin
-        # with, or (0, 0) before a stage completes one; replaced whole by a
-        # stage that completes a larger one, and by nothing else.
-        self._closed = (0, 0)
+        # The domain of the closed form the sets begin with, of 2**domain - 1
+        # sets, or 0 before intern_closed makes one; set by that call alone.
+        self._closed = 0
         # The self-membered ids: no write can add one to the atoms.
         self._individuals = (1 << len(names)) - 1
         self._atom_ids: dict[str, SetId] = dict(zip(names, range(len(names))))
@@ -266,7 +262,7 @@ class Universe:
         the table and one ``update`` of the index. When they would pass the
         cap, those that fit are appended and :class:`CapExceeded` names one
         set past it. Every write after the atoms goes through here, except
-        the stage that completes a closed form (:meth:`intern_stage`).
+        :meth:`intern_closed`.
         """
         sets = self.member_sets
         sid = len(sets)
@@ -332,47 +328,52 @@ class Universe:
             for m in sorted(ms):
                 self._check_id(m)
 
-    def intern_stage(self) -> None:
-        """One build stage: intern every nonempty subset of the ids so far, in mask order.
+    def intern_closed(self, domain: int) -> None:
+        """Extend the atoms alone, or a closed form, to the build's closed form over ``domain``.
 
-        Over the ids ``0..n-1`` the subset holding id ``i`` exactly when bit
-        ``i`` of ``mask`` is set has member mask ``mask``, so the subsets are
-        the masks ``1..2**n - 1``. Subsets of distinct ids are distinct, so
-        the stage appends the gaps between the masks already interned
-        (:func:`absent_masks`), with no pass for repeats, and returns no
-        ids. When the ``2**n - 1`` subsets exceed the cap, nothing is
-        interned. After the atoms and then the least other masks in order,
-        the stage completes a build's closed form over domain ``n``. Every
-        mask below ``2**n`` is then interned, at the id :meth:`lookup_mask`
-        works out, so the stage appends with no index entry, empties the
-        index, and keeps ``n`` and the size it leaves as the closed prefix,
-        which no later stage resets. Any other stage appends through the
-        index.
+        That form is ``2**domain - 1`` sets: the atoms, then every other
+        mask below ``2**domain`` in increasing order. Over the ids
+        ``0..domain-1`` they are every nonempty subset, so a build stage over
+        ``n`` sets is the call with ``domain = n``. The masks not interned
+        yet are appended by one ``extend`` of :func:`absent_masks`, with no
+        pass for repeats and no index entry: every mask below ``2**domain``
+        is then at the id :meth:`lookup_mask` works out, so the index
+        empties, and ``domain`` is kept as the closed prefix, which no later
+        write but this call changes. When the form's ``2**domain - 1`` sets
+        exceed the cap, nothing is interned. Raises :class:`ValueError`,
+        interning nothing, unless the universe is its atoms alone or exactly
+        a closed form, ``domain`` is at least its size, and ``domain`` is 1
+        over one atom, whose mask 2 would be a set that holds itself.
         """
         sets = self.member_sets
         n, k = len(sets), len(self._atom_ids)
-        total = (1 << n) - 1
+        if not (n == k or self.closed_domain() is not None) or domain < n or k == 1 < domain:
+            raise ValueError(f"no closed form over {domain} extends these {n} sets")
+        total = (1 << domain) - 1
         if self.max_sets is not None and total > self.max_sets:
             raise CapExceeded(required=total, max_sets=self.max_sets)
-        fresh = absent_masks(sets, total)
-        # The sets are their closed prefix, or the atoms and then the least
-        # other masks in order.
-        if self._closed[1] == n or sets[k:] == list(islice(absent_masks(sets[:k], total), n - k)):
-            sets += fresh
-            self._index = {}
-            self._closed = (n, len(sets))
-        else:
-            self._append(list(fresh))
+        sets += absent_masks(sets, total)
+        self._index = {}
+        self._closed = domain
+
+    def closed_domain(self) -> int | None:
+        """The domain of the closed form the universe is, with nothing after it, else ``None``.
+
+        Only :meth:`intern_closed` makes that form, so a universe whose sets
+        are in it for any other reason is not taken as one.
+        """
+        domain = self._closed
+        return domain if len(self.member_sets) == (1 << domain) - 1 else None
 
     def intern_fresh(self, masks: list[int]) -> int:
         """Intern ``masks`` in order, each as a new set, up to the first that is not; how many were.
 
-        A mask already interned, or one that repeats an earlier mask, stops
-        the call before it. The cap applies as in :meth:`intern_mask`: the
-        masks that fit are interned and :class:`CapExceeded` names one set
-        past it. Raises, interning nothing, unless every mask is a positive
-        int whose bits are ids below its own place, counting from
-        ``len(self)``.
+        These are the loader's records. A mask already interned, or one that
+        repeats an earlier mask, stops the call before it. The cap applies
+        as in :meth:`intern_mask`: the masks that fit are interned and
+        :class:`CapExceeded` names one set past it. Raises, interning
+        nothing, unless every mask is a positive int whose bits are ids
+        below its own place, counting from ``len(self)``.
         """
         n = len(self.member_sets)
         if not (all(map(int.__instancecheck__, masks)) and min(masks, default=1) > 0
@@ -383,7 +384,7 @@ class Universe:
                 if not mask:
                     raise EmptySetForbidden("a set needs at least one member")
         # Every mask below 2**domain of the closed prefix is interned.
-        index, prefix = self._index, 1 << self._closed[0]
+        index, prefix = self._index, 1 << self._closed
         if (len(set(masks)) < len(masks) or min(masks, default=prefix) < prefix
                 or not index.keys().isdisjoint(masks)):
             seen: set[int] = set()
@@ -405,7 +406,7 @@ class Universe:
             raise UnknownId(f"{mask!r} is not a member mask of this universe")
         if not mask:
             raise EmptySetForbidden("a set needs at least one member")
-        if not mask >> self._closed[0]:
+        if not mask >> self._closed:
             return self._closed_id(mask)
         sid = self._index.get(mask)
         if sid is None:
@@ -419,7 +420,7 @@ class Universe:
         A positive int below ``2**domain`` of the closed prefix is found by
         arithmetic (:meth:`_closed_id`), any other mask in the index.
         """
-        if isinstance(mask, int) and mask > 0 and not mask >> self._closed[0]:
+        if isinstance(mask, int) and mask > 0 and not mask >> self._closed:
             return self._closed_id(mask)
         return self._index.get(mask)
 
@@ -481,9 +482,9 @@ class Universe:
         sets = self.member_sets
         n = len(sets)
         if kept[0] != n:
-            domain, size = self._closed
-            columns = tuple(_closed_columns(len(self._atom_ids), domain) if size == n
-                            else _columns(sets))
+            domain = self.closed_domain()
+            columns = tuple(_columns(sets) if domain is None
+                            else _closed_columns(len(self._atom_ids), domain))
             occurring = mask_of(compress(count(), columns))
             # A set that holds v is intransitive unless it is in the column
             # of each member of v as well.
@@ -503,10 +504,10 @@ class Universe:
         per universe size: a universe that has grown since gets new ones,
         published with :meth:`occurring_members` and :meth:`transitive_ids`
         by one assignment, so a reader never sees a partly built set. While
-        the universe is the closed form an :meth:`intern_stage` completed,
-        with nothing after it, the columns come from its atom count and
-        domain alone (:func:`_closed_columns`); otherwise every member mask
-        is transposed (:func:`_columns`).
+        the universe is the closed form :meth:`intern_closed` made, with
+        nothing after it (:meth:`closed_domain`), the columns come from its
+        atom count and domain alone (:func:`_closed_columns`); otherwise
+        every member mask is transposed (:func:`_columns`).
         """
         return self._kept_columns()[1]
 

@@ -41,30 +41,28 @@ first faulty record wins.
 
 A built universe has one closed form: ``2**domain - 1`` sets, the atoms
 and then every other mask below ``2**domain`` in increasing order
-(:func:`~quineset.core.absent_masks`). Its records are
-:func:`_built_records`, written from the atom count and the domain alone.
-Both directions spot the form by content, whatever the header says. The
-dumper writes those records for a universe whose sets are in the form:
-one that a stage left so, or any other whose sets compare equal to it.
-The loader counts the record lines, without splitting the file, and takes
-the form when there are at least two atoms, the atoms and records add up
-to ``2**domain - 1`` within any cap, and the text after the header is
-those records, one string compare. It then interns the ``domain - atoms``
-sets before the last stage and makes that stage by one
-:meth:`Universe.intern_stage` call, which leaves the universe's index of
-masks empty. A single atom has no closed form to load: its first record
-would be the set of its own id. Every other file goes through the record
-loop under the rules above, in the same order and with the same messages.
+(:meth:`Universe.intern_closed`). Its records are :func:`_built_records`,
+written from the atom count and the domain alone. The dumper writes them
+for a universe that is that form, :meth:`Universe.closed_domain`, and
+every other universe record by record: a written universe whose sets
+happen to be in the form gets the same bytes either way. The loader
+spots the form by content, whatever the header says. It counts the record
+lines, without splitting the file, and takes the form when there are at
+least two atoms, the atoms and records add up to ``2**domain - 1`` within
+any cap, and the text after the header is those records, one string
+compare. It then makes the form by one :meth:`Universe.intern_closed`
+call. A single atom has no closed form to load: its first record would be
+the set of its own id. Every other file goes through the record loop
+under the rules above, in the same order and with the same messages.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import islice
 from operator import or_
 from pathlib import Path
 
-from .core import Universe, absent_masks, ids_of
+from .core import Universe, ids_of
 from .errors import UniverseFormatError, WorkbenchError
 
 MAGIC = "quineset-universe 1"
@@ -90,16 +88,10 @@ def dumps_universe(universe: Universe) -> str:
         lines.append(f"depth {universe.build_depth}")
     if universe.max_sets is not None:
         lines.append(f"max-sets {universe.max_sets}")
-    sets, atoms = universe.member_sets, len(universe.atom_names)
-    size = len(sets)
-    # 2**domain - 1 sets, the atoms and then every other mask below
-    # 2**domain in order, are a build's. A stage that left them so says so;
-    # a written universe can hold them too, which the compare finds, and it
-    # fails by length when domain is below the atom count.
-    if universe._closed[1] == size or (
-            size & (size + 1) == 0 and sets[atoms:] == list(absent_masks(sets[:atoms], size))):
-        return "\n".join(lines) + "\n" + _built_records(atoms, size.bit_length())
-    lines += map(_record_line, sets[atoms:])
+    atoms, domain = len(universe.atom_names), universe.closed_domain()
+    if domain is not None:
+        return "\n".join(lines) + "\n" + _built_records(atoms, domain)
+    lines += map(_record_line, universe.member_sets[atoms:])
     return "\n".join(lines) + "\n"
 
 
@@ -107,7 +99,7 @@ def _built_records(atoms: int, domain: int) -> str:
     """The records ``build`` writes for ``atoms`` atoms, up to its stage over ``domain`` sets.
 
     After a stage over the ids ``0..n-1`` the universe holds exactly the
-    masks ``1..2**n - 1`` (see :meth:`Universe.intern_stage`), so the next
+    masks ``1..2**n - 1`` (see :meth:`Universe.intern_closed`), so the next
     stage appends those whose greatest id is ``n`` or more. Over all stages
     the records are thus the subsets of the ids below ``domain``, grouped by
     greatest id ``m`` and in mask order within a group, except that the
@@ -178,9 +170,7 @@ def loads_universe(text: str) -> Universe:
     domain = total.bit_length()
     if (atoms > 1 and total & (total + 1) == 0 and (max_sets is None or total <= max_sets)
             and text[start:] == _built_records(atoms, domain)):
-        # The sets before the last stage, then that stage over them.
-        universe.intern_fresh(list(islice(absent_masks(universe.member_sets, total), domain - atoms)))
-        universe.intern_stage()
+        universe.intern_closed(domain)
         return universe
     records = text[start:].split("\n")
     records.pop()

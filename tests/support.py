@@ -230,7 +230,7 @@ def write_set(universe, mask, sid=None):
     back into the index, and a write over a set drops the kept columns.
     """
     sets = universe.member_sets
-    domain, size = universe._closed
+    domain = universe._closed
     if sid is None:
         sid = len(sets)
         sets.append(mask)
@@ -239,10 +239,10 @@ def write_set(universe, mask, sid=None):
     else:
         sets[sid] = mask
         universe._columns = (0, (), 0, 0)
-        if sid < size:
-            universe._closed = domain, size = 0, 0
+        if sid < (1 << domain) - 1:
+            universe._closed = domain = 0
         universe._index = index = {}
-        for i in range(size, len(sets)):
+        for i in range((1 << domain) - 1, len(sets)):
             if not 0 < sets[i] < 1 << domain:
                 index.setdefault(sets[i], i)
     universe._individuals = universe._individuals & ~(1 << sid) | (mask >> sid & 1) << sid

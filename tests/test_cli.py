@@ -574,15 +574,15 @@ def _without_depth(text):
 
 @contextmanager
 def counted_stages():
-    """The sizes of the universes ``Universe.intern_stage`` is called on, while in the block."""
+    """The domain of each ``Universe.intern_closed`` call, while in the block."""
     calls = []
-    real_stage = Universe.intern_stage
+    real_closed = Universe.intern_closed
 
-    def counted(universe):
-        calls.append(len(universe))
-        return real_stage(universe)
+    def counted(universe, domain):
+        calls.append(domain)
+        return real_closed(universe, domain)
 
-    with mock.patch.object(Universe, "intern_stage", counted):
+    with mock.patch.object(Universe, "intern_closed", counted):
         yield calls
 
 
@@ -796,7 +796,8 @@ def test_the_built_records_are_generated_without_a_universe(atoms, depth):
     records = "".join(f"{storage._record_line(ms)}\n" for ms in universe.member_sets[atoms:])
     assert storage._built_records(atoms, domain) == records
     # At a cap of exactly the built size the file still loads by one
-    # stage, over the sets before the last, unless no stage adds a set.
+    # intern_closed call, over the last stage's domain, unless no stage
+    # adds a set.
     text = dumps_universe(build(BuildConfig(names, depth, len(universe)))[0])
     with counted_stages() as stages:
         loaded = loads_universe(text)
@@ -820,13 +821,14 @@ def _dumps_and_closed_forms(universe):
 
 def _closed_forms_expected(universe):
     # The closed form is 2**domain - 1 sets: the atoms, then every other
-    # mask below 2**domain in increasing order. dumps writes it once.
+    # mask below 2**domain in increasing order. dumps writes it once for a
+    # universe that a stage left in that form, and for no other.
+    domain = universe.closed_domain()
+    if domain is None:
+        return []
     sets, atoms = universe.member_sets, len(universe.atom_names)
-    size = len(sets)
-    others = [mask for mask in range(1, size + 1) if mask not in sets[:atoms]]
-    if size & (size + 1) == 0 and sets[atoms:] == others:
-        return [(atoms, size.bit_length())]
-    return []
+    assert sets[atoms:] == [mask for mask in range(1, 1 << domain) if mask not in sets[:atoms]]
+    return [(atoms, domain)]
 
 
 @pytest.mark.parametrize("atoms,depth", CONFIGS_IN_THE_DEFAULT_CAP)
@@ -834,8 +836,9 @@ def test_dumps_writes_a_built_universe_in_closed_form_as_record_by_record(atoms,
     universe = build(BuildConfig(NAMES16[:atoms], depth))[0]
     text, calls = _dumps_and_closed_forms(universe)
     assert text == reference_dumps(universe)
-    # Depth 0 over two atoms or more has no stage to close.
-    assert calls == ([(atoms, len(universe).bit_length())] if depth or atoms == 1 else [])
+    # Depth 0 has no stage to close, even over one atom, whose atom alone
+    # is the closed form's set.
+    assert calls == ([(atoms, len(universe).bit_length())] if depth else [])
 
 
 @settings(max_examples=80, deadline=None)
@@ -870,9 +873,10 @@ def test_dumps_writes_a_built_universe_changed_after_the_build_record_by_record(
 @example(written_universe(("u", "v"), list(range(3, 16))))
 @example(written_universe(("a",), [2, 3]))
 def test_dumps_writes_any_universe_as_record_by_record(universe):
-    # Only a universe whose sets are the closed form takes it: a small
-    # universe left as built, or a written one that happens to hold those
-    # sets in that order, whether or not a build makes them.
+    # Only a universe that a stage left in the closed form takes it: a
+    # small universe left as built. A written one that happens to hold
+    # those sets in that order, whether or not a build makes them, is
+    # written record by record, to the same bytes.
     text, calls = _dumps_and_closed_forms(universe)
     assert text == reference_dumps(universe)
     assert calls == _closed_forms_expected(universe)

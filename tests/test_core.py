@@ -5,7 +5,7 @@ from operator import or_
 from random import Random
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quineset import (
     BuildConfig,
@@ -47,7 +47,6 @@ from support import (
     model_members,
     rep_of,
     small_universes,
-    written_universe,
     written_universes,
 )
 
@@ -538,11 +537,11 @@ def test_closed_columns_are_the_transpose_of_the_closed_form():
 
 
 def _assert_closed_columns(monkeypatch, u):
-    """``u`` is the closed form its last stage completed: its kept columns come
+    """``u`` is the closed form its last stage made: its kept columns come
     from its atom count and domain with no ``_columns`` call and match the
     reference, and one new set after it falls back to ``_columns`` over every set."""
-    domain, size = u._closed
-    assert size == len(u) and u.member_sets == _closed_form(len(u.atoms), domain)
+    domain = u.closed_domain()
+    assert domain is not None and u.member_sets == _closed_form(len(u.atoms), domain)
     lengths = _columns_spy(monkeypatch)
     _assert_columns_match(u)
     assert lengths == []
@@ -587,40 +586,6 @@ def test_a_universe_no_stage_left_takes_the_general_columns(monkeypatch):
     assert lengths == [127]
 
 
-@settings(max_examples=100, deadline=None)
-@given(small_universes() | written_universes(), st.booleans(), st.data())
-# {u,v} twice, then {u, id 5}: a repeated mask, and a mask past 2**5 whose
-# member is made only by the stage.
-@example(written_universe(["u", "v"], [0b11, 0b11, 0b100001]), False, None)
-# A self-membered composite {u, itself} before the stage.
-@example(written_universe(["u", "v"], [0b101]), False, None)
-# {u,v}, then {u,{u,v}}: the least two other masks, a prefix no build leaves.
-@example(written_universe(["u", "v"], [0b11, 0b101]), False, None)
-def test_a_stage_completes_the_closed_form_exactly_after_its_prefix(universe, inject, data):
-    # Universes with repeated masks, masks of 2**n or more, members after
-    # their sets and self-membered composites, then staged. Only sets that
-    # are the atoms and then the least other masks make a closed form.
-    if inject:
-        inject_self_membered(universe, data.draw(st.integers(0, len(universe) - 1)))
-    assume(len(universe) <= 10)
-    universe.max_sets = None
-    n = len(universe)
-    prefix = universe.member_sets == _closed_form(len(universe.atoms), n)[:n]
-    closed = universe._closed
-    universe.intern_stage()
-    assert_lookups_agree(universe)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        if prefix:
-            assert universe._closed == (n, len(universe))
-            _assert_closed_columns(monkeypatch, universe)
-        else:
-            # The closed prefix the sets began with, if any, stays.
-            assert universe._closed == closed
-            lengths = _columns_spy(monkeypatch)
-            _assert_columns_match(universe)
-            assert lengths == [len(universe)]
-
-
 # --- lookups of the closed prefix by arithmetic ------------------------------------
 
 # Builds of at most 127 sets over 1-4 atoms, as (atoms, depth).
@@ -641,7 +606,7 @@ def _assert_lookup_and_intern_agree(universe):
     before. The index holds the masks past the closed prefix and no other."""
     sets = universe.member_sets
     index = enumerated_index(sets)
-    domain = universe._closed[0]
+    domain = universe._closed
     d = max(domain, len(sets).bit_length())
     for mask in [*range(1 << d + 1), *sets, -1, -(1 << d), True, "1", None, 1.5, (1,)]:
         assert universe.lookup_mask(mask) == index.get(mask), mask
@@ -660,18 +625,16 @@ def _assert_lookup_and_intern_agree(universe):
 
 
 # Each growth step is a kind and up to four picks, taken modulo the size as ids.
-_GROWTH = st.lists(st.tuples(st.sampled_from(["set", "successor", "union", "inject", "stage"]),
+_GROWTH = st.lists(st.tuples(st.sampled_from(["set", "successor", "union", "inject"]),
                              st.lists(st.integers(0, 1 << 16), min_size=1, max_size=4)),
                    max_size=4)
 
 
 @given(st.one_of(small_universes(), written_universes(), _loaded_builds()), _GROWTH)
-# {u,{u,v}}, past the closed prefix of uv1, and then a stage over the four sets.
-@example(build(BuildConfig(("u", "v"), 1))[0], [("set", [0, 2]), ("stage", [0])])
 def test_lookups_and_interns_agree_with_the_first_id_of_each_mask(universe, growth):
     # Universes built and grown by intern, successor, union and
     # self-membered composites, written ones, and loaded builds; each is
-    # checked, grown a little more (a stage while it is small), and checked.
+    # checked, grown a little more, and checked.
     _assert_lookup_and_intern_agree(universe)
     universe.max_sets = None
     for kind, picks in growth:
@@ -684,10 +647,8 @@ def test_lookups_and_interns_agree_with_the_first_id_of_each_mask(universe, grow
             successor(universe, x)
         elif kind == "union":
             union_all(universe, x)
-        elif kind == "inject":
+        else:
             inject_self_membered(universe, x)
-        elif n <= 7:
-            universe.intern_stage()
     _assert_lookup_and_intern_agree(universe)
 
 
@@ -759,30 +720,79 @@ def test_powerset_matches_one_intern_per_mask(universe, data):
         lambda u, s: u.intern(_reference_subsets(u, base)), twin, s)
 
 
-def _stage_outcome(stage, universe):
-    """The cap error a stage raises, if any, and the tables it leaves."""
-    try:
-        stage(universe)
-        result = None
-    except CapExceeded as exc:
-        result = ("cap", exc.required, exc.max_sets, exc.stage)
-    assert_lookups_agree(universe)
-    return result, universe.member_sets
+def _closed_by_intern_mask(universe, domain):
+    """The closed form over ``domain`` by one ``intern_mask`` per mask below ``2**domain``, in order."""
+    for mask in range(1, 1 << domain):
+        universe.intern_mask(mask)
+    return universe.member_sets
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(small_universes(), written_universes(),
-                 st.sampled_from(_FIXTURE_CONFIGS).map(lambda c: build(c)[0])),
-       st.data())
-def test_intern_stage_matches_one_intern_per_subset_of_every_id(universe, data):
-    # A written universe may repeat a mask, which keeps its first id, and
-    # hold members that come after their set.
-    assume(len(universe) <= 10)
-    whole = (1 << len(universe)) - 1
-    universe.max_sets = data.draw(st.integers(max(1, whole - 2), whole + 1))
-    twin = copy.deepcopy(universe)
-    assert _stage_outcome(Universe.intern_stage, universe) == _stage_outcome(
-        lambda u: _reference_subsets(u, list(u.ids())), twin)
+def _closed_starts(atoms):
+    """The atoms alone, then each closed form a build leaves, of ``atoms`` atoms and at most 15 sets."""
+    names = "abcd"[:atoms]
+    yield Universe(names)
+    for depth in (1, 2):
+        universe, _ = build(BuildConfig(names, depth))
+        if len(universe) <= 15:
+            yield universe
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3, 4])
+def test_intern_closed_matches_one_intern_mask_per_mask_of_the_form(atoms):
+    # Every domain from the size up to 10, or the size alone past 10 (only
+    # 1 over one atom), such as 2 atoms over 4 and 5, which no build makes,
+    # within a cap of exactly the form's size.
+    for start in _closed_starts(atoms):
+        for domain in range(len(start), 2 if atoms == 1 else max(11, len(start) + 1)):
+            universe, twin = copy.deepcopy(start), copy.deepcopy(start)
+            universe.max_sets = (1 << domain) - 1
+            universe.intern_closed(domain)
+            assert universe.member_sets == _closed_by_intern_mask(twin, domain), domain
+            assert universe.closed_domain() == domain and universe._index == {}
+            assert_lookups_agree(universe)
+
+
+def _grown_past_its_form():
+    universe, _ = build(BuildConfig(("u", "v"), 2))
+    universe.intern_mask(1 << 6)
+    return universe, 8
+
+
+def _interned_in_its_form():
+    # u, v and {u,v}: the sets of the closed form over 2, not made by it.
+    universe = Universe(["u", "v"])
+    universe.intern_mask(0b11)
+    return universe, 3
+
+
+# Universes and domains intern_closed refuses, and how: one grown past its
+# form, or interned in it by intern_mask; a domain below the size; one atom
+# over domain 2, from the atom alone and from its fixed point; and a cap
+# one below 2**domain - 1.
+_REFUSALS = {
+    "grown-past-its-form": [(_grown_past_its_form, ValueError),
+                            (_interned_in_its_form, ValueError)],
+    "domain-below-the-size": [(lambda: (Universe("abc"), 2), ValueError),
+                              (lambda: (build(BuildConfig(("u", "v"), 2))[0], 3), ValueError),
+                              (lambda: (build(BuildConfig(("u", "v"), 2))[0], 6), ValueError)],
+    "one-atom-over-domain-2": [(lambda: (Universe("a"), 2), ValueError),
+                               (lambda: (build(BuildConfig(("a",), 3))[0], 2), ValueError)],
+    "cap-one-below-the-form": [(lambda: (Universe("uv", max_sets=14), 4), CapExceeded),
+                               (lambda: (build(BuildConfig(("u", "v"), 2, 126))[0], 7), CapExceeded)],
+}
+
+
+@pytest.mark.parametrize("cases", _REFUSALS.values(), ids=_REFUSALS)
+def test_intern_closed_refuses_and_changes_nothing(cases):
+    for make, error in cases:
+        universe, domain = make()
+        before = list(universe.member_sets), dict(universe._index), universe.closed_domain()
+        with pytest.raises(error) as err:
+            universe.intern_closed(domain)
+        if error is CapExceeded:
+            assert (err.value.required, err.value.max_sets) == ((1 << domain) - 1, universe.max_sets)
+        assert (universe.member_sets, universe._index, universe.closed_domain()) == before
+        assert_lookups_agree(universe)
 
 
 @settings(max_examples=200, deadline=None)

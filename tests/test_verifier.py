@@ -580,13 +580,13 @@ def test_column_scans_match_the_per_set_reference(universe, data):
 ], ids=["uv3", "oae2", "abcd2", "flat16"])
 def test_suite_is_the_same_on_a_built_universe_and_a_copy_no_stage_left(config):
     # The built universe's columns come from the closed form its last stage
-    # completed; the copy has the same ids but was interned by one
+    # made; the copy has the same ids but was interned by one
     # intern_fresh call, so its columns come from the general transpose.
     # The first two atoms are the pair.
     built, _ = build(config)
     copied = Universe(config.atom_names)
     copied.intern_fresh(built.member_sets[len(config.atom_names):])
-    assert built._closed == (len(built).bit_length(), len(built)) and copied._closed == (0, 0)
+    assert built.closed_domain() == len(built).bit_length() and copied.closed_domain() is None
     assert run_suite(built, "all", (0, 1)).results == run_suite(copied, "all", (0, 1)).results
     assert built.member_columns() == copied.member_columns()
 
