@@ -59,7 +59,11 @@ it a set's id follows from its mask and the atom count ``k`` alone: mask
 and the other masks below it. So the index holds only the masks past the
 prefix: :meth:`Universe.intern_closed` empties it, so a build or a
 closed-form load leaves it empty, and no later write adds a mask below
-``2**domain`` to it, since every such mask is interned already.
+``2**domain`` to it, since every such mask is interned already. So the
+checks read two counts with no pass over the sets:
+:meth:`Universe.closed_size`, the prefix's size, which stays valid as the
+universe grows, and :meth:`Universe.distinct_masks`, that size plus the
+index's.
 """
 
 from __future__ import annotations
@@ -364,6 +368,23 @@ class Universe:
         """
         domain = self._closed
         return domain if len(self.member_sets) == (1 << domain) - 1 else None
+
+    def closed_size(self) -> int:
+        """How many sets the closed prefix holds: ``2**domain - 1``, or 0 before :meth:`intern_closed`.
+
+        Unlike :meth:`closed_domain` it stays valid once the universe grows
+        past the form: ids below it are every mask below ``2**domain``, in
+        the order :meth:`lookup_mask` works out, and no later id repeats one.
+        """
+        return (1 << self._closed) - 1
+
+    def distinct_masks(self) -> int:
+        """How many distinct member masks the sets have, with no pass over them.
+
+        The closed prefix's masks are distinct, and the index keeps each
+        mask past it once, at its first id; so this is their two sizes.
+        """
+        return self.closed_size() + len(self._index)
 
     def intern_fresh(self, masks: list[int]) -> int:
         """Intern ``masks`` in order, each as a new set, up to the first that is not; how many were.

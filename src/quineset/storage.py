@@ -49,11 +49,16 @@ happen to be in the form gets the same bytes either way. The loader
 spots the form by content, whatever the header says. It counts the record
 lines, without splitting the file, and takes the form when there are at
 least two atoms, the atoms and records add up to ``2**domain - 1`` within
-any cap, and the text after the header is those records, one string
-compare. It then makes the form by one :meth:`Universe.intern_closed`
-call. A single atom has no closed form to load: its first record would be
-the set of its own id. Every other file goes through the record loop
-under the rules above, in the same order and with the same messages.
+any cap, and the text after the header is those records. The records come
+one block per greatest id, and each block is compared in place, with
+``startswith`` at the place the one before it ended, as soon as it is
+made: the records are never joined and the text is never copied, and the
+compare stops at the first block that differs. The last block must end
+the text. The loader then makes the form by one
+:meth:`Universe.intern_closed` call. A single atom has no closed form to
+load: its first record would be the set of its own id. Every other file
+goes through the record loop under the rules above, in the same order and
+with the same messages.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import or_
 from pathlib import Path
+from typing import Iterator
 
 from .core import Universe, ids_of
 from .errors import UniverseFormatError, WorkbenchError
@@ -90,12 +96,12 @@ def dumps_universe(universe: Universe) -> str:
         lines.append(f"max-sets {universe.max_sets}")
     atoms, domain = len(universe.atom_names), universe.closed_domain()
     if domain is not None:
-        return "\n".join(lines) + "\n" + _built_records(atoms, domain)
+        return "\n".join(lines) + "\n" + "".join(_built_records(atoms, domain))
     lines += map(_record_line, universe.member_sets[atoms:])
     return "\n".join(lines) + "\n"
 
 
-def _built_records(atoms: int, domain: int) -> str:
+def _built_records(atoms: int, domain: int) -> Iterator[str]:
     """The records ``build`` writes for ``atoms`` atoms, up to its stage over ``domain`` sets.
 
     After a stage over the ids ``0..n-1`` the universe holds exactly the
@@ -104,18 +110,17 @@ def _built_records(atoms: int, domain: int) -> str:
     the records are thus the subsets of the ids below ``domain``, grouped by
     greatest id ``m`` and in mask order within a group, except that the
     first stage's singletons are the atoms. The subsets whose greatest id is
-    ``m`` are ``m`` alone, then each smaller subset followed by ``,m``.
+    ``m`` are ``m`` alone, then each smaller subset followed by ``,m``. One
+    block of lines is yielded per ``m``, made only when it is asked for.
     """
     lower = ""  # every nonempty subset of the ids below m, one line each
-    blocks: list[str] = []
     for m in range(domain):
         raised = lower.replace("\n", f",{m}\n")
         block = f"{m}\n" + raised
         # In the first stage m alone is an atom, not a record.
-        blocks.append(raised if m < atoms else block)
+        yield raised if m < atoms else block
         if m + 1 < domain:
             lower += block
-    return "".join(blocks)
 
 
 def loads_universe(text: str) -> Universe:
@@ -168,10 +173,19 @@ def loads_universe(text: str) -> Universe:
     atoms = len(names)
     total = atoms + text.count("\n", start)
     domain = total.bit_length()
-    if (atoms > 1 and total & (total + 1) == 0 and (max_sets is None or total <= max_sets)
-            and text[start:] == _built_records(atoms, domain)):
-        universe.intern_closed(domain)
-        return universe
+    if atoms > 1 and total & (total + 1) == 0 and (max_sets is None or total <= max_sets):
+        # Each block is compared in place as it is made, up to the first
+        # that differs; the form is taken when every block matches and the
+        # last ends the text.
+        pos = start
+        for block in _built_records(atoms, domain):
+            if not text.startswith(block, pos):
+                break
+            pos += len(block)
+        else:
+            if pos == len(text):
+                universe.intern_closed(domain)
+                return universe
     records = text[start:].split("\n")
     records.pop()
     # Each record must intern to a fresh set, so the universe holds ``sid``

@@ -24,14 +24,18 @@ a subset that separation must select, is itself the failure.
 
 No scan loops over every id. A set is found by one ``lookup_mask`` and a
 class of sets by the columns; a loop visits only the sets a filter leaves,
-and tests only the clauses a lookup does not settle. equality-substitution
-and no-empty-set test the whole list of member masks in C, checking the
-model side without trusting the index. subset-derivations has no loop over
-the sets at all: ``map`` splits the mixed sets' masks into their two
-parts, and each distinct part is looked up once. It calls ``specify`` once
-per distinct non-individual part found, on that part's own id, so the call
-interns nothing either. The lookups alone decide; the call stays while the
-benchmark's trace tallies it (ROADMAP item 1).
+and tests only the clauses a lookup does not settle. Three scans read
+nothing of a built universe's closed prefix, :meth:`Universe.closed_size`
+sets that are every mask below ``2**domain`` once each, none of them 0.
+equality-substitution compares the number of distinct member masks,
+:meth:`Universe.distinct_masks`, with the size, and reads the sets only
+when it falls short, to name the repeat. no-empty-set reads only the sets
+past the prefix. subset-derivations reads only the mixed sets past it, and
+has no loop over them: ``map`` splits their masks into their two parts,
+and each distinct part is looked up once. It calls ``specify`` once per
+distinct non-individual part, the prefix's included, on that part's own
+id, so the call interns nothing either. The lookups alone decide; the call
+stays while the benchmark's trace tallies it (ROADMAP item 1).
 
 Six scans are filters on member masks and run on the columns, with no loop
 over the sets: regularity, russell-equivalence, theorem1, pair-membership,
@@ -51,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import and_, or_, xor
 from typing import Callable, Iterable
 
@@ -276,14 +280,15 @@ def _check_equality_substitution(universe: Universe) -> CheckResult:
     n = len(universe)
     # Canonical interning makes equal ids interchangeable by construction;
     # the scan verifies the model side: no two ids share an extension.
-    # Distinct masks decide it at once; only a repeated one is looked for,
-    # ``seen`` mapping each extension to the first id that has it.
+    # The count of distinct masks decides it with no pass over the sets;
+    # only when it falls short is the repeat looked for, ``seen`` mapping
+    # each extension to the first id that has it.
     sets = universe.member_sets
     seen: dict[int, SetId] = {}
     return CheckResult.first(
         "equality-substitution", n, n,
         "(forall u. ((u in s) <-> (u in t))) -> (s = t)",
-        () if len(set(sets)) == n else
+        () if universe.distinct_masks() == n else
         ({"s": seen[sets[t]], "t": t} for t in range(n) if seen.setdefault(sets[t], t) != t),
     )
 
@@ -301,10 +306,12 @@ def _check_individuals(universe: Universe) -> CheckResult:
 
 def _check_no_empty(universe: Universe) -> CheckResult:
     n = len(universe)
-    sets = universe.member_sets
+    # No mask of the closed prefix is 0, so only the sets past it are read.
+    past = universe.closed_size()
+    rest = universe.member_sets[past:]
     return CheckResult.first(
         "no-empty-set", n, n, "exists u. (u in s)",
-        ({"s": s} for s in range(n) if not sets[s]) if not all(sets) else (),
+        () if all(rest) else ({"s": past + rest.index(0)},),
     )
 
 
@@ -393,18 +400,18 @@ def check_russell_equivalence(universe: Universe) -> CheckResult:
 _NOT_SELF = Not(Member("x", "x"))
 
 
-def _first_missing(universe: Universe, parts: list[int]) -> tuple[int, list[SetId | None]]:
-    """Where in ``parts`` the first mask that no set has is, or ``len(parts)``; and
-    the id of each distinct mask of ``parts``, in the order of their first place.
+def _first_missing(universe: Universe, parts: list[int]) -> int:
+    """Where in ``parts`` the first mask that no set has is, or ``len(parts)``.
 
-    Each distinct mask is looked up once, so the first missing one is the
-    first ``None``, and one ``index`` finds its first place.
+    Each distinct mask is looked up once, in the order of their first
+    place, so the first missing one is the first ``None``, and one
+    ``index`` finds its first place.
     """
-    distinct = dict.fromkeys(parts)
+    distinct = list(dict.fromkeys(parts))
     found = list(map(universe.lookup_mask, distinct))
     if None not in found:
-        return len(parts), found
-    return parts.index(list(distinct)[found.index(None)]), found
+        return len(parts)
+    return parts.index(distinct[found.index(None)])
 
 
 def check_subset_derivations(universe: Universe) -> CheckResult:
@@ -428,34 +435,49 @@ def check_subset_derivations(universe: Universe) -> CheckResult:
     the set of every non-individual, itself among them; so that part's
     lookup fails first.
 
-    There is no loop over the sets. ``map`` splits the mixed sets' masks
-    into their two parts, and :func:`_first_missing` looks each distinct
-    part up once and finds the first set whose part is missing. ``specify``
-    is called once per distinct non-individual part found up to the failing
-    set, or in all, on the part's own id: its members are all
-    non-individuals, so it selects that id again and interns nothing. The
-    lookups decide; the call stays only because the benchmark's trace
-    tallies it (ROADMAP item 1).
+    No set of a built universe's closed prefix (:meth:`Universe.closed_size`)
+    is read. Its sets are every mask below ``2**domain``, so both nonempty
+    parts of one are below it too, and are sets. Its individuals are the
+    ``k`` atoms, so the non-individual parts of its mixed sets are the
+    multiples of ``2**k`` below ``2**domain``, each first met, in increasing
+    order, at the mask one past it. Past the prefix there is no loop over
+    the sets either. ``map`` splits the mixed sets' masks into their two
+    parts, and :func:`_first_missing` looks each distinct part up once and
+    finds the first set whose part is missing.
+
+    ``specify`` is called once per distinct non-individual part, in the
+    order of their first place, the prefix's included, up to the failing
+    set (less its own when that part is missing), or in all. Each call is
+    on the part's own id from :meth:`Universe.lookup_mask`. That part's
+    members are all non-individuals, so the call selects the same id again
+    and interns nothing. The lookups decide; the call stays only because
+    the benchmark's trace tallies it (ROADMAP item 1).
     """
     name = "subset-derivations"
     n = len(universe)
     individuals = universe.individuals()
-    mixed = _meets(universe, individuals) & _meets(universe, _non_individual_members(universe))
-    masks = list(at_ids(universe.member_sets, mixed))
+    past = universe.closed_size()
+    # The mixed sets past the prefix, as ids counted from its end.
+    mixed = (_meets(universe, individuals)
+             & _meets(universe, _non_individual_members(universe))) >> past
+    masks = list(at_ids(universe.member_sets[past:], mixed))
     owns = list(map(and_, masks, repeat(individuals)))
     rests = list(map(xor, masks, owns))
-    rest_at, rest_ids = _first_missing(universe, rests)
-    own_at, _ = _first_missing(universe, owns)
+    rest_at = _first_missing(universe, rests)
+    own_at = _first_missing(universe, owns)
     at = min(rest_at, own_at)
-    met = len(rest_ids)
-    if at < len(masks):
-        # The parts up to the failing set, less its own when that is missing.
-        met = len(dict.fromkeys(rests[:at + 1])) - (at == rest_at)
-    for v in rest_ids[:met]:
+    # The distinct non-individual parts up to the failing set, less its own
+    # when that is missing; those below 2**domain are the prefix's.
+    met = list(dict.fromkeys(rests[:at + 1]))
+    if at == rest_at < len(masks):
+        met.pop()
+    step = 1 << len(universe.atom_names)
+    parts = chain(range(step, past + 1, step), (rest for rest in met if rest > past))
+    for v in map(universe.lookup_mask, parts):
         specify(universe, v, _NOT_SELF, "x")
     if at == len(masks):
         return CheckResult(name, Status.HOLDS, n)
-    s = next(islice(iter_ids(mixed), at, None))
+    s = past + next(islice(iter_ids(mixed), at, None))
     selects = "u notin u" if at == rest_at else "u in u"
     return CheckResult.failure(
         name, n, n, f"exists v. (forall u. ((u in v) <-> ((u in s) & ({selects}))))", s=s

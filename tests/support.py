@@ -542,6 +542,35 @@ def _reference_union_lemma(universe):
     return CheckResult("union-lemma", Status.HOLDS, qualifying)
 
 
+def _reference_equality_substitution(universe):
+    # Every pair of ids, the later one first; a repeat is named with the
+    # first id that has its mask.
+    n = len(universe)
+    sets = universe.member_sets
+    return CheckResult.first(
+        "equality-substitution", n, n,
+        "(forall u. ((u in s) <-> (u in t))) -> (s = t)",
+        ({"s": s, "t": t} for t in range(n) for s in range(t) if sets[s] == sets[t]),
+    )
+
+
+def _reference_no_empty(universe):
+    n = len(universe)
+    sets = universe.member_sets
+    return CheckResult.first(
+        "no-empty-set", n, n, "exists u. (u in s)", ({"s": s} for s in range(n) if not sets[s])
+    )
+
+
+def reference_prefix_scans(universe):
+    """The results of the scans that skip a built universe's closed prefix, each by a loop over every set."""
+    return [
+        _reference_equality_substitution(universe),
+        _reference_no_empty(universe),
+        _reference_subset_derivations(universe),
+    ]
+
+
 def reference_scans(universe, pair_atoms=None):
     """The results of the column and lookup scans, each found by a loop over the sets.
 

@@ -794,7 +794,7 @@ def test_the_built_records_are_generated_without_a_universe(atoms, depth):
     # The last stage forms the subsets of the sets there were before it.
     domain = report.counts[-2] if depth else 0
     records = "".join(f"{storage._record_line(ms)}\n" for ms in universe.member_sets[atoms:])
-    assert storage._built_records(atoms, domain) == records
+    assert "".join(storage._built_records(atoms, domain)) == records
     # At a cap of exactly the built size the file still loads by one
     # intern_closed call, over the last stage's domain, unless no stage
     # adds a set.
@@ -964,6 +964,85 @@ def test_an_edited_built_file_loads_as_the_record_loop_loads_it(edited):
     # record one line up.
     assert loaded == _loaded(_without_depth(edited), skew=1)
     assert loaded == _one_record_at_a_time(edited)
+
+
+class _ComparedText(str):
+    """A file's text that counts the ``startswith`` calls made on it."""
+
+    compares = 0
+
+    def startswith(self, *args):
+        self.compares += 1
+        return super().startswith(*args)
+
+
+def _loaded_by_blocks(text):
+    """What ``loads_universe`` makes of ``text``, and the compares made before each block.
+
+    The result is the universe's member masks and closed domain, or the
+    message it is refused with. Entry ``i`` of the list is how many
+    ``startswith`` calls the text had met when block ``i`` of the closed
+    form's records was made.
+    """
+    text = _ComparedText(text)
+    made = []
+    real_built_records = storage._built_records
+
+    def spied(atoms, domain):
+        for block in real_built_records(atoms, domain):
+            made.append(text.compares)
+            yield block
+
+    with mock.patch.object(storage, "_built_records", spied):
+        try:
+            universe = loads_universe(text)
+        except UniverseFormatError as exc:
+            return str(exc), made
+    return (universe.member_sets, universe.closed_domain()), made
+
+
+@pytest.mark.parametrize("atoms,domain", [(atoms, domain) for atoms in range(2, 6)
+                                          for domain in range(atoms, 11)])
+def test_the_loader_compares_the_closed_form_block_by_block(atoms, domain):
+    head = f"quineset-universe 1\natoms {','.join('abcde'[:atoms])}\n"
+    blocks = list(storage._built_records(atoms, domain))
+    body = "".join(blocks)
+    # The last digit of the first, a middle and the last block, each
+    # block m past the first being nonempty, moved on by one.
+    changed = {}
+    for m in (1, domain // 2, domain - 1):
+        at = len("".join(blocks[:m + 1])) - 2
+        changed[m] = body[:at] + str((int(body[at]) + 1) % 10) + body[at + 1:]
+    lines = body.split("\n")[:-1]
+    middle = len(lines) // 2
+    dropped = lines[:middle] + lines[middle + 1:]
+    added = lines[:middle] + [lines[0]] + lines[middle:]
+    for records in (body, *changed.values(), "".join(f"{line}\n" for line in dropped),
+                    "".join(f"{line}\n" for line in added)):
+        text = head + records
+        outcome, made = _loaded_by_blocks(text)
+        # The rule the joined records decided by: the form is taken when
+        # the record lines make 2**d - 1 sets and the text after the header
+        # is the form's records over d.
+        total = atoms + records.count("\n")
+        taken = (total & (total + 1) == 0
+                 and records == "".join(storage._built_records(atoms, total.bit_length())))
+        expected = _one_record_at_a_time(text)
+        if isinstance(expected, str):
+            assert outcome == expected
+        else:
+            assert outcome == (expected, total.bit_length() if taken else None)
+        assert taken == (records == body)
+        # Each block is made only once every block before it was compared,
+        # so the blocks are never joined, and none is made past the first
+        # that differs.
+        assert made == list(range(len(made)))
+        if total & (total + 1):
+            assert made == []
+        elif records == body:
+            assert len(made) == domain
+        else:
+            assert len(made) == 1 + next(m for m in changed if changed[m] == records)
 
 
 HEAD = "quineset-universe 1\natoms u,v\n"

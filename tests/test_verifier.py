@@ -3,6 +3,7 @@ import json
 import sys
 import threading
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,6 +33,7 @@ from quineset import (
     witness_reproduces,
 )
 from quineset import verifier
+from quineset.core import mask_of
 from quineset.errors import AtomsEqual, NotAtom
 from quineset.formula import format_formula, free_vars
 from quineset.verifier import LAWS, PAIR_SUITES, SUITES
@@ -39,9 +41,11 @@ from quineset.verifier import LAWS, PAIR_SUITES, SUITES
 from support import (
     inject_self_membered,
     model_verdicts,
+    reference_prefix_scans,
     reference_scans,
     small_universes,
     well_founded_universes,
+    write_set,
     written_universe,
     written_universes,
 )
@@ -572,6 +576,125 @@ def test_column_scans_match_the_per_set_reference(universe, data):
     expected = reference_scans(universe, pair_atoms)
     got = {r.name: r for r in run_suite(universe, "all", pair_atoms).results}
     assert [got[r.name] for r in expected] == expected
+
+
+# --- scans that skip the closed prefix, against the per-set reference ---------------
+
+def _change(universe, kind, *args):
+    """Change ``universe`` one way.
+
+    ``("mask", m)`` interns mask ``m`` by ``intern_mask`` and ``("fresh",
+    masks)`` a list by ``intern_fresh``; ``("write", m)`` writes mask ``m``
+    after the last set and ``("write", m, sid)`` over set ``sid``
+    (:func:`write_set`); ``("inject", x)`` writes a set that holds itself
+    and ``x``.
+    """
+    if kind == "mask":
+        universe.intern_mask(*args)
+    elif kind == "fresh":
+        universe.intern_fresh(*args)
+    elif kind == "write":
+        write_set(universe, *args)
+    else:
+        inject_self_membered(universe, *args)
+
+
+def _changed(atoms, depth, changes):
+    """The universe ``build`` makes, then changed by each of ``changes`` in turn."""
+    universe, _ = build(BuildConfig(atoms, depth))
+    for change in changes:
+        _change(universe, *change)
+    return universe
+
+
+@st.composite
+def changed_built_universes(draw):
+    """A built universe of 1-4 atoms and at most 127 sets, then 0-6 changes (see :func:`_change`).
+
+    A change grows it past its closed prefix, by an intern, a repeat of a
+    set's mask (most often one of the prefix), the empty mask or a set that
+    holds itself, or writes over any set, inside the prefix or past it.
+    """
+    atoms = ("a", "b", "c", "d")[: draw(st.integers(1, 4))]
+    depth = draw(st.integers(0, (3, 3, 2, 1)[len(atoms) - 1]))
+    universe, _ = build(BuildConfig(atoms, depth))
+    for _ in range(draw(st.integers(0, 6))):
+        n = len(universe)
+        ids = st.integers(0, n - 1)
+        masks = st.sets(ids, min_size=1, max_size=4).map(mask_of)
+        kind = draw(st.sampled_from(["mask", "fresh", "repeat", "zero", "over", "inject"]))
+        if kind == "mask":
+            change = ("mask", draw(masks))
+        elif kind == "fresh":
+            change = ("fresh", draw(st.lists(masks, min_size=1, max_size=3)))
+        elif kind == "repeat":
+            change = ("write", universe.member_sets[draw(ids)])
+        elif kind == "zero":
+            change = ("write", 0)
+        elif kind == "over":
+            change = ("write", draw(masks), draw(ids))
+        else:
+            change = ("inject", draw(ids))
+        _change(universe, *change)
+    return universe
+
+
+def _parts_met(universe):
+    """The distinct non-individual parts a loop over the mixed sets meets, in id order.
+
+    The loop stops at the first set with a part missing, having met that
+    set's non-individual part when it is found.
+    """
+    individuals = universe.individuals()
+    met = {}
+    for ms in universe.member_sets:
+        own = ms & individuals
+        rest = ms ^ own
+        if own and rest:
+            if universe.lookup_mask(rest) is None:
+                break
+            met.setdefault(rest)
+            if universe.lookup_mask(own) is None:
+                break
+    return list(met)
+
+
+_LAW = {law.name: law for law in LAWS}
+
+
+@settings(max_examples=300, deadline=None)
+@given(changed_built_universes() | small_universes() | written_universes())
+# Grown past the prefix of u,v at depth 2 (masks below 8, ids below 7) by
+# x = {{u,v,{u,v}}}, then {u,{x}}, whose non-individual part {x} is
+# missing, and by the records {{u,{x}}} and {{u,v},{u,{x}}}; and past a,b,c
+# at depth 2 by the singleton of its last set, then a record that holds
+# that singleton and set 3.
+@example(_changed(("u", "v"), 2, [("mask", 1 << 6), ("mask", 1 | 1 << 7),
+                                  ("fresh", [1 << 8, 1 << 2 | 1 << 8])]))
+@example(_changed(("a", "b", "c"), 2, [("mask", 1 << 126), ("fresh", [1 << 127 | 1 << 3])]))
+# {u,{u,v}} written again past the prefix, and the empty mask written there.
+@example(_changed(("u", "v"), 2, [("write", 0b101)]))
+@example(_changed(("u", "v"), 2, [("write", 0)]))
+@example(_changed(("a", "b", "c", "d"), 1, [("mask", 0b11 << 4), ("write", 0)]))
+# {u,v} written over {{u,v}}, inside the prefix, which drops it.
+@example(_changed(("u", "v"), 2, [("write", 0b11, 3)]))
+# c = {{u,v}, c}, which holds itself, then {c}; and c = {u, c}, then
+# {c, {u,{u,v}}}, whose individual part {c} is missing.
+@example(_changed(("u", "v"), 2, [("inject", 2), ("mask", 1 << 7)]))
+@example(_changed(("u", "v"), 3, [("inject", 0), ("mask", 1 << 127 | 1 << 4)]))
+def test_prefix_scans_match_the_per_set_reference(universe):
+    # equality-substitution, no-empty-set and subset-derivations read
+    # nothing of the closed prefix; each must give the verdict, count and
+    # witness of the loop over every set, and subset-derivations must call
+    # specify on the id of each part that loop meets, in its order.
+    n = len(universe)
+    expected = reference_prefix_scans(universe)
+    with mock.patch.object(verifier, "specify", wraps=verifier.specify) as made:
+        got = [_LAW[r.name].scan(universe, None) for r in expected]
+    assert got == expected
+    assert [call.args[1] for call in made.call_args_list] == list(
+        map(universe.lookup_mask, _parts_met(universe)))
+    assert len(universe) == n
 
 
 @pytest.mark.parametrize("config", [
